@@ -41,6 +41,10 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 
 KERNELS = {"gaussian3d": KernelKind.GAUSSIAN_3D, "gaussian2d": KernelKind.GAUSSIAN_2D}
+# The lifts are looked up by name on each call, so that rebinding the
+# module's names (as perfbench/tracing.py does to time them) reaches them.
+LIFTS = {"rowsum": lambda A, obs: lift_rowsum(A, obs),
+         "rowsum2": lambda A, obs: lift_rowsum_squared(A, obs)}
 
 # Pipeline defaults for auto thresholding: coarser bins and a wider window
 # than the per-map library defaults, because the CLI pools scores across all
@@ -75,7 +79,12 @@ def _load_config(path) -> dict:
         raise formats.FormatError(f"{path}: malformed config: {exc}") from exc
     if not cp.has_section("splatlift"):
         return {}
-    return dict(cp["splatlift"])
+    config = dict(cp["splatlift"])
+    for key, table in (("mode", LIFTS), ("kernel", KERNELS)):
+        if key in config and config[key] not in table:
+            raise InvalidInputError(
+                f"{path}: {key} must be one of {sorted(table)}, got {config[key]!r}")
+    return config
 
 
 def _setting(args, config: dict, name: str, default, cast, attr: str | None = None):
@@ -84,7 +93,11 @@ def _setting(args, config: dict, name: str, default, cast, attr: str | None = No
     if flag is not None:
         return flag
     if name in config:
-        return cast(config[name])
+        try:
+            return cast(config[name])
+        except ValueError:
+            raise InvalidInputError(
+                f"config {name} must be {cast.__name__}, got {config[name]!r}") from None
     return default
 
 
@@ -150,10 +163,6 @@ def _cmd_lift(args) -> int:
     lam = float(_setting(args, config, "lambda", 1.2, float, attr="lam"))
     mode = _setting(args, config, "mode", "rowsum", str)
     kernel_name = _setting(args, config, "kernel", "gaussian3d", str)
-    if mode not in ("rowsum", "rowsum2"):
-        raise InvalidInputError(f"--mode must be rowsum or rowsum2, got {mode!r}")
-    if kernel_name not in KERNELS:
-        raise InvalidInputError(f"--kernel must be one of {sorted(KERNELS)}")
     cfg = LiftConfig(lam=lam)
     scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
     views = formats.read_cameras(args.cameras)
@@ -166,7 +175,7 @@ def _cmd_lift(args) -> int:
         matrix = None
     else:
         matrix = build_weight_matrix(scene, views, cfg, threads=threads)
-        field = lift_rowsum(matrix, obs) if mode == "rowsum" else lift_rowsum_squared(matrix, obs)
+        field = LIFTS[mode](matrix, obs)
         path_kind = "matrix"
     elapsed = time.perf_counter() - started
 
@@ -203,31 +212,40 @@ def _cmd_lift(args) -> int:
 
 # -- cluster-filter -------------------------------------------------------------
 
+def _field_matrix(args, config: dict, field: FeatureField):
+    """Views, weight matrix and kernel name for a command that reuses a field.
+
+    Lambda falls back to the one recorded in the field's run report, then to
+    the lift default; the scene must have as many primitives as the field.
+    """
+    kernel_name = _setting(args, config, "kernel", "gaussian3d", str)
+    lam = _setting(args, config, "lambda", None, float, attr="lam")
+    report_path = Path(args.field).with_suffix(Path(args.field).suffix + ".json")
+    if lam is None and report_path.exists():
+        lam = formats.read_run_report(report_path).get("lambda")
+    lam = 1.2 if lam is None else float(lam)
+    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
+    views = formats.read_cameras(args.cameras)
+    matrix = build_weight_matrix(scene, views, LiftConfig(lam=lam), threads=_threads())
+    if matrix.cols != field.count:
+        raise InvalidInputError(
+            f"field has {field.count} primitives but the scene has {matrix.cols}")
+    return views, matrix, kernel_name
+
+
 def _cmd_cluster_filter(args) -> int:
     config = _load_config(args.config)
     tau = float(_setting(args, config, "tau", 0.6, float))
     if not (0.0 < tau < 1.0):
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
     mode = _setting(args, config, "mode", "rowsum", str)
-    kernel_name = _setting(args, config, "kernel", "gaussian3d", str)
-    lam = _setting(args, config, "lambda", None, float, attr="lam")
-    report_path = Path(args.field).with_suffix(Path(args.field).suffix + ".json")
-    if lam is None and report_path.exists():
-        lam = float(formats.read_run_report(report_path).get("lambda", 1.2))
-    lam = 1.2 if lam is None else float(lam)
-
-    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
-    views = formats.read_cameras(args.cameras)
+    field = formats.read_feature_field(args.field)
+    views, matrix, kernel_name = _field_matrix(args, config, field)
     obs = _load_observations(views, args.labels)
     if not obs.label_backed:
         raise InvalidInputError(
             "cluster-filter requires label-backed observations (.lbl/.lft); "
             "dense feature tensors carry no masks to filter")
-    field = formats.read_feature_field(args.field)
-    matrix = build_weight_matrix(scene, views, LiftConfig(lam=lam), threads=_threads())
-    if matrix.cols != field.count:
-        raise InvalidInputError(
-            f"field has {field.count} primitives but the scene has {matrix.cols}")
 
     assignment = cluster_features(field)
     kappa = project_clusters(matrix, onehot(assignment))
@@ -252,15 +270,16 @@ def _cmd_cluster_filter(args) -> int:
     print(f"cluster-filter: {assignment.n_clusters} clusters, "
           f"{dropped}/{len(records)} masks dropped at tau={tau}")
     if args.relift:
-        relifted = (lift_rowsum(matrix, filtered) if mode == "rowsum"
-                    else lift_rowsum_squared(matrix, filtered))
+        started = time.perf_counter()
+        relifted = LIFTS[mode](matrix, filtered)
+        elapsed = time.perf_counter() - started
         formats.write_feature_field(out / "field.flt", relifted)
         formats.write_run_report(out / "field.flt.json", {
-            "lambda": lam, "mode": mode, "path": "matrix", "kernel": kernel_name,
-            "rows": int(obs.rows), "primitives": int(relifted.count),
+            "lambda": matrix.lambda_used, "mode": mode, "path": "matrix",
+            "kernel": kernel_name, "rows": int(obs.rows), "primitives": int(relifted.count),
             "feature_dim": int(relifted.feature_dim),
             "coverage": _coverage_summary(relifted),
-            "timing_s": 0.0,
+            "timing_s": elapsed,
         })
         print(f"cluster-filter: re-lifted field written to {out / 'field.flt'}")
     return EXIT_OK
@@ -270,29 +289,17 @@ def _cmd_cluster_filter(args) -> int:
 
 def _cmd_segment(args) -> int:
     config = _load_config(args.config)
-    kernel_name = _setting(args, config, "kernel", "gaussian3d", str)
     bins = int(_setting(args, config, "bins", SEGMENT_BINS, int))
     smoothing = int(_setting(args, config, "smoothing", SEGMENT_SMOOTHING, int))
     fallback = float(_setting(args, config, "fallback-threshold", 0.5, float))
-    lam = _setting(args, config, "lambda", None, float, attr="lam")
-    report_path = Path(args.field).with_suffix(Path(args.field).suffix + ".json")
-    if lam is None and report_path.exists():
-        lam = float(formats.read_run_report(report_path).get("lambda", 1.2))
-    lam = 1.2 if lam is None else float(lam)
-
-    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
-    views = formats.read_cameras(args.cameras)
     field = formats.read_feature_field(args.field)
     qarr = formats.read_feature_tensor(args.query)
     query = QueryEmbedding(vector=qarr.reshape(-1).astype(np.float64),
                            name=Path(args.query).stem)
-    matrix = build_weight_matrix(scene, views, LiftConfig(lam=lam), threads=_threads())
-    if matrix.cols != field.count:
-        raise InvalidInputError(
-            f"field has {field.count} primitives but the scene has {matrix.cols}")
+    views, matrix, _ = _field_matrix(args, config, field)
 
     scores = attention_scores(field, query)
-    maps = render_attention(matrix, scores, views, lift_lambda=lam)
+    maps = render_attention(matrix, scores, views, lift_lambda=matrix.lambda_used)
     if args.threshold == "auto":
         # One pooled threshold per query: merging the covered scores of all
         # views densifies the histogram, which stabilizes the valley search.
@@ -324,13 +331,16 @@ def _cmd_segment(args) -> int:
         formats.write_feature_tensor(out / f"{stem}_attention.flt",
                                      amap.scores[:, :, None].astype(np.float32))
         rows.append([query.name, view.view_id, f"{threshold:.8f}", picked])
+    # Several queries share one thresholds.csv; a rerun replaces its query's rows.
     csv_path = out / "thresholds.csv"
-    exists = csv_path.exists()
-    with open(csv_path, "a", newline="") as fh:
+    kept = []
+    if csv_path.exists():
+        with open(csv_path, newline="") as fh:
+            kept = [r for r in list(csv.reader(fh))[1:] if r and r[0] != query.name]
+    with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(["query", "view_id", "threshold", "selection"])
-        writer.writerows(rows)
+        writer.writerow(["query", "view_id", "threshold", "selection"])
+        writer.writerows(kept + rows)
     print(f"segment: query {query.name!r} threshold={threshold:.6f} ({picked}), "
           f"{len(views)} views written to {out}")
     return EXIT_OK
@@ -486,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--cameras", required=True)
     lift.add_argument("--features", required=True)
     lift.add_argument("--lambda", dest="lam", type=float, default=None)
-    lift.add_argument("--mode", choices=["rowsum", "rowsum2"], default=None)
+    lift.add_argument("--mode", choices=sorted(LIFTS), default=None)
     lift.add_argument("--kernel", choices=sorted(KERNELS), default=None)
     group = lift.add_mutually_exclusive_group()
     group.add_argument("--streaming", action="store_true")
@@ -505,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--labels", required=True)
     cf.add_argument("--tau", type=float, default=None)
     cf.add_argument("--lambda", dest="lam", type=float, default=None)
-    cf.add_argument("--mode", choices=["rowsum", "rowsum2"], default=None)
+    cf.add_argument("--mode", choices=sorted(LIFTS), default=None)
     cf.add_argument("--kernel", choices=sorted(KERNELS), default=None)
     cf.add_argument("--relift", action="store_true")
     cf.add_argument("--out", required=True)

@@ -5,6 +5,7 @@ round-trip bit-exactly."""
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -24,7 +25,10 @@ class FormatError(Exception):
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
+    """Read n bytes; a count past the end of the file (from an untrusted
+    header) is refused before anything is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(n) if n <= left else b""
     if len(data) != n:
         raise FormatError(f"{path}: truncated while reading {what}")
     return data

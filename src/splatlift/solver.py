@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import InvalidInputError, LiftConfig, SplatScene
 from .rasterize import WeightMatrix, iter_view_entries, view_ranges
@@ -234,35 +235,41 @@ def _check_alignment(A: WeightMatrix, obs: ObservationSet) -> None:
 
 def _observed_entries(A: WeightMatrix, obs: ObservationSet):
     """Flat (rows, cols, weights) triplets restricted to observed rays."""
+    _check_alignment(A, obs)
     reps = np.diff(A.indptr)
     rows = np.repeat(np.arange(A.rows), reps)
     mask = obs.observed_mask()[rows]
     return rows[mask], A.indices[mask], A.weights[mask]
 
 
-def _lift_from_entries(rows, cols, weights, B, n_primitives, feature_dim,
-                       squared, lambda_used):
+def _accumulate(rows, cols, weights, B, P, squared):
+    """Lift sums over weight entries: num = W^T B, den = W^T 1, cov = A^T 1.
+
+    W holds the entries' weights (squared for rowsum2), laid out as a sparse
+    P x R matrix so that num is one sparse-dense product over all channels.
+    """
     w_eff = weights * weights if squared else weights
-    coverage = np.bincount(cols, weights=weights, minlength=n_primitives)
-    denom = np.bincount(cols, weights=w_eff, minlength=n_primitives)
-    num = np.zeros((n_primitives, feature_dim))
-    for f in range(feature_dim):
-        num[:, f] = np.bincount(cols, weights=w_eff * B[rows, f], minlength=n_primitives)
+    cov = np.bincount(cols, weights=weights, minlength=P)
+    den = np.bincount(cols, weights=w_eff, minlength=P)
+    num = sp.csr_matrix((w_eff, (cols, rows)), shape=(P, B.shape[0])) @ B
+    return num, den, cov
+
+
+def _finish(num, den, cov, lam) -> FeatureField:
+    """Divide the lift sums; primitives below EPS_COVERAGE are zero-filled."""
+    solvable = den > 0
+    if not np.any(solvable):
+        raise InvalidInputError("no observations: every observed ray has an empty weight row")
     values = np.zeros_like(num)
-    solvable = denom > 0
-    values[solvable] = num[solvable] / denom[solvable, None]
-    values[coverage < EPS_COVERAGE] = 0.0
-    return FeatureField(values=values, coverage=coverage, lambda_used=lambda_used)
+    values[solvable] = num[solvable] / den[solvable, None]
+    values[cov < EPS_COVERAGE] = 0.0
+    return FeatureField(values=values, coverage=cov, lambda_used=lam)
 
 
 def lift_rowsum(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     """Closed-form lift x_j = sum_i A_ij B_i / sum_i A_ij over observed rays."""
-    _check_alignment(A, obs)
-    rows, cols, weights = _observed_entries(A, obs)
-    if len(rows) == 0:
-        raise InvalidInputError("no observations: every observed ray has an empty weight row")
-    return _lift_from_entries(rows, cols, weights, obs.dense_values(), A.cols,
-                              obs.feature_dim, squared=False, lambda_used=A.lambda_used)
+    sums = _accumulate(*_observed_entries(A, obs), obs.dense_values(), A.cols, squared=False)
+    return _finish(*sums, A.lambda_used)
 
 
 def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
@@ -272,12 +279,8 @@ def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     otherwise (front-loaded weights dominate). A is expected to have been
     built with the polarized activation.
     """
-    _check_alignment(A, obs)
-    rows, cols, weights = _observed_entries(A, obs)
-    if len(rows) == 0:
-        raise InvalidInputError("no observations: every observed ray has an empty weight row")
-    return _lift_from_entries(rows, cols, weights, obs.dense_values(), A.cols,
-                              obs.feature_dim, squared=True, lambda_used=A.lambda_used)
+    sums = _accumulate(*_observed_entries(A, obs), obs.dense_values(), A.cols, squared=True)
+    return _finish(*sums, A.lambda_used)
 
 
 def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
@@ -285,8 +288,10 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
                    threads: int = 1) -> FeatureField:
     """Accumulate the row-sum lift during rasterization without storing A.
 
-    Matches the matrix path within accumulation-order tolerance (1e-5
-    relative at desk scale).
+    Each tile's entries are accumulated as they are rasterized, and the
+    per-view sums are added in view order, so the result does not depend on
+    the thread count. Matches the matrix path within accumulation-order
+    tolerance (1e-5 relative at desk scale).
     """
     cfg = cfg or LiftConfig()
     if mode not in ("rowsum", "rowsum2"):
@@ -301,49 +306,29 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
         raise InvalidInputError("views and observations are not aligned")
     squared = mode == "rowsum2"
     P = len(scene)
-    F = obs.feature_dim
     B = obs.dense_values()
     observed = obs.observed_mask()
 
-    def accumulate(view):
-        num = np.zeros((P, F))
-        den = np.zeros(P)
-        cov = np.zeros(P)
+    def accumulate_view(view):
+        sums = (np.zeros((P, obs.feature_dim)), np.zeros(P), np.zeros(P))
         start, _ = ranges[view.view_id]
         for rows_local, _ranks, cols, weights in iter_view_entries(scene, view, cfg):
             rows = rows_local + start
             keep = observed[rows]
-            if not np.any(keep):
-                continue
-            rows, cols, weights = rows[keep], cols[keep], weights[keep]
-            w_eff = weights * weights if squared else weights
-            cov += np.bincount(cols, weights=weights, minlength=P)
-            den += np.bincount(cols, weights=w_eff, minlength=P)
-            for f in range(F):
-                num[:, f] += np.bincount(cols, weights=w_eff * B[rows, f], minlength=P)
-        return num, den, cov
+            if np.any(keep):
+                tile = _accumulate(rows[keep], cols[keep], weights[keep], B, P, squared)
+                for total, part in zip(sums, tile):
+                    total += part
+        return sums
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(accumulate, views))
+            parts = list(pool.map(accumulate_view, views))
     else:
-        parts = [accumulate(v) for v in views]
-
-    num = np.zeros((P, F))
-    den = np.zeros(P)
-    coverage = np.zeros(P)
-    for n_part, d_part, c_part in parts:
-        num += n_part
-        den += d_part
-        coverage += c_part
-    if not np.any(den > 0):
-        raise InvalidInputError("no observations: every observed ray has an empty weight row")
-    values = np.zeros_like(num)
-    solvable = den > 0
-    values[solvable] = num[solvable] / den[solvable, None]
-    values[coverage < EPS_COVERAGE] = 0.0
-    return FeatureField(values=values, coverage=coverage, lambda_used=cfg.lam)
+        parts = [accumulate_view(v) for v in views]
+    num, den, cov = (sum(view_sums) for view_sums in zip(*parts))
+    return _finish(num, den, cov, cfg.lam)
 
 
 # -- convex losses ---------------------------------------------------------

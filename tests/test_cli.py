@@ -167,6 +167,30 @@ def test_config_file_precedence(fixture_dir, tmp_path):
     assert formats.read_run_report(str(out) + ".json")["lambda"] == 1.5
 
 
+@pytest.mark.parametrize("command", ["lift", "cluster-filter", "segment"])
+@pytest.mark.parametrize("key, value", [("kernel", "foo"), ("mode", "bogus"),
+                                        ("lambda", "abc")])
+def test_config_rejects_bad_value(fixture_dir, tmp_path, capsys, command, key, value):
+    field = tmp_path / "field.flt"
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    config = tmp_path / "conf.ini"
+    config.write_text(f"[splatlift]\n{key} = {value}\n")
+    extra = {
+        "lift": ["--features", str(fixture_dir / "features")],
+        "cluster-filter": ["--field", str(field), "--labels", str(fixture_dir / "features"),
+                           "--relift"],
+        "segment": ["--field", str(field),
+                    "--query", str(fixture_dir / "queries" / "blob_a.flt")],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *geo, *extra, "--config", str(config), "--out", str(out)]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_filter_requires_masks(fixture_dir, tmp_path, capsys):
     # dense observations cannot be filtered
     dense_dir = tmp_path / "dense"
@@ -219,6 +243,7 @@ def test_cluster_filter_clean_keeps_everything(fixture_dir, tmp_path):
     assert rows[0] == ["view_id", "label", "iou", "decision"]
     assert all(row[3] == "kept" for row in rows[1:])
     assert (out / "field.flt").exists()
+    assert formats.read_run_report(out / "field.flt.json")["timing_s"] > 0.0
     # filtered label maps round-trip
     views = formats.read_cameras(fixture_dir / "cameras.txt")
     for v in views:
@@ -234,7 +259,7 @@ def test_segment_and_eval_flow(fixture_dir, tmp_path):
                  "--features", str(fixture_dir / "features"),
                  "--lambda", "1.2", "--out", str(field)]) == 0
     seg = tmp_path / "seg"
-    for query in ("blob_a", "blob_b"):
+    for query in ("blob_a", "blob_b", "blob_a"):  # a rerun replaces its query's rows
         assert main(["segment", "--field", str(field),
                      "--scene", str(fixture_dir / "scene.ply"),
                      "--cameras", str(fixture_dir / "cameras.txt"),
@@ -245,6 +270,7 @@ def test_segment_and_eval_flow(fixture_dir, tmp_path):
     thresholds = read_csv(seg / "thresholds.csv")
     assert thresholds[0] == ["query", "view_id", "threshold", "selection"]
     assert len(thresholds) == 1 + 2 * 3  # header + queries x views
+    assert len({(row[0], row[1]) for row in thresholds[1:]}) == 2 * 3
     out_csv = tmp_path / "miou.csv"
     assert main(["eval", "--pred", str(seg), "--gt", str(fixture_dir / "gt"),
                  "--out", str(out_csv)]) == 0

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,20 @@ def test_feature_tensor_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"!")
     with pytest.raises(FormatError, match="trailing"):
         formats.read_feature_tensor(path)
+
+
+@pytest.mark.parametrize("header, reader", [
+    (formats.FEATURE_MAGIC + struct.pack("<4I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1),
+     formats.read_feature_tensor),
+    (formats.LABEL_MAGIC + struct.pack("<3I", 1, 2**32 - 1, 2**32 - 1),
+     formats.read_label_map),
+])
+def test_oversized_header_is_format_error(tmp_path, header, reader):
+    # the header asks for far more payload than the file holds; nothing is allocated
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header)
+    with pytest.raises(FormatError, match="truncated"):
+        reader(path)
 
 
 # -- label maps and tables -----------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix
 from splatlift.solver import (
+    EPS_COVERAGE,
     InvariantViolation,
     ObservationSet,
     beta,
@@ -350,6 +351,45 @@ def test_streaming_matches_matrix_path():
         streamed = lift_streaming(scene, views, obs, cfg, mode=mode)
         assert np.allclose(streamed.values, direct.values, rtol=1e-5, atol=1e-12)
         assert np.allclose(streamed.coverage, direct.coverage, rtol=1e-5, atol=1e-12)
+
+
+def test_streaming_bit_identical_across_threads():
+    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=3)
+    scene, views, ids = make_scene(spec)
+    obs, _ = make_observations(scene, views, spec, object_ids=ids)
+    cfg = LiftConfig(lam=1.2)
+    one = lift_streaming(scene, views, obs, cfg, threads=1)
+    two = lift_streaming(scene, views, obs, cfg, threads=2)
+    assert np.array_equal(one.values, two.values)
+    assert np.array_equal(one.coverage, two.coverage)
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_label_backed_wide_lift_matches_sparse_reference(squared):
+    # (A_obs^T B) / (A_obs^T 1) with 512-D label embeddings, computed with scipy
+    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=2)
+    scene, views, ids = make_scene(spec)
+    masks, _ = make_observations(scene, views, spec, object_ids=ids)
+    rng = np.random.default_rng(11)
+    tables = {vid: {k: rng.normal(size=512) for k in table}
+              for vid, table in masks.label_features.items()}
+    obs = ObservationSet.from_labels(views, masks.labels, tables)
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    field = (lift_rowsum_squared if squared else lift_rowsum)(A, obs)
+
+    observed = obs.observed_mask()
+    a_obs = A.to_csr()[np.flatnonzero(observed)]
+    w_obs = a_obs.multiply(a_obs).tocsr() if squared else a_obs
+    num = w_obs.T @ obs.dense_values()[observed]
+    den = np.asarray(w_obs.sum(axis=0)).reshape(-1)
+    coverage = np.asarray(a_obs.sum(axis=0)).reshape(-1)
+    expected = np.zeros_like(num)
+    seen = coverage >= EPS_COVERAGE
+    expected[seen] = num[seen] / den[seen, None]
+    assert field.values.shape == (len(scene), 512)
+    assert np.count_nonzero(seen) > 0
+    assert np.allclose(field.coverage, coverage, rtol=1e-12, atol=0)
+    assert np.max(np.abs(field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_streaming_single_splat_exact():
