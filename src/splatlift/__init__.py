@@ -32,12 +32,10 @@ from .solver import (
 from .aggregate import (
     ClusterAssignment,
     ClusterParams,
-    MaskSet,
     cluster_features,
     filter_observations,
     iou,
     onehot,
-    project_clusters,
 )
 from .query import (
     AttentionMap,

@@ -1,5 +1,6 @@
-"""Post-lift aggregation: cluster lifted features, project cluster labels to
-2D, and discard observation masks that disagree with their cluster mask."""
+"""Post-lift aggregation: cluster lifted features, and discard observation
+masks that disagree with the cluster labels rendered to their view
+(rasterize.render_labels)."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .model import InvalidInputError
-from .rasterize import WeightMatrix, render_labels
 from .solver import FeatureField, ObservationSet
 
 
@@ -46,11 +48,14 @@ class ClusterAssignment:
 
 
 def cluster_features(field: FeatureField, params: ClusterParams | None = None) -> ClusterAssignment:
-    """Density-based clustering of unit-normalized feature rows.
+    """Density-based clustering (DBSCAN) of unit-normalized feature rows.
 
-    Deterministic given the input order: cores are seeded in ascending index
-    order and neighbor lists are visited sorted. Noise points and unobserved
-    primitives map to -1.
+    A point is core when its eps-neighborhood, itself included, holds at
+    least min_points points. Clusters are the connected components of the
+    core points' eps-graph, numbered by their lowest core index; a border
+    point joins the lowest-numbered cluster among its core neighbors. This
+    is the labelling of seed-order expansion (cores seeded in ascending
+    index order). Noise points and unobserved primitives map to -1.
     """
     params = params or ClusterParams()
     values = field.values
@@ -67,35 +72,38 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
         return ClusterAssignment(labels=labels_full, n_clusters=0, params=params)
 
     x = values[obs_idx] / norms[obs_idx, None]
+    n = len(obs_idx)
     tree = cKDTree(x)
     if params.eps is not None:
         eps = float(params.eps)
     else:
-        k = min(params.min_points + 1, len(obs_idx))
+        k = min(params.min_points + 1, n)
         dists, _ = tree.query(x, k=k)
         eps = max(float(np.percentile(dists[:, -1], params.eps_percentile)), params.eps_floor)
 
-    neighborhoods = [sorted(n) for n in tree.query_ball_point(x, eps)]
-    core = np.array([len(n) >= params.min_points for n in neighborhoods])
-    labels = -np.ones(len(obs_idx), dtype=np.int64)
-    cluster_id = 0
-    for seed in range(len(obs_idx)):
-        if labels[seed] != -1 or not core[seed]:
-            continue
-        labels[seed] = cluster_id
-        stack = [seed]
-        while stack:
-            j = stack.pop()
-            if not core[j]:
-                continue
-            for k in neighborhoods[j]:
-                if labels[k] == -1:
-                    labels[k] = cluster_id
-                    if core[k]:
-                        stack.append(k)
-        cluster_id += 1
+    i, j = tree.query_pairs(eps, output_type="ndarray").T
+    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= params.min_points
+    both = core[i] & core[j]
+    graph = coo_matrix((np.ones(np.count_nonzero(both), dtype=np.int8), (i[both], j[both])),
+                       shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    core_idx = np.flatnonzero(core)
+    _, first, inverse = np.unique(component[core_idx], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = -np.ones(n, dtype=np.int64)
+    labels[core_idx] = rank[inverse]
+
+    # Border points: each edge with exactly one core end offers that core's
+    # cluster to the other end, which keeps the smallest offer.
+    one = core[i] != core[j]
+    inner, outer = np.where(core[i], i, j)[one], np.where(core[i], j, i)[one]
+    best = np.full(n, len(first), dtype=np.int64)
+    np.minimum.at(best, outer, labels[inner])
+    claimed = best < len(first)
+    labels[claimed] = best[claimed]
     labels_full[obs_idx] = labels
-    return ClusterAssignment(labels=labels_full, n_clusters=cluster_id, params=params)
+    return ClusterAssignment(labels=labels_full, n_clusters=len(first), params=params)
 
 
 def onehot(assignment: ClusterAssignment) -> np.ndarray:
@@ -110,15 +118,6 @@ def onehot(assignment: ClusterAssignment) -> np.ndarray:
     return out
 
 
-def project_clusters(A: WeightMatrix, gamma_onehot: np.ndarray) -> np.ndarray:
-    """Render cluster indicators to per-ray labels (argmax decode, ties low).
-
-    Any orthogonal encode/decode pair could stand in here; this delegates to
-    the one-hot composite-and-argmax path.
-    """
-    return render_labels(A, gamma_onehot)
-
-
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     """Intersection over union of two binary masks; 0 when both are empty."""
     a = np.asarray(mask_a, dtype=bool)
@@ -129,48 +128,6 @@ def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     if union == 0:
         return 0.0
     return np.count_nonzero(a & b) / union
-
-
-class MaskSet:
-    """Per-view observation label maps paired with projected cluster labels."""
-
-    def __init__(self, view_shapes, observation_labels, projected_labels):
-        self.view_shapes = dict(view_shapes)
-        self.observation_labels = {k: np.asarray(v, dtype=np.int64)
-                                   for k, v in observation_labels.items()}
-        self.projected_labels = {k: np.asarray(v, dtype=np.int64)
-                                 for k, v in projected_labels.items()}
-
-    @classmethod
-    def build(cls, obs: ObservationSet, kappa: np.ndarray) -> "MaskSet":
-        if not obs.label_backed:
-            raise InvalidInputError("mask filtering requires label-backed observations")
-        kappa = np.asarray(kappa, dtype=np.int64).reshape(-1)
-        if kappa.shape[0] != obs.rows:
-            raise InvalidInputError("projected labels are not aligned with the observations")
-        obs_maps = {}
-        proj_maps = {}
-        for vid, (start, stop) in obs.view_ranges.items():
-            obs_maps[vid] = obs.labels[vid].reshape(-1)
-            proj_maps[vid] = kappa[start:stop]
-        return cls(obs.view_shapes, obs_maps, proj_maps)
-
-    def view_ids(self):
-        return list(self.observation_labels)
-
-    def observation_mask(self, view_id: str, label: int) -> np.ndarray:
-        h, w = self.view_shapes[view_id]
-        return (self.observation_labels[view_id] == label).reshape(h, w)
-
-    def projected_mask(self, view_id: str, label: int) -> np.ndarray:
-        h, w = self.view_shapes[view_id]
-        return (self.projected_labels[view_id] == label).reshape(h, w)
-
-    def observation_label_ids(self, view_id: str):
-        return sorted(int(u) for u in np.unique(self.observation_labels[view_id]) if u >= 0)
-
-    def projected_label_ids(self, view_id: str):
-        return sorted(int(u) for u in np.unique(self.projected_labels[view_id]) if u >= 0)
 
 
 @dataclass(frozen=True)
@@ -185,37 +142,36 @@ class MaskFilterRecord:
         return "kept" if self.kept else "dropped"
 
 
-def filter_observations(obs: ObservationSet, masks: MaskSet, tau: float):
+def filter_observations(obs: ObservationSet, kappa: np.ndarray, tau: float):
     """Drop observation masks whose best-matching cluster mask overlaps < tau.
 
-    Each (view, label) observation mask is matched to the single projected
-    cluster label of maximal IoU (ties toward the lower label). Returns the
-    filtered ObservationSet and one record per mask.
+    kappa holds the projected cluster label of every ray (-1 for none), in
+    the row order of obs. Each (view, label) observation mask is matched to
+    the projected cluster label of maximal IoU. Returns the filtered
+    ObservationSet and one record per mask, views in order and labels
+    ascending.
     """
     if not obs.label_backed:
         raise InvalidInputError("mask filtering requires label-backed observations")
+    kappa = np.asarray(kappa, dtype=np.int64).reshape(-1)
+    if kappa.shape[0] != obs.rows:
+        raise InvalidInputError("projected labels are not aligned with the observations")
     if not (0.0 <= tau <= 1.0):
         raise InvalidInputError(f"tau must lie in [0, 1], got {tau!r}")
     records = []
-    drops = []
-    for vid in obs.view_ranges:
-        obs_map = masks.observation_labels[vid]
-        proj_map = masks.projected_labels[vid]
-        proj_ids = masks.projected_label_ids(vid)
-        proj_sizes = {l: int(np.count_nonzero(proj_map == l)) for l in proj_ids}
-        for label in masks.observation_label_ids(vid):
-            sel = obs_map == label
-            size = int(np.count_nonzero(sel))
-            best = 0.0
-            for pl in proj_ids:
-                inter = int(np.count_nonzero(sel & (proj_map == pl)))
-                union = size + proj_sizes[pl] - inter
-                score = inter / union if union else 0.0
-                if score > best:
-                    best = score
-            kept = best >= tau
-            records.append(MaskFilterRecord(view_id=vid, label=label, iou=best, kept=kept))
-            if not kept:
-                drops.append((vid, label))
+    for vid, (start, stop) in obs.view_ranges.items():
+        o_ids, o_inv = np.unique(obs.labels[vid].reshape(-1), return_inverse=True)
+        p_ids, p_inv = np.unique(kappa[start:stop], return_inverse=True)
+        # confusion[a, b]: rays with observed label o_ids[a] and projected p_ids[b]
+        confusion = np.bincount(o_inv * len(p_ids) + p_inv,
+                                minlength=len(o_ids) * len(p_ids)).reshape(len(o_ids), len(p_ids))
+        union = confusion.sum(axis=1)[:, None] + confusion.sum(axis=0)[None, :] - confusion
+        masks = o_ids >= 0  # every mask is non-empty, so its unions are too
+        scores = confusion[masks][:, p_ids >= 0] / union[masks][:, p_ids >= 0]
+        best = scores.max(axis=1, initial=0.0)
+        records += [MaskFilterRecord(view_id=vid, label=int(label), iou=float(score),
+                                     kept=bool(score >= tau))
+                    for label, score in zip(o_ids[masks], best)]
+    drops = [(r.view_id, r.label) for r in records if not r.kept]
     filtered = obs.drop_view_labels(drops) if drops else obs
     return filtered, records

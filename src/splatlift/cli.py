@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .aggregate import MaskSet, cluster_features, filter_observations, iou, onehot, project_clusters
+from .aggregate import cluster_features, filter_observations, iou, onehot
 from .model import CameraView, InvalidInputError, KernelKind, LiftConfig
 from .query import (
     QueryEmbedding,
@@ -30,7 +30,7 @@ from .query import (
     render_attention,
     segment,
 )
-from .rasterize import build_weight_matrix, render
+from .rasterize import build_weight_matrix, render, render_labels
 from .solver import FeatureField, ObservationSet, lift_rowsum, lift_rowsum_squared, lift_streaming
 from .synthbench import instance_label_maps, make_observations, make_scene, parse_scene_spec
 from .verify import SUITES, VerificationError, run_suite
@@ -223,7 +223,12 @@ def _field_matrix(args, config: dict, field: FeatureField):
     report_path = Path(args.field).with_suffix(Path(args.field).suffix + ".json")
     if lam is None and report_path.exists():
         lam = formats.read_run_report(report_path).get("lambda")
-    lam = 1.2 if lam is None else float(lam)
+        try:
+            lam = None if lam is None else float(lam)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"{report_path}: lambda must be a number, got {lam!r}") from None
+    lam = 1.2 if lam is None else lam
     scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
     views = formats.read_cameras(args.cameras)
     matrix = build_weight_matrix(scene, views, LiftConfig(lam=lam), threads=_threads())
@@ -248,9 +253,8 @@ def _cmd_cluster_filter(args) -> int:
             "dense feature tensors carry no masks to filter")
 
     assignment = cluster_features(field)
-    kappa = project_clusters(matrix, onehot(assignment))
-    masks = MaskSet.build(obs, kappa)
-    filtered, records = filter_observations(obs, masks, tau)
+    kappa = render_labels(matrix, onehot(assignment))
+    filtered, records = filter_observations(obs, kappa, tau)
 
     out = Path(args.out)
     labels_dir = out / "labels"

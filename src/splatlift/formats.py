@@ -200,15 +200,23 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
             if not parts or parts[0] == "comment":
                 continue
             if parts[0] == "element":
+                if len(parts) < 3:
+                    raise FormatError(f"{path}: malformed element line {line!r}")
                 in_vertex_element = parts[1] == "vertex"
                 if in_vertex_element:
+                    if not parts[2].isdigit():
+                        raise FormatError(f"{path}: bad vertex count {parts[2]!r}")
                     vertex_count = int(parts[2])
             elif parts[0] == "property" and in_vertex_element:
-                if parts[1] == "list":
+                if len(parts) > 1 and parts[1] == "list":
                     raise FormatError(f"{path}: list properties are not supported")
+                if len(parts) < 3:
+                    raise FormatError(f"{path}: malformed property line {line!r}")
                 dtype = _PLY_PROPERTY_DTYPES.get(parts[1])
                 if dtype is None:
                     raise FormatError(f"{path}: unknown property type {parts[1]!r}")
+                if any(name == parts[2] for name, _ in fields):
+                    raise FormatError(f"{path}: duplicate vertex property {parts[2]!r}")
                 fields.append((parts[2], dtype))
         if vertex_count is None:
             raise FormatError(f"{path}: no vertex element in header")

@@ -4,6 +4,8 @@ statistics, and the Monte-Carlo background-gradient check. Each suite returns
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .model import InvalidInputError, LiftConfig
@@ -214,6 +216,6 @@ def run_suite(name: str, seed: int | None = None):
     fn = SUITES[name]
     if seed is None:
         return fn()
-    if name in ("dispersion",):
-        return fn()
+    if "seed" not in inspect.signature(fn).parameters:
+        raise InvalidInputError(f"suite {name!r} takes no seed")
     return fn(seed=seed)

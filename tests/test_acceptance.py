@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from splatlift import formats
-from splatlift.aggregate import MaskSet, cluster_features, filter_observations, iou, onehot, project_clusters
+from splatlift.aggregate import cluster_features, filter_observations, iou, onehot
 from splatlift.cli import main
 from splatlift.model import LiftConfig
 from splatlift.query import ValleyNotFoundError, auto_threshold
-from splatlift.rasterize import build_weight_matrix
+from splatlift.rasterize import build_weight_matrix, render_labels
 from splatlift.solver import (
     bound_report,
     lift_rowsum,
@@ -215,12 +215,11 @@ def test_criterion_8_aggregation_filtering(blob_fixtures):
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
     field = lift_rowsum(A, obs)
     assignment = cluster_features(field)
-    kappa = project_clusters(A, onehot(assignment))
-    masks = MaskSet.build(obs, kappa)
+    kappa = render_labels(A, onehot(assignment))
     merged = {k for k, t in tags.items() if t.merged}
     clean = {k for k, t in tags.items() if not t.merged}
     assert merged, "noisy benchmark must contain merged masks"
-    _, records = filter_observations(obs, masks, tau=0.6)
+    _, records = filter_observations(obs, kappa, tau=0.6)
     dropped = {(r.view_id, r.label) for r in records if not r.kept}
     recall = len(dropped & merged) / len(merged)
     retention = len(clean - dropped) / len(clean)
@@ -228,7 +227,7 @@ def test_criterion_8_aggregation_filtering(blob_fixtures):
     assert retention >= 0.95
     kept_sets = []
     for tau in (0.3, 0.5, 0.6, 0.8):
-        _, recs = filter_observations(obs, masks, tau)
+        _, recs = filter_observations(obs, kappa, tau)
         kept_sets.append({(r.view_id, r.label) for r in recs if r.kept})
     for bigger, smaller in zip(kept_sets, kept_sets[1:]):
         assert smaller <= bigger

@@ -191,6 +191,26 @@ def test_config_rejects_bad_value(fixture_dir, tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
+def test_report_lambda_must_be_a_number(fixture_dir, tmp_path, capsys):
+    # without --lambda, cluster-filter and segment take lambda from the
+    # field's run report, which is outside input like any other file
+    field = tmp_path / "field.flt"
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    extra = {
+        "cluster-filter": ["--labels", str(fixture_dir / "features")],
+        "segment": ["--query", str(fixture_dir / "queries" / "blob_a.flt")],
+    }
+    for value in ("abc", [1.2]):
+        formats.write_run_report(str(field) + ".json", {"lambda": value})
+        for command, args in extra.items():
+            assert main([command, *geo, "--field", str(field), *args,
+                         "--out", str(tmp_path / "out")]) == 1
+            assert "field.flt.json: lambda must be a number" in capsys.readouterr().err
+
+
 def test_cluster_filter_requires_masks(fixture_dir, tmp_path, capsys):
     # dense observations cannot be filtered
     dense_dir = tmp_path / "dense"
@@ -334,6 +354,7 @@ def test_verify_suites_exit_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--suite", "jensen", "--seed", "7"]) == 0
     assert main(["verify", "--suite", "mc"]) == 0
+    assert main(["verify", "--suite", "dispersion", "--seed", "3"]) == 1
     report = tmp_path / "bounds.csv"
     assert main(["verify", "--suite", "bounds", "--seed", "3",
                  "--report", str(report)]) == 0

@@ -168,6 +168,21 @@ def test_splat_ply_missing_property(tmp_path):
         formats.read_splat_ply(path)
 
 
+@pytest.mark.parametrize("lines", [
+    "element vertex abc",
+    "element vertex -5",
+    "element",
+    "element vertex 1\nproperty float",
+    "element vertex 1\nproperty float x\nproperty float x",
+])
+def test_malformed_ply_header_is_format_error(tmp_path, lines):
+    path = tmp_path / "s.ply"
+    path.write_bytes(f"ply\nformat binary_little_endian 1.0\n{lines}\nend_header\n".encode()
+                     + bytes(64))
+    with pytest.raises(FormatError):
+        formats.read_splat_ply(path)
+
+
 def test_splat_ply_not_a_ply(tmp_path):
     path = tmp_path / "s.ply"
     path.write_bytes(b"hello world")
