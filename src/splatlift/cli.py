@@ -101,6 +101,35 @@ def _setting(args, config: dict, name: str, default, cast, attr: str | None = No
     return default
 
 
+def _view_observation(view, features_dir: Path):
+    """One view's observation files, checked against the view's size.
+
+    Returns (tensor, None) from <view_id>.flt, (label map, feature table)
+    from <view_id>.lbl and .lft, or None when neither file exists.
+    """
+    flt = features_dir / f"{view.view_id}.flt"
+    lbl = features_dir / f"{view.view_id}.lbl"
+    lft = features_dir / f"{view.view_id}.lft"
+    size = f"view {view.view_id!r} is {view.height}x{view.width}"
+    if flt.exists():
+        arr = formats.read_feature_tensor(flt)
+        if arr.shape[:2] != (view.height, view.width):
+            raise InvalidInputError(f"{flt}: tensor is {arr.shape[0]}x{arr.shape[1]} but {size}")
+        return arr.astype(np.float64), None
+    if not lbl.exists():
+        return None
+    if not lft.exists():
+        raise InvalidInputError(
+            f"view {view.view_id!r}: found {lbl.name} but its feature table "
+            f"{lft.name} is missing")
+    lab = formats.read_label_map(lbl)
+    if lab.shape != (view.height, view.width):
+        raise InvalidInputError(f"{lbl}: map is {lab.shape[0]}x{lab.shape[1]} but {size}")
+    table = formats.read_label_features(lft)
+    formats.validate_label_pair(lab, table, path=str(lbl))
+    return lab, {k: v.astype(np.float64) for k, v in table.items()}
+
+
 def _load_observations(views, features_dir) -> ObservationSet:
     """Pair every view with <view_id>.flt (dense) or <view_id>.lbl/.lft."""
     features_dir = Path(features_dir)
@@ -110,34 +139,17 @@ def _load_observations(views, features_dir) -> ObservationSet:
     labels = {}
     tables = {}
     for view in views:
-        flt = features_dir / f"{view.view_id}.flt"
-        lbl = features_dir / f"{view.view_id}.lbl"
-        lft = features_dir / f"{view.view_id}.lft"
-        if flt.exists():
-            arr = formats.read_feature_tensor(flt)
-            if arr.shape[:2] != (view.height, view.width):
-                raise InvalidInputError(
-                    f"{flt}: tensor is {arr.shape[0]}x{arr.shape[1]} but view "
-                    f"{view.view_id!r} is {view.height}x{view.width}")
-            dense[view.view_id] = arr.astype(np.float64)
-        elif lbl.exists():
-            if not lft.exists():
-                raise InvalidInputError(
-                    f"view {view.view_id!r}: found {lbl.name} but its feature table "
-                    f"{lft.name} is missing")
-            lab = formats.read_label_map(lbl)
-            if lab.shape != (view.height, view.width):
-                raise InvalidInputError(
-                    f"{lbl}: map is {lab.shape[0]}x{lab.shape[1]} but view "
-                    f"{view.view_id!r} is {view.height}x{view.width}")
-            table = formats.read_label_features(lft)
-            formats.validate_label_pair(lab, table, path=str(lbl))
-            labels[view.view_id] = lab
-            tables[view.view_id] = {k: v.astype(np.float64) for k, v in table.items()}
-        else:
+        found = _view_observation(view, features_dir)
+        if found is None:
             raise InvalidInputError(
-                f"view {view.view_id!r}: no observation file ({flt.name} or {lbl.name}) "
-                f"in {features_dir}")
+                f"view {view.view_id!r}: no observation file ({view.view_id}.flt or "
+                f"{view.view_id}.lbl) in {features_dir}")
+        values, table = found
+        if table is None:
+            dense[view.view_id] = values
+        else:
+            labels[view.view_id] = values
+            tables[view.view_id] = table
     if dense and labels:
         raise InvalidInputError(
             "mixed dense and label-backed observation files; use one backing for all views")
@@ -397,20 +409,13 @@ def _cmd_eval(args) -> int:
         h, w, f = arr.shape
         view = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h,
                           world_to_camera=np.eye(4), view_id=vid)
-        gt_flt = gt_dir / f"{vid}.flt"
-        gt_lbl = gt_dir / f"{vid}.lbl"
-        if gt_flt.exists():
-            gt_obs = ObservationSet.from_dense(
-                [view], {vid: formats.read_feature_tensor(gt_flt).astype(np.float64)})
-        elif gt_lbl.exists():
-            lab = formats.read_label_map(gt_lbl)
-            table = formats.read_label_features(gt_dir / f"{vid}.lft")
-            formats.validate_label_pair(lab, table, path=str(gt_lbl))
-            gt_obs = ObservationSet.from_labels(
-                [view], {vid: lab}, {vid: {k: v.astype(np.float64) for k, v in table.items()}})
-        else:
+        found = _view_observation(view, gt_dir)
+        if found is None:
             print(f"eval: warning: no ground truth for view {vid}, excluded")
             continue
+        values, table = found
+        gt_obs = (ObservationSet.from_dense([view], {vid: values}) if table is None
+                  else ObservationSet.from_labels([view], {vid: values}, {vid: table}))
         rep = eval_cosine(arr.reshape(-1, f), gt_obs)
         rows.append([vid, f"{rep.mean:.6f}", rep.rays_used, rep.rays_excluded])
         total_cos += rep.mean * rep.rays_used
@@ -435,9 +440,9 @@ def _cmd_synth(args) -> int:
     spec_text = Path(args.spec).read_text()
     spec = parse_scene_spec(spec_text)
     scene, views, object_ids = make_scene(spec)
-    obs, tags = make_observations(scene, views, spec, object_ids=object_ids)
     clean_matrix = build_weight_matrix(scene, views, LiftConfig(lam=1.0), threads=_threads())
     clean_maps = instance_label_maps(clean_matrix, object_ids, len(spec.objects))
+    obs, tags = make_observations(clean_maps, views, spec)
 
     out = Path(args.out)
     (out / "features").mkdir(parents=True, exist_ok=True)

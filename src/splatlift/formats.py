@@ -203,6 +203,9 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
                 if len(parts) < 3:
                     raise FormatError(f"{path}: malformed element line {line!r}")
                 in_vertex_element = parts[1] == "vertex"
+                if vertex_count is None and not in_vertex_element:
+                    raise FormatError(f"{path}: element {parts[1]!r} precedes the vertex "
+                                      "element, which must come first")
                 if in_vertex_element:
                     if not parts[2].isdigit():
                         raise FormatError(f"{path}: bad vertex count {parts[2]!r}")
@@ -220,27 +223,30 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
                 fields.append((parts[2], dtype))
         if vertex_count is None:
             raise FormatError(f"{path}: no vertex element in header")
+        names = {name for name, _ in fields}
+        required = ["x", "y", "z", "opacity", "scale_0", "scale_1", "scale_2",
+                    "rot_0", "rot_1", "rot_2", "rot_3"]
+        missing = [r for r in required if r not in names]
+        if missing:
+            raise FormatError(f"{path}: missing vertex properties {missing}")
         dtype = np.dtype(fields)
         payload = _read_exact(fh, dtype.itemsize * vertex_count, path, "vertex data")
     verts = np.frombuffer(payload, dtype=dtype)
-    names = {name for name, _ in fields}
-    required = ["x", "y", "z", "opacity", "scale_0", "scale_1", "scale_2",
-                "rot_0", "rot_1", "rot_2", "rot_3"]
-    missing = [r for r in required if r not in names]
-    if missing:
-        raise FormatError(f"{path}: missing vertex properties {missing}")
     thetas = verts["opacity"].astype(np.float64)
     if thetas.size and thetas.min() >= 0.0 and thetas.max() <= 1.0:
         warnings.warn(
             f"{path}: every opacity lies in [0, 1]; this file may store activated "
             "opacities, but values are interpreted as raw logits", stacklevel=2)
-    return SplatScene.from_arrays(
-        positions=np.stack([verts["x"], verts["y"], verts["z"]], axis=1).astype(np.float64),
-        log_scales=np.stack([verts[f"scale_{i}"] for i in range(3)], axis=1).astype(np.float64),
-        rotations=np.stack([verts[f"rot_{i}"] for i in range(4)], axis=1).astype(np.float64),
-        thetas=thetas,
-        kernels=np.full(len(verts), int(kernel), dtype=np.int8),
-    )
+    try:
+        return SplatScene.from_arrays(
+            positions=np.stack([verts["x"], verts["y"], verts["z"]], axis=1),
+            log_scales=np.stack([verts[f"scale_{i}"] for i in range(3)], axis=1),
+            rotations=np.stack([verts[f"rot_{i}"] for i in range(4)], axis=1),
+            thetas=thetas,
+            kernels=np.full(len(verts), int(kernel), dtype=np.int8),
+        )
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # -- camera lists (text) -------------------------------------------------------
@@ -256,8 +262,12 @@ def write_cameras(path, views) -> None:
 
 
 def read_cameras(path) -> list:
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not an ASCII camera list: {exc}") from exc
     views = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -308,6 +318,8 @@ def read_pgm(path) -> np.ndarray:
                 raise FormatError(f"{path}: truncated PGM header")
             text = line.split(b"#", 1)[0]
             tokens.extend(text.split())
+        if not all(t.isdigit() for t in tokens[:3]):
+            raise FormatError(f"{path}: PGM size and maxval must be non-negative integers")
         w, h, maxval = (int(t) for t in tokens[:3])
         if maxval != 255:
             raise FormatError(f"{path}: only maxval 255 is supported")

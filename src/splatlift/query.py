@@ -110,12 +110,14 @@ def render_attention(A: WeightMatrix, scores: np.ndarray, views,
 
 
 def _smooth(hist: np.ndarray, window: int) -> np.ndarray:
+    """Box mean of each bin's window over the bins that exist: near an edge
+    the window holds fewer bins, and none is counted twice."""
     if window <= 1:
         return hist.astype(np.float64)
-    half = window // 2
-    padded = np.pad(hist.astype(np.float64), half, mode="reflect")
-    kernel = np.ones(window) / window
-    return np.convolve(padded, kernel, mode="valid")
+    box = np.ones(window)
+    same = slice((window - 1) // 2, (window - 1) // 2 + len(hist))
+    total = np.convolve(hist.astype(np.float64), box)[same]
+    return total / np.convolve(np.ones(len(hist)), box)[same]
 
 
 def _runs(values: np.ndarray):

@@ -113,6 +113,13 @@ class WeightMatrix:
         return self._csr
 
     def validate(self) -> None:
+        ptr = self.indptr
+        if (ptr.size == 0 or ptr[0] != 0 or ptr[-1] != self.nnz
+                or len(self.indices) != self.nnz or np.any(np.diff(ptr) < 0)):
+            raise InvalidInputError(
+                "indptr must start at 0, never decrease and end at the entry count")
+        if self.nnz and (self.indices.min() < 0 or self.indices.max() >= self.cols):
+            raise InvalidInputError(f"primitive indices must lie in [0, {self.cols})")
         if not np.all(np.isfinite(self.weights)):
             raise InvalidInputError("weights must be finite")
         if self.nnz and (self.weights.min() <= 0.0 or self.weights.max() > 1.0):
@@ -120,11 +127,12 @@ class WeightMatrix:
         sums = self.row_sums()
         if sums.size and sums.max() > 1.0 + 1e-6:
             raise InvalidInputError(f"row sum exceeds 1: {sums.max()}")
-        for i in range(self.rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            seg = self.indices[lo:hi]
-            if len(np.unique(seg)) != len(seg):
-                raise InvalidInputError(f"duplicate primitive index in row {i}")
+        rows = np.repeat(np.arange(self.rows), np.diff(ptr))
+        keys = np.sort(rows * self.cols + self.indices)
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            raise InvalidInputError(
+                f"duplicate primitive index in row {keys[dup[0]] // self.cols}")
 
     def row_normalized(self) -> "WeightMatrix":
         """Copy with every non-empty row rescaled to sum exactly 1.
@@ -142,11 +150,13 @@ class WeightMatrix:
         reps = np.diff(self.indptr)
         w = self.weights * np.repeat(scale, reps)
         ticks = np.maximum(np.round(w * denom), 1.0)
-        for i in range(self.rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            if hi > lo:
-                seg = ticks[lo:hi]
-                seg[np.argmax(seg)] += denom - seg.sum()
+        if ticks.size:
+            # Each non-empty row's remainder goes to its first largest tick.
+            starts = self.indptr[:-1][reps > 0]
+            row_of = np.repeat(np.arange(len(starts)), reps[reps > 0])
+            is_max = np.flatnonzero(ticks == np.maximum.reduceat(ticks, starts)[row_of])
+            first = is_max[np.r_[True, np.diff(row_of[is_max]) > 0]]
+            ticks[first] += denom - np.add.reduceat(ticks, starts)
         if ticks.size and ticks.min() < 1:
             raise InvalidInputError("row normalization produced a non-positive weight")
         return WeightMatrix(self.indptr.copy(), self.indices.copy(), ticks / denom,
@@ -166,11 +176,17 @@ def view_ranges(views) -> dict:
 
 
 class _ViewProjection:
-    """Depth-sorted non-culled footprint arrays for one view."""
+    """Depth-sorted non-culled footprints of one view, one array per field.
 
-    __slots__ = ("idx", "mean2d", "inv_cov", "radius", "alpha", "depth",
-                 "is_planar", "plane_origin", "plane_normal", "axis_u",
-                 "axis_v", "plane_scales", "origin", "rot_c2w")
+    The inverse screen-space covariance is the conic [[a, b], [b, c]]. For
+    planar disks, plane_t, plane_u0 and plane_v0 give the ray-plane hit
+    t = plane_t / (d . n) and its local coordinates u = plane_u0 + t (d . u)
+    (likewise v) for a pixel ray direction d from the camera center.
+    """
+
+    __slots__ = ("idx", "mean_x", "mean_y", "conic_a", "conic_b", "conic_c",
+                 "radius", "alpha", "depth", "is_planar", "plane_normal", "axis_u",
+                 "axis_v", "plane_scales", "plane_t", "plane_u0", "plane_v0")
 
 
 def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
@@ -189,7 +205,6 @@ def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
     rots = quaternions_to_rotations(scene.rotations)
     s2 = np.exp(2.0 * scene.log_scales)
     planar = scene.kernels == int(KernelKind.GAUSSIAN_2D)
-    s2 = s2.copy()
     s2[planar, 2] = 0.0  # planar disks have no thickness
     cov3d = np.einsum("nij,nj,nkj->nik", rots, s2, rots)
 
@@ -215,30 +230,24 @@ def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
     radius = np.where(planar, radius * PLANAR_RADIUS_SLACK, radius)
 
     idx = np.flatnonzero(ok)
-    order = np.lexsort((idx, z[idx]))  # depth ascending, ties by index
-    idx = idx[order]
+    idx = idx[np.lexsort((idx, z[idx]))]  # depth ascending, ties by index
+    rots = rots[idx]
+    rel = view.camera_center - scene.positions[idx]
 
     proj = _ViewProjection()
     proj.idx = idx
-    proj.mean2d = np.stack([mean_x[idx], mean_y[idx]], axis=1)
-    inv = np.empty((len(idx), 2, 2))
+    proj.mean_x, proj.mean_y = mean_x[idx], mean_y[idx]
     d = det[idx]
-    inv[:, 0, 0] = c[idx] / d
-    inv[:, 0, 1] = -b[idx] / d
-    inv[:, 1, 0] = -b[idx] / d
-    inv[:, 1, 1] = a[idx] / d
-    proj.inv_cov = inv
+    proj.conic_a, proj.conic_b, proj.conic_c = c[idx] / d, -b[idx] / d, a[idx] / d
     proj.radius = radius[idx]
     proj.alpha = alphas[idx]
     proj.depth = z[idx]
     proj.is_planar = planar[idx]
-    proj.plane_origin = scene.positions[idx]
-    proj.plane_normal = rots[idx][:, :, 2]
-    proj.axis_u = rots[idx][:, :, 0]
-    proj.axis_v = rots[idx][:, :, 1]
+    proj.axis_u, proj.axis_v, proj.plane_normal = rots[:, :, 0], rots[:, :, 1], rots[:, :, 2]
     proj.plane_scales = np.exp(scene.log_scales[idx][:, :2])
-    proj.origin = view.camera_center
-    proj.rot_c2w = view.rotation.T
+    proj.plane_t = -np.einsum("cx,cx->c", rel, proj.plane_normal)
+    proj.plane_u0 = np.einsum("cx,cx->c", rel, proj.axis_u)
+    proj.plane_v0 = np.einsum("cx,cx->c", rel, proj.axis_v)
     return proj
 
 
@@ -251,18 +260,17 @@ def project_primitive(splat: SplatPrimitive, view: CameraView,
     proj = _project_scene(scene, view, cfg, alphas)
     if len(proj.idx) == 0:
         return None
-    inv = proj.inv_cov[0]
-    det_inv = inv[0, 0] * inv[1, 1] - inv[0, 1] * inv[1, 0]
-    cov = np.array([[inv[1, 1], -inv[0, 1]], [-inv[1, 0], inv[0, 0]]]) / det_inv
+    a, b, c = proj.conic_a[0], proj.conic_b[0], proj.conic_c[0]
+    common = dict(mean2d=np.array([proj.mean_x[0], proj.mean_y[0]]),
+                  cov2d=np.array([[c, -b], [-b, a]]) / (a * c - b * b),
+                  depth=float(proj.depth[0]), radius=float(proj.radius[0]))
     kind = KernelKind(int(splat.kernel))
     if kind == KernelKind.GAUSSIAN_2D:
         return ProjectedFootprint(
-            kind=kind, mean2d=proj.mean2d[0], cov2d=cov, depth=float(proj.depth[0]),
-            radius=float(proj.radius[0]), plane_origin=proj.plane_origin[0],
+            kind=kind, **common, plane_origin=scene.positions[0],
             plane_normal=proj.plane_normal[0], plane_axis_u=proj.axis_u[0],
             plane_axis_v=proj.axis_v[0], plane_scales=proj.plane_scales[0])
-    return ProjectedFootprint(kind=kind, mean2d=proj.mean2d[0], cov2d=cov,
-                              depth=float(proj.depth[0]), radius=float(proj.radius[0]))
+    return ProjectedFootprint(kind=kind, **common)
 
 
 def kernel_eval(footprint: ProjectedFootprint, pixel, ray: Ray | None = None) -> float:
@@ -290,102 +298,101 @@ def kernel_eval(footprint: ProjectedFootprint, pixel, ray: Ray | None = None) ->
     return float(min(np.exp(-0.5 * q), 1.0))
 
 
+def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
+                  px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Kernel values (pixels x sub) of planar disks at the exact ray-plane hits."""
+    dirs_cam = np.stack([(px - view.cx) / view.fx, (py - view.cy) / view.fy,
+                         np.ones(len(px))], axis=1)
+    dirs = dirs_cam @ view.rotation
+    denom = dirs @ proj.plane_normal[sub].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = proj.plane_t[sub] / denom
+    uu = (proj.plane_u0[sub] + t * (dirs @ proj.axis_u[sub].T)) / proj.plane_scales[sub, 0]
+    vv = (proj.plane_v0[sub] + t * (dirs @ proj.axis_v[sub].T)) / proj.plane_scales[sub, 1]
+    valid = np.isfinite(t) & (t > NEAR_PLANE) & (np.abs(denom) > 1e-12)
+    return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
+
+
 def _tile_entries(proj: _ViewProjection, view: CameraView, cfg: LiftConfig):
-    """Yield (rows_local, ranks, cols, weights) arrays per tile of one view."""
-    n_cand = len(proj.idx)
-    if n_cand == 0:
+    """Yield (rows_local, cols, weights) arrays per tile of one view.
+
+    Candidates are depth-sorted and entries come out pixel-major, so each
+    pixel's entries are in front-to-back order.
+    """
+    if len(proj.idx) == 0:
         return
     w, h, ts = view.width, view.height, cfg.tile_size
-    ranks_all = np.arange(n_cand, dtype=np.int64)
+    r2 = proj.radius**2
     for ty0 in range(0, h, ts):
         ty1 = min(ty0 + ts, h)
         for tx0 in range(0, w, ts):
             tx1 = min(tx0 + ts, w)
             # Disk-rectangle overlap against the tile's pixel coordinates.
-            nearest_x = np.clip(proj.mean2d[:, 0], tx0, tx1 - 1)
-            nearest_y = np.clip(proj.mean2d[:, 1], ty0, ty1 - 1)
-            dx = proj.mean2d[:, 0] - nearest_x
-            dy = proj.mean2d[:, 1] - nearest_y
-            cand = np.flatnonzero(dx * dx + dy * dy <= proj.radius**2)
+            ex = proj.mean_x - np.clip(proj.mean_x, tx0, tx1 - 1)
+            ey = proj.mean_y - np.clip(proj.mean_y, ty0, ty1 - 1)
+            cand = np.flatnonzero(ex * ex + ey * ey <= r2)
             if cand.size == 0:
                 continue
-            xs = np.arange(tx0, tx1, dtype=np.float64)
-            ys = np.arange(ty0, ty1, dtype=np.float64)
-            gx, gy = np.meshgrid(xs, ys)
-            pix = np.stack([gx.ravel(), gy.ravel()], axis=1)
-            rows_local = (np.repeat(np.arange(ty0, ty1), tx1 - tx0) * w
-                          + np.tile(np.arange(tx0, tx1), ty1 - ty0)).astype(np.int64)
-            npx = len(pix)
+            gy, gx = np.mgrid[ty0:ty1, tx0:tx1]
+            rows_local = (gy * w + gx).ravel()
+            px, py = gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
+            dx = px[:, None] - proj.mean_x[cand]
+            dy = py[:, None] - proj.mean_y[cand]
+            dxx, dxy, dyy = dx * dx, dx * dy, dy * dy
 
-            diff = pix[:, None, :] - proj.mean2d[None, cand, :]
-            within = np.einsum("pcx,pcx->pc", diff, diff) <= proj.radius[cand]**2
+            quad = (proj.conic_a[cand] * dxx + 2.0 * proj.conic_b[cand] * dxy
+                    + proj.conic_c[cand] * dyy)
+            delta = np.exp(-0.5 * quad)
+            planar = proj.is_planar[cand]
+            if np.any(planar):
+                delta[:, planar] = _planar_delta(proj, cand[planar], view, px, py)
+            sigma = proj.alpha[cand] * np.where(dxx + dyy <= r2[cand], delta, 0.0)
 
-            delta = np.zeros((npx, cand.size))
-            vol = ~proj.is_planar[cand]
-            if np.any(vol):
-                sub = cand[vol]
-                dv = diff[:, vol, :]
-                quad = np.einsum("pcx,cxy,pcy->pc", dv, proj.inv_cov[sub], dv)
-                delta[:, vol] = np.exp(-0.5 * quad)
-            if np.any(~vol):
-                sub = cand[~vol]
-                dirs_cam = np.stack([(pix[:, 0] - view.cx) / view.fx,
-                                     (pix[:, 1] - view.cy) / view.fy,
-                                     np.ones(npx)], axis=1)
-                dirs = dirs_cam @ proj.rot_c2w.T
-                normals = proj.plane_normal[sub]
-                denom = dirs @ normals.T
-                tnum = np.einsum("cx,cx->c", proj.plane_origin[sub] - proj.origin, normals)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = tnum[None, :] / denom
-                du0 = np.einsum("x,cx->c", proj.origin, proj.axis_u[sub]) \
-                    - np.einsum("cx,cx->c", proj.plane_origin[sub], proj.axis_u[sub])
-                dv0 = np.einsum("x,cx->c", proj.origin, proj.axis_v[sub]) \
-                    - np.einsum("cx,cx->c", proj.plane_origin[sub], proj.axis_v[sub])
-                uu = (du0[None, :] + t * (dirs @ proj.axis_u[sub].T)) / proj.plane_scales[sub, 0]
-                vv = (dv0[None, :] + t * (dirs @ proj.axis_v[sub].T)) / proj.plane_scales[sub, 1]
-                dp = np.exp(-0.5 * (uu * uu + vv * vv))
-                valid = np.isfinite(t) & (t > NEAR_PLANE) & (np.abs(denom) > 1e-12)
-                delta[:, ~vol] = np.where(valid, np.minimum(dp, 1.0), 0.0)
-            delta[~within] = 0.0
-
-            sigma = proj.alpha[cand][None, :] * delta
-            one_minus = 1.0 - sigma
-            t_prefix = np.cumprod(one_minus, axis=1)
-            t_prefix = np.concatenate([np.ones((npx, 1)), t_prefix[:, :-1]], axis=1)
-            alive = t_prefix >= cfg.transmittance_floor
-            omega = sigma * t_prefix * alive
-            keep = omega >= WEIGHT_EPS
+            t_prefix = np.ones_like(sigma)
+            np.cumprod(1.0 - sigma[:, :-1], axis=1, out=t_prefix[:, 1:])
+            omega = sigma * t_prefix
+            keep = (t_prefix >= cfg.transmittance_floor) & (omega >= WEIGHT_EPS)
             if not np.any(keep):
                 continue
             pk, ck = np.nonzero(keep)
-            yield (rows_local[pk], ranks_all[cand][ck],
-                   proj.idx[cand][ck], omega[pk, ck])
+            yield rows_local[pk], proj.idx[cand[ck]], omega[pk, ck]
 
 
 def _build_view(scene: SplatScene, view: CameraView, cfg: LiftConfig, alphas: np.ndarray):
     """Sparse weight arrays (indptr, indices, weights) for one view."""
     proj = _project_scene(scene, view, cfg, alphas)
-    rows_parts, rank_parts, col_parts, w_parts = [], [], [], []
-    for rows_local, ranks, cols, weights in _tile_entries(proj, view, cfg):
-        rows_parts.append(rows_local)
-        rank_parts.append(ranks)
-        col_parts.append(cols)
-        w_parts.append(weights)
-    n_rows = view.pixel_count
-    if not rows_parts:
-        return (np.zeros(n_rows + 1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-    rows = np.concatenate(rows_parts)
-    ranks = np.concatenate(rank_parts)
-    cols = np.concatenate(col_parts)
-    weights = np.concatenate(w_parts)
-    order = np.lexsort((ranks, rows))
-    rows, cols, weights = rows[order], cols[order], weights[order]
-    counts = np.bincount(rows, minlength=n_rows)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, cols, weights
+    tiles = list(_tile_entries(proj, view, cfg))
+    indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
+    if not tiles:
+        return indptr, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
+    # A stable sort keeps each row's entries in the depth order they came in.
+    order = np.argsort(rows, kind="stable")
+    np.cumsum(np.bincount(rows, minlength=view.pixel_count), out=indptr[1:])
+    return indptr, cols[order], weights[order]
+
+
+def _map_views(scene: SplatScene, views, cfg: LiftConfig, threads: int, view_fn,
+               expected_ranges: dict | None = None):
+    """Check the inputs once, then run view_fn(view, alphas) for every view.
+
+    Returns the views' row ranges and the per-view results in view order;
+    with threads > 1 the views run on a thread pool. When expected_ranges is
+    given (the observations' row ranges), the views must match it.
+    """
+    views = list(views)
+    if scene is None or len(scene) == 0:
+        raise InvalidInputError("scene must contain at least one primitive")
+    if not views:
+        raise InvalidInputError("at least one view is required")
+    ranges = view_ranges(views)
+    if expected_ranges is not None and ranges != expected_ranges:
+        raise InvalidInputError("views and observations are not aligned")
+    alphas = polarized_opacities(scene.thetas, cfg.lam)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return ranges, list(pool.map(lambda view: view_fn(view, alphas), views))
+    return ranges, [view_fn(view, alphas) for view in views]
 
 
 def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
@@ -396,30 +403,15 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     are merged in fixed (view, row, depth) order regardless of thread count.
     """
     cfg = cfg or LiftConfig()
-    views = list(views)
-    if scene is None or len(scene) == 0:
-        raise InvalidInputError("scene must contain at least one primitive")
-    if not views:
-        raise InvalidInputError("at least one view is required")
-    ranges = view_ranges(views)
-    alphas = polarized_opacities(scene.thetas, cfg.lam)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda v: _build_view(scene, v, cfg, alphas), views))
-    else:
-        chunks = [_build_view(scene, v, cfg, alphas) for v in views]
-
-    indptr = np.zeros(1, dtype=np.int64)
-    indices_parts, weight_parts = [], []
-    for chunk_indptr, chunk_indices, chunk_weights in chunks:
-        indptr = np.concatenate([indptr, chunk_indptr[1:] + indptr[-1]])
-        indices_parts.append(chunk_indices)
-        weight_parts.append(chunk_weights)
+    ranges, chunks = _map_views(scene, views, cfg, threads,
+                                lambda view, alphas: _build_view(scene, view, cfg, alphas))
+    indptrs, indices, weights = zip(*chunks)
+    offsets = np.cumsum([0] + [len(part) for part in indices])
+    row_ends = [p[1:] + offset for p, offset in zip(indptrs, offsets)]
     matrix = WeightMatrix(
-        indptr=indptr,
-        indices=np.concatenate(indices_parts) if indices_parts else np.zeros(0, np.int64),
-        weights=np.concatenate(weight_parts) if weight_parts else np.zeros(0),
+        indptr=np.concatenate([np.zeros(1, np.int64)] + row_ends),
+        indices=np.concatenate(indices),
+        weights=np.concatenate(weights),
         cols=len(scene),
         view_ranges=ranges,
         lambda_used=cfg.lam,
@@ -430,7 +422,8 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
 
 def iter_view_entries(scene: SplatScene, view: CameraView, cfg: LiftConfig,
                       alphas: np.ndarray | None = None):
-    """Streaming access to one view's weight entries without materializing A."""
+    """Streaming access to one view's weight entries without materializing A:
+    (rows_local, cols, weights) per tile."""
     if alphas is None:
         alphas = polarized_opacities(scene.thetas, cfg.lam)
     proj = _project_scene(scene, view, cfg, alphas)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import InvalidInputError, LiftConfig, SplatScene
-from .rasterize import WeightMatrix, iter_view_entries, view_ranges
+from .rasterize import WeightMatrix, _map_views, iter_view_entries, view_ranges
 
 EPS_COVERAGE = 1e-8
 ORACLE_MAX_PRIMITIVES = 5000
@@ -296,23 +296,15 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     cfg = cfg or LiftConfig()
     if mode not in ("rowsum", "rowsum2"):
         raise InvalidInputError(f"unknown lift mode {mode!r}")
-    views = list(views)
-    if scene is None or len(scene) == 0:
-        raise InvalidInputError("scene must contain at least one primitive")
-    if not views:
-        raise InvalidInputError("at least one view is required")
-    ranges = view_ranges(views)
-    if ranges != obs.view_ranges:
-        raise InvalidInputError("views and observations are not aligned")
     squared = mode == "rowsum2"
-    P = len(scene)
     B = obs.dense_values()
     observed = obs.observed_mask()
 
-    def accumulate_view(view):
+    def accumulate_view(view, alphas):
+        P = len(scene)  # runs after _map_views has checked the scene
         sums = (np.zeros((P, obs.feature_dim)), np.zeros(P), np.zeros(P))
-        start, _ = ranges[view.view_id]
-        for rows_local, _ranks, cols, weights in iter_view_entries(scene, view, cfg):
+        start, _ = obs.view_ranges[view.view_id]
+        for rows_local, cols, weights in iter_view_entries(scene, view, cfg, alphas):
             rows = rows_local + start
             keep = observed[rows]
             if np.any(keep):
@@ -321,12 +313,8 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
                     total += part
         return sums
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(accumulate_view, views))
-    else:
-        parts = [accumulate_view(v) for v in views]
+    _, parts = _map_views(scene, views, cfg, threads, accumulate_view,
+                          expected_ranges=obs.view_ranges)
     num, den, cov = (sum(view_sums) for view_sums in zip(*parts))
     return _finish(num, den, cov, cfg.lam)
 

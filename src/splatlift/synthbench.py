@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CameraView, InvalidInputError, KernelKind, LiftConfig, SplatScene
-from .rasterize import WeightMatrix, build_weight_matrix, view_ranges
+from .model import CameraView, InvalidInputError, KernelKind, SplatScene
+from .rasterize import WeightMatrix
 from .solver import ObservationSet
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -319,23 +319,18 @@ def _unit_features(spec: SceneSpec) -> np.ndarray:
     return feats / norms[:, None]
 
 
-def make_observations(scene: SplatScene, views, spec: SceneSpec,
-                      cfg: LiftConfig | None = None,
-                      object_ids: np.ndarray | None = None):
+def make_observations(labels_by_view: dict, views, spec: SceneSpec):
     """Label-backed observations with optional merged-mask corruption.
 
-    Clean views carry one mask per visible object with that object's unit
-    feature vector; a deterministic fraction of views has each designated
-    pair merged into one mask whose feature is the renormalized mean of the
-    two. Returns (observations, {(view_id, label): MaskTag}).
+    labels_by_view holds the clean per-view label maps (flattened, as from
+    instance_label_maps). Clean views carry one mask per visible object with
+    that object's unit feature vector; a deterministic fraction of views has
+    each designated pair merged into one mask whose feature is the
+    renormalized mean of the two. Returns (observations, {(view_id, label):
+    MaskTag}).
     """
-    cfg = cfg or LiftConfig(lam=1.0)
-    if object_ids is None:
-        raise InvalidInputError("make_observations needs the per-primitive object ids")
     feats = _unit_features(spec)
     name_to_index = {o.name: i for i, o in enumerate(spec.objects)}
-    A = build_weight_matrix(scene, views, cfg)
-    labels_by_view = instance_label_maps(A, object_ids, len(spec.objects))
 
     n_noisy = int(round(spec.noise.fraction * len(views)))
     noisy_rng = np.random.default_rng(spec.seed + 1)

@@ -29,6 +29,7 @@ from splatlift.solver import (
 from splatlift.synthbench import (
     alpha_sum_stats,
     format_scene_spec,
+    instance_label_maps,
     layered_sheet_scene,
     make_observations,
     make_scene,
@@ -177,7 +178,9 @@ def blob_fixtures():
     for name, fraction in (("clean", 0.0), ("noisy", 0.2)):
         spec = two_blob_spec(noise_fraction=fraction)
         scene, views, ids = make_scene(spec)
-        obs, tags = make_observations(scene, views, spec, object_ids=ids)
+        clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+        obs, tags = make_observations(
+            instance_label_maps(clean, ids, len(spec.objects)), views, spec)
         out[name] = (spec, scene, views, ids, obs, tags)
     return out
 

@@ -15,7 +15,12 @@ from splatlift.aggregate import (
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import build_weight_matrix
 from splatlift.solver import FeatureField, ObservationSet, lift_rowsum, loss_true
-from splatlift.synthbench import make_observations, make_scene, two_blob_spec
+from splatlift.synthbench import (
+    instance_label_maps,
+    make_observations,
+    make_scene,
+    two_blob_spec,
+)
 
 
 def field_from(values, coverage=None):
@@ -325,7 +330,9 @@ def test_filter_matches_pairwise_iou(seed):
 def test_relift_on_filtered_equals_restricted_subproblem():
     spec = two_blob_spec(noise_fraction=0.2, resolution=40, views=5)
     scene, views, ids = make_scene(spec)
-    obs, tags = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, tags = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
     drops = [key for key, tag in tags.items() if tag.merged]
     filtered = obs.drop_view_labels(drops)

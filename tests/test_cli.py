@@ -13,6 +13,7 @@ from splatlift.rasterize import build_weight_matrix
 from splatlift.solver import lift_rowsum
 from splatlift.synthbench import (
     format_scene_spec,
+    instance_label_maps,
     make_observations,
     make_scene,
     two_blob_spec,
@@ -61,7 +62,9 @@ def test_lift_matches_library_golden(fixture_dir, tmp_path):
     cli_field = formats.read_feature_field(out)
 
     scene, views, ids = make_scene(SMALL_SPEC)
-    obs, _ = make_observations(scene, views, SMALL_SPEC, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, _ = make_observations(
+        instance_label_maps(clean, ids, len(SMALL_SPEC.objects)), views, SMALL_SPEC)
     lib_field = lift_rowsum(build_weight_matrix(scene, views, LiftConfig(lam=1.2)), obs)
     assert np.max(np.abs(cli_field.values - lib_field.values)) <= 1e-6
 
@@ -344,6 +347,27 @@ def test_eval_cosine_flow(fixture_dir, tmp_path):
     rows = read_csv(out_csv)
     assert rows[-1][0] == "overall"
     assert float(rows[-1][1]) > 0.9
+
+
+@pytest.mark.parametrize("gt_files", ["label_4x16", "dense_2x32", "label_without_table"])
+def test_eval_rendered_checks_ground_truth(tmp_path, capsys, gt_files):
+    # the 8x8 rendered view has as many rays as a 4x16 or 2x32 ground truth
+    rendered, gt = tmp_path / "rendered", tmp_path / "gt"
+    rendered.mkdir()
+    gt.mkdir()
+    formats.write_feature_tensor(rendered / "v0.flt", np.ones((8, 8, 3)))
+    if gt_files == "dense_2x32":
+        formats.write_feature_tensor(gt / "v0.flt", np.ones((2, 32, 3)))
+    else:
+        shape = (4, 16) if gt_files == "label_4x16" else (8, 8)
+        formats.write_label_map(gt / "v0.lbl", np.zeros(shape, dtype=np.int32))
+        if gt_files == "label_4x16":
+            formats.write_label_features(gt / "v0.lft", {0: np.ones(3)})
+    code = main(["eval", "--rendered", str(rendered), "--gt", str(gt),
+                 "--out", str(tmp_path / "cos.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("v0.lft is missing" if gt_files == "label_without_table" else "is 8x8") in err
 
 
 def test_eval_requires_exactly_one_mode(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -275,3 +276,87 @@ def test_run_report_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         formats.read_run_report(path)
+
+
+# -- malformed and corrupted headers ---------------------------------------------------
+
+VERTEX_HEADER = "".join(f"property float {name}\n" for name in (
+    "x", "y", "z", "opacity", "scale_0", "scale_1", "scale_2",
+    "rot_0", "rot_1", "rot_2", "rot_3"))
+VERTEX_ROW = np.array([[0, 0, 1, 2.0, -1, -1, -1, 1, 0, 0, 0]], dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("name, blob, reader", [
+    # another element before the vertex element: its bytes were read as vertices
+    ("s.ply", ("ply\nformat binary_little_endian 1.0\nelement material 1\n"
+               "property float shininess\nelement vertex 1\n" + VERTEX_HEADER
+               + "end_header\n").encode() + struct.pack("<f", 7.0) + VERTEX_ROW,
+     formats.read_splat_ply),
+    ("m.pgm", b"P5\nab 2\n255\n" + bytes(4), formats.read_pgm),
+    ("m.pgm", b"P5\n-1 -1\n255\n" + bytes(4), formats.read_pgm),
+    ("cams.txt", "v0 4 4 1.0 1.0 2.0 2.0 ".encode() + b"\xe9" + b" 0" * 16 + b"\n",
+     formats.read_cameras),
+], ids=["ply-element-before-vertex", "pgm-letter-size", "pgm-negative-size",
+        "cameras-non-ascii"])
+def test_malformed_header_is_format_error(tmp_path, name, blob, reader):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        reader(path)
+
+
+def test_ply_elements_after_vertex_are_ignored(tmp_path):
+    path = tmp_path / "s.ply"
+    path.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 1\n" + VERTEX_HEADER
+                      + "element material 1\nproperty float shininess\nend_header\n").encode()
+                     + VERTEX_ROW + struct.pack("<f", 7.0))
+    assert formats.read_splat_ply(path).thetas.tolist() == [2.0]
+
+
+@pytest.fixture(scope="module")
+def sample_files(tmp_path_factory):
+    """A small valid file per reader: (reader, bytes, length of its header)."""
+    root = tmp_path_factory.mktemp("samples")
+    scene, views, _ = make_scene(two_blob_spec(noise_fraction=0.0, resolution=8, views=2))
+    scene = SplatScene([scene.primitive(j) for j in range(3)])
+    rng = np.random.default_rng(0)
+    formats.write_feature_tensor(root / "t.flt", rng.normal(size=(2, 3, 2)))
+    formats.write_label_map(root / "m.lbl", np.array([[0, 1, -1], [1, 1, 0]]))
+    formats.write_label_features(root / "m.lft", {0: rng.normal(size=3), 1: rng.normal(size=3)})
+    formats.write_splat_ply(root / "s.ply", scene)
+    formats.write_pgm(root / "i.pgm", np.arange(12, dtype=np.uint8).reshape(3, 4))
+    formats.write_cameras(root / "cams.txt", views)
+    ply = (root / "s.ply").read_bytes()
+    pgm = (root / "i.pgm").read_bytes()
+    cams = (root / "cams.txt").read_bytes()
+    return {
+        "flt": (formats.read_feature_tensor, (root / "t.flt").read_bytes(), 20),
+        "lbl": (formats.read_label_map, (root / "m.lbl").read_bytes(), 16),
+        "lft": (formats.read_label_features, (root / "m.lft").read_bytes(), 12),
+        "ply": (formats.read_splat_ply, ply, ply.index(b"end_header\n") + 11),
+        "pgm": (formats.read_pgm, pgm, pgm.index(b"255\n") + 4),
+        "cameras": (formats.read_cameras, cams, len(cams)),
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["flt", "lbl", "lft", "ply", "pgm", "cameras"]), data=st.data())
+def test_corrupted_files_raise_only_format_error(tmp_path_factory, sample_files, kind, data):
+    reader, original, header_len = sample_files[kind]
+    if data.draw(st.booleans(), label="truncate"):
+        blob = original[:data.draw(st.integers(0, len(original) - 1), label="keep")]
+    else:
+        edits = data.draw(st.lists(st.tuples(st.integers(0, header_len - 1),
+                                             st.integers(0, 255)), min_size=1, max_size=4),
+                          label="overwrites")
+        blob = bytearray(original)
+        for pos, value in edits:
+            blob[pos] = value
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{kind}"
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            reader(path)
+        except FormatError:
+            pass

@@ -5,6 +5,7 @@ import pytest
 from splatlift.model import CameraView, InvalidInputError, LiftConfig, SplatPrimitive, SplatScene
 from splatlift.query import (
     AttentionMap,
+    _smooth,
     QueryEmbedding,
     ValleyNotFoundError,
     attention_scores,
@@ -208,6 +209,26 @@ def test_threshold_accepts_attention_map():
                         primitive_scores=np.zeros(3), display_min=0.0, display_max=1.0)
     thr = auto_threshold(amap)
     assert 0.2 < thr < 0.8
+
+
+
+def test_smoothing_counts_no_bin_twice_at_the_edges():
+    # The main mode sits within window // 2 bins of the lowest bin. Reflect
+    # padding counted bins 1-3 twice in bin 0, made bin 0 the peak and put
+    # the threshold just above the minimum score.
+    bins, window = 96, 7
+    hist = np.zeros(bins, dtype=np.int64)
+    hist[:8] = [1, 50, 100, 300, 80, 150, 30, 10]
+    hist[60:70] = [5, 20, 60, 100, 120, 120, 100, 60, 20, 5]
+    half = window // 2
+    box_mean = [hist[max(i - half, 0):i + half + 1].mean() for i in range(bins)]
+    assert np.allclose(_smooth(hist, window), box_mean, rtol=0, atol=1e-12)
+
+    centers = (np.arange(bins) + 0.5) / bins
+    scores = np.concatenate([np.repeat(centers, hist), [0.0, 1.0]])
+    assert np.array_equal(np.histogram(scores, bins=bins, range=(0, 1))[0][1:-1], hist[1:-1])
+    thr = auto_threshold(scores, bins=bins, smoothing_window=window)
+    assert 10 / bins < thr < 60 / bins
 
 
 # -- segment -----------------------------------------------------------------------

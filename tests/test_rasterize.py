@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splatlift.model import (
     CameraView,
@@ -379,15 +380,82 @@ def test_mixed_kernel_scene_builds():
     A.validate()
 
 
+def matrix(indptr, indices, weights, cols):
+    return WeightMatrix(indptr=indptr, indices=indices, weights=weights, cols=cols,
+                        view_ranges={"v": (0, len(indptr) - 1)}, lambda_used=1.0)
+
+
 def test_validate_flags_bad_matrices():
-    bad = WeightMatrix(indptr=[0, 2], indices=[0, 0], weights=[0.5, 0.4],
-                       cols=1, view_ranges={"v": (0, 1)}, lambda_used=1.0)
-    with pytest.raises(InvalidInputError):
-        bad.validate()  # duplicate index in one row
-    too_big = WeightMatrix(indptr=[0, 2], indices=[0, 1], weights=[0.9, 0.9],
-                           cols=2, view_ranges={"v": (0, 1)}, lambda_used=1.0)
-    with pytest.raises(InvalidInputError):
-        too_big.validate()
+    for indptr, indices, weights, cols in [
+        ([0, 2], [0, 0], [0.5, 0.4], 1),               # duplicate index in one row
+        ([0, 2], [0, 1], [0.9, 0.9], 2),               # row sum above 1
+        ([0, 2, 1, 2], [0, 1], [0.5, 0.4], 2),         # indptr decreases
+        ([0, 1, 2], [0, 2], [0.5, 0.4], 2),            # index >= cols
+        ([0, 1, 2], [0, -1], [0.5, 0.4], 2),           # negative index
+        ([0, 1, 1], [0, 1], [0.5, 0.4], 2),            # indptr[-1] != nnz
+        ([1, 2, 2], [0, 1], [0.5, 0.4], 2),            # indptr does not start at 0
+    ]:
+        with pytest.raises(InvalidInputError):
+            matrix(indptr, indices, weights, cols).validate()
+
+
+def first_duplicate_row_oracle(A):
+    """Per-row loop: the first row that holds a primitive index twice, or None."""
+    for i in range(A.rows):
+        seg = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        if len(np.unique(seg)) != len(seg):
+            return i
+    return None
+
+
+def row_normalized_oracle(A):
+    """Per-row loop: dyadic ticks whose remainder goes to the row's first largest tick."""
+    denom = 1 << 30
+    sums = A.row_sums()
+    scale = np.ones_like(sums)
+    scale[sums > 0] = 1.0 / sums[sums > 0]
+    ticks = np.maximum(np.round(A.weights * np.repeat(scale, np.diff(A.indptr)) * denom), 1.0)
+    for i in range(A.rows):
+        seg = ticks[A.indptr[i]:A.indptr[i + 1]]
+        if seg.size:
+            seg[np.argmax(seg)] += denom - seg.sum()
+    return ticks / denom
+
+
+@st.composite
+def sparse_rows(draw, duplicates):
+    """Rows of 0-5 entries (empty rows included); weights drawn from a few
+    values so that a row's largest ticks often tie."""
+    cols = draw(st.integers(1, 8))
+    indptr, indices, weights = [0], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(st.integers(0, min(5, cols)))
+        if duplicates:
+            idx = draw(st.lists(st.integers(0, cols - 1), min_size=k, max_size=k))
+        else:
+            idx = draw(st.permutations(range(cols)))[:k]
+        indices += list(idx)
+        weights += draw(st.lists(st.sampled_from([0.05, 0.1, 0.125, 0.2]),
+                                 min_size=k, max_size=k))
+        indptr.append(len(indices))
+    return matrix(indptr, indices, weights, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(duplicates=True))
+def test_validate_duplicate_check_matches_row_loop(A):
+    row = first_duplicate_row_oracle(A)
+    if row is None:
+        A.validate()
+    else:
+        with pytest.raises(InvalidInputError, match=f"duplicate primitive index in row {row}$"):
+            A.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(duplicates=False))
+def test_row_normalized_matches_row_loop(A):
+    assert A.row_normalized().weights.tobytes() == row_normalized_oracle(A).tobytes()
 
 
 def test_row_normalized_sums_to_one():

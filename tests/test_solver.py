@@ -18,6 +18,7 @@ from splatlift.solver import (
     surrogate_gradient,
 )
 from splatlift.synthbench import (
+    instance_label_maps,
     layered_sheet_scene,
     make_observations,
     make_scene,
@@ -343,7 +344,9 @@ def test_beta_non_increasing_in_lambda():
 def test_streaming_matches_matrix_path():
     spec = two_blob_spec(noise_fraction=0.0, resolution=48, views=3)
     scene, views, ids = make_scene(spec)
-    obs, _ = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, _ = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     cfg = LiftConfig(lam=1.2)
     A = build_weight_matrix(scene, views, cfg)
     for mode, fn in (("rowsum", lift_rowsum), ("rowsum2", lift_rowsum_squared)):
@@ -356,7 +359,9 @@ def test_streaming_matches_matrix_path():
 def test_streaming_bit_identical_across_threads():
     spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=3)
     scene, views, ids = make_scene(spec)
-    obs, _ = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, _ = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     cfg = LiftConfig(lam=1.2)
     one = lift_streaming(scene, views, obs, cfg, threads=1)
     two = lift_streaming(scene, views, obs, cfg, threads=2)
@@ -369,7 +374,9 @@ def test_label_backed_wide_lift_matches_sparse_reference(squared):
     # (A_obs^T B) / (A_obs^T 1) with 512-D label embeddings, computed with scipy
     spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=2)
     scene, views, ids = make_scene(spec)
-    masks, _ = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    masks, _ = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     rng = np.random.default_rng(11)
     tables = {vid: {k: rng.normal(size=512) for k in table}
               for vid, table in masks.label_features.items()}

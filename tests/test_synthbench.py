@@ -83,7 +83,9 @@ def test_merged_masks_leave_geometry_alone():
 def test_observation_noise_counts_and_tags():
     spec = two_blob_spec(noise_fraction=0.2, resolution=32, views=10)
     scene, views, ids = make_scene(spec)
-    obs, tags = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, tags = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     merged_views = {t.view_id for t in tags.values() if t.merged}
     assert len(merged_views) == 2  # round(0.2 * 10)
     for tag in tags.values():
@@ -94,14 +96,18 @@ def test_observation_noise_counts_and_tags():
 def test_clean_fraction_zero_all_clean():
     spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=4)
     scene, views, ids = make_scene(spec)
-    obs, tags = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, tags = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     assert all(not t.merged for t in tags.values())
 
 
 def test_merged_feature_is_spherical_mean():
     spec = two_blob_spec(noise_fraction=0.2, resolution=32, views=10)
     scene, views, ids = make_scene(spec)
-    obs, tags = make_observations(scene, views, spec, object_ids=ids)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, tags = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     merged = [k for k, t in tags.items() if t.merged]
     assert merged
     vid, label = merged[0]
