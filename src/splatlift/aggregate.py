@@ -160,7 +160,7 @@ def filter_observations(obs: ObservationSet, kappa: np.ndarray, tau: float):
         raise InvalidInputError(f"tau must lie in [0, 1], got {tau!r}")
     records = []
     for vid, (start, stop) in obs.view_ranges.items():
-        o_ids, o_inv = np.unique(obs.labels[vid].reshape(-1), return_inverse=True)
+        o_ids, o_inv = np.unique(obs.view_label_map(vid).reshape(-1), return_inverse=True)
         p_ids, p_inv = np.unique(kappa[start:stop], return_inverse=True)
         # confusion[a, b]: rays with observed label o_ids[a] and projected p_ids[b]
         confusion = np.bincount(o_inv * len(p_ids) + p_inv,

@@ -274,7 +274,7 @@ def _cmd_cluster_filter(args) -> int:
     for view in views:
         lab = filtered.view_label_map(view.view_id)
         formats.write_label_map(labels_dir / f"{view.view_id}.lbl", lab)
-        table = filtered.label_features[view.view_id]
+        table = filtered.view_label_table(view.view_id)
         formats.write_label_features(labels_dir / f"{view.view_id}.lft", table,
                                      feature_dim=filtered.feature_dim)
     with open(out / "filter_report.csv", "w", newline="") as fh:
@@ -455,7 +455,7 @@ def _cmd_synth(args) -> int:
         vid = view.view_id
         formats.write_label_map(out / "features" / f"{vid}.lbl", obs.view_label_map(vid))
         formats.write_label_features(out / "features" / f"{vid}.lft",
-                                     obs.label_features[vid], feature_dim=obs.feature_dim)
+                                     obs.view_label_table(vid), feature_dim=obs.feature_dim)
         clean = clean_maps[vid].reshape(view.height, view.width)
         for obj_index, obj in enumerate(spec.objects):
             formats.write_pgm(out / "gt" / f"{obj.name}__{vid}_mask.pgm", clean == obj_index)

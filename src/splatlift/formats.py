@@ -123,6 +123,8 @@ def read_label_features(path) -> dict:
         table = {}
         for _ in range(count):
             (label,) = struct.unpack("<i", _read_exact(fh, 4, path, "record id"))
+            if label in table:
+                raise FormatError(f"{path}: duplicate record for label {label}")
             vec = np.frombuffer(_read_exact(fh, 4 * fdim, path, "record vector"), dtype="<f4")
             table[label] = vec.copy()
         if fh.read(1):

@@ -235,8 +235,8 @@ class CameraView:
     view_id: str
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise InvalidInputError("focal lengths must be positive")
+        if not all(math.isfinite(f) and f > 0 for f in (self.fx, self.fy)):
+            raise InvalidInputError("focal lengths must be positive and finite")
         if not (self.width > 0 and self.height > 0):
             raise InvalidInputError("resolution must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -168,6 +168,8 @@ def auto_threshold(attention, bins: int = 256, smoothing_window: int = 5) -> flo
     scan runs toward lower scores instead. Raises ValleyNotFoundError on
     degenerate (unimodal or flat) histograms.
     """
+    if bins < 1:
+        raise InvalidInputError(f"bins must be >= 1, got {bins!r}")
     if isinstance(attention, AttentionMap):
         vals = attention.covered_scores()
     else:

@@ -71,26 +71,22 @@ class FeatureField:
 class ObservationSet:
     """Per-ray observations aligned row-for-row with a WeightMatrix.
 
-    The value matrix may be dense or virtual (a per-view label map plus a
-    label -> feature table, the natural carrier for mask-style inputs).
-    Rays labeled -1 carry no observation and are excluded from solving.
+    One backing serves every input: a feature table (K x F) and a per-ray
+    index into it, -1 for a ray with no observation. A dense tensor is one
+    table row per ray. Mask-style inputs (a per-view label map plus a
+    label -> feature table) are one row per (view, label), and row_keys
+    records each row's (view_id, label); the lifts then accumulate
+    (A_obs^T L) T without materializing the R x F value matrix.
     """
 
-    def __init__(self, ranges, shapes, feature_dim, dense=None, labels=None,
-                 label_features=None, observed=None):
+    def __init__(self, ranges, shapes, table, index, row_keys=None):
         self.view_ranges = dict(ranges)
         self.view_shapes = dict(shapes)
-        self.feature_dim = int(feature_dim)
-        self.rows = max((stop for _, stop in self.view_ranges.values()), default=0)
-        self.labels = labels
-        self.label_features = label_features
-        self._dense = dense
-        self._observed = observed
-        self._dense_cache = None
-        if (dense is None) == (labels is None):
-            raise InvalidInputError("observations need exactly one backing: dense or labels")
-        if labels is not None and label_features is None:
-            raise InvalidInputError("label-backed observations need a label feature table")
+        self.table = np.asarray(table, dtype=np.float64)
+        self.index = np.asarray(index, dtype=np.int64)
+        self.row_keys = row_keys
+        self.feature_dim = self.table.shape[1]
+        self.rows = self.index.shape[0]
 
     # -- constructors ----------------------------------------------------
 
@@ -98,8 +94,7 @@ class ObservationSet:
     def from_dense(cls, views, values_by_view) -> "ObservationSet":
         ranges = view_ranges(views)
         shapes = {v.view_id: (v.height, v.width) for v in views}
-        fdim = None
-        dense = {}
+        blocks = []
         for v in views:
             if v.view_id not in values_by_view:
                 raise InvalidInputError(f"missing observations for view {v.view_id!r}")
@@ -109,20 +104,18 @@ class ObservationSet:
             if arr.shape[0] != v.pixel_count:
                 raise InvalidInputError(
                     f"view {v.view_id!r}: {arr.shape[0]} rows != {v.pixel_count} pixels")
-            if fdim is None:
-                fdim = arr.shape[1]
-            elif arr.shape[1] != fdim:
+            if blocks and arr.shape[1] != blocks[0].shape[1]:
                 raise InvalidInputError("inconsistent feature dimension across views")
-            dense[v.view_id] = arr
-        return cls(ranges, shapes, fdim, dense=dense)
+            blocks.append(arr)
+        table = np.concatenate(blocks)
+        return cls(ranges, shapes, table, np.arange(len(table)))
 
     @classmethod
     def from_labels(cls, views, labels_by_view, features_by_view) -> "ObservationSet":
         ranges = view_ranges(views)
         shapes = {v.view_id: (v.height, v.width) for v in views}
         fdim = None
-        labels = {}
-        tables = {}
+        vectors, index, keys = [], [], []
         for v in views:
             if v.view_id not in labels_by_view or v.view_id not in features_by_view:
                 raise InvalidInputError(f"missing label map or table for view {v.view_id!r}")
@@ -142,90 +135,63 @@ class ObservationSet:
                     fdim = vec.shape[0]
                 elif vec.shape[0] != fdim:
                     raise InvalidInputError("inconsistent feature dimension in label tables")
-            labels[v.view_id] = lab
-            tables[v.view_id] = table
+            ids = sorted(table)
+            index.append(np.where(lab >= 0, len(keys) + np.searchsorted(ids, lab), -1))
+            vectors += [table[k] for k in ids]
+            keys += [(v.view_id, k) for k in ids]
         if fdim is None:
             raise InvalidInputError("no labeled features present in any view")
-        return cls(ranges, shapes, fdim, labels=labels, label_features=tables)
+        return cls(ranges, shapes, np.stack(vectors), np.concatenate(index), row_keys=keys)
 
     # -- accessors --------------------------------------------------------
 
     @property
     def label_backed(self) -> bool:
-        return self.labels is not None
+        return self.row_keys is not None
 
     def observed_mask(self) -> np.ndarray:
-        mask = np.ones(self.rows, dtype=bool)
-        if self.labels is not None:
-            for vid, (start, stop) in self.view_ranges.items():
-                mask[start:stop] = self.labels[vid] >= 0
-        if self._observed is not None:
-            mask &= self._observed
-        return mask
+        return self.index >= 0
 
     def dense_values(self) -> np.ndarray:
-        """Materialized (R, F) value matrix; unlabeled rays are zero rows."""
-        if self._dense_cache is None:
-            out = np.zeros((self.rows, self.feature_dim))
-            if self._dense is not None:
-                for vid, (start, stop) in self.view_ranges.items():
-                    out[start:stop] = self._dense[vid]
-            else:
-                for vid, (start, stop) in self.view_ranges.items():
-                    lab = self.labels[vid]
-                    table = self.label_features[vid]
-                    if table:
-                        ids = np.array(sorted(table), dtype=np.int64)
-                        vecs = np.stack([table[int(i)] for i in ids])
-                        pos = np.searchsorted(ids, lab[lab >= 0])
-                        block = np.zeros((stop - start, self.feature_dim))
-                        block[lab >= 0] = vecs[pos]
-                        out[start:stop] = block
-            self._dense_cache = out
-        return self._dense_cache
+        """Materialized (R, F) value matrix; rays without an observation are zero rows."""
+        out = np.zeros((self.rows, self.feature_dim))
+        observed = self.index >= 0
+        out[observed] = self.table[self.index[observed]]
+        return out
+
+    def _view_rows(self, view_id: str) -> np.ndarray:
+        if not self.label_backed:
+            raise InvalidInputError("observations are not label-backed")
+        start, stop = self.view_ranges[view_id]
+        return self.index[start:stop]
 
     def view_label_map(self, view_id: str) -> np.ndarray:
-        if self.labels is None:
-            raise InvalidInputError("observations are not label-backed")
-        h, w = self.view_shapes[view_id]
-        return self.labels[view_id].reshape(h, w)
+        """The view's (H, W) label map; -1 where a ray has no observation."""
+        rows = self._view_rows(view_id)
+        # index -1 picks the appended last entry, which reads -1
+        labels = np.array([label for _, label in self.row_keys] + [-1], dtype=np.int32)
+        return labels[rows].reshape(self.view_shapes[view_id])
+
+    def view_label_table(self, view_id: str) -> dict:
+        """{label: feature vector} of the labels still present in the view."""
+        rows = self._view_rows(view_id)
+        return {self.row_keys[k][1]: self.table[k] for k in np.unique(rows[rows >= 0])}
 
     def masked(self, keep_rows: np.ndarray) -> "ObservationSet":
         """Copy with observations outside keep_rows removed."""
         keep = np.asarray(keep_rows, dtype=bool)
         if keep.shape[0] != self.rows:
             raise InvalidInputError("row mask length mismatch")
-        if self.labels is not None:
-            labels = {}
-            tables = {}
-            for vid, (start, stop) in self.view_ranges.items():
-                lab = self.labels[vid].copy()
-                lab[~keep[start:stop]] = -1
-                labels[vid] = lab
-                present = set(int(u) for u in np.unique(lab) if u >= 0)
-                tables[vid] = {k: v for k, v in self.label_features[vid].items() if k in present}
-            return ObservationSet(self.view_ranges, self.view_shapes, self.feature_dim,
-                                  labels=labels, label_features=tables)
-        observed = self.observed_mask() & keep
-        return ObservationSet(self.view_ranges, self.view_shapes, self.feature_dim,
-                              dense=self._dense, observed=observed)
+        return ObservationSet(self.view_ranges, self.view_shapes, self.table,
+                              np.where(keep, self.index, -1), self.row_keys)
 
     def drop_view_labels(self, drops) -> "ObservationSet":
         """Copy with every (view_id, label) pair in drops removed."""
-        if self.labels is None:
+        if not self.label_backed:
             raise InvalidInputError("observations are not label-backed")
         drops = set(drops)
-        labels = {}
-        tables = {}
-        for vid, (start, stop) in self.view_ranges.items():
-            lab = self.labels[vid].copy()
-            for key in [d for d in drops if d[0] == vid]:
-                lab[lab == key[1]] = -1
-            labels[vid] = lab
-            present = set(int(u) for u in np.unique(lab) if u >= 0)
-            tables[vid] = {k: v for k, v in self.label_features[vid].items() if k in present}
-        return ObservationSet(self.view_ranges, self.view_shapes, self.feature_dim,
-                              labels=labels, label_features=tables)
+        dropped = np.array([key in drops for key in self.row_keys] + [False])  # [-1]: none
+        return self.masked(~dropped[self.index])
 
 
 def _check_alignment(A: WeightMatrix, obs: ObservationSet) -> None:
@@ -242,16 +208,18 @@ def _observed_entries(A: WeightMatrix, obs: ObservationSet):
     return rows[mask], A.indices[mask], A.weights[mask]
 
 
-def _accumulate(rows, cols, weights, B, P, squared):
+def _accumulate(rows, cols, weights, obs: ObservationSet, P, squared):
     """Lift sums over weight entries: num = W^T B, den = W^T 1, cov = A^T 1.
 
-    W holds the entries' weights (squared for rowsum2), laid out as a sparse
-    P x R matrix so that num is one sparse-dense product over all channels.
+    W holds the entries' weights (squared for rowsum2). B = L T, with L the
+    ray-to-table-row indicator of obs.index, so num = (W^T L) T: the entries
+    are laid out as a sparse P x K matrix over the table rows, and num is
+    one sparse-dense product over all channels.
     """
     w_eff = weights * weights if squared else weights
     cov = np.bincount(cols, weights=weights, minlength=P)
     den = np.bincount(cols, weights=w_eff, minlength=P)
-    num = sp.csr_matrix((w_eff, (cols, rows)), shape=(P, B.shape[0])) @ B
+    num = sp.csr_matrix((w_eff, (cols, obs.index[rows])), shape=(P, len(obs.table))) @ obs.table
     return num, den, cov
 
 
@@ -268,7 +236,7 @@ def _finish(num, den, cov, lam) -> FeatureField:
 
 def lift_rowsum(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     """Closed-form lift x_j = sum_i A_ij B_i / sum_i A_ij over observed rays."""
-    sums = _accumulate(*_observed_entries(A, obs), obs.dense_values(), A.cols, squared=False)
+    sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=False)
     return _finish(*sums, A.lambda_used)
 
 
@@ -279,7 +247,7 @@ def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     otherwise (front-loaded weights dominate). A is expected to have been
     built with the polarized activation.
     """
-    sums = _accumulate(*_observed_entries(A, obs), obs.dense_values(), A.cols, squared=True)
+    sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=True)
     return _finish(*sums, A.lambda_used)
 
 
@@ -288,30 +256,25 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
                    threads: int = 1) -> FeatureField:
     """Accumulate the row-sum lift during rasterization without storing A.
 
-    Each tile's entries are accumulated as they are rasterized, and the
-    per-view sums are added in view order, so the result does not depend on
-    the thread count. Matches the matrix path within accumulation-order
-    tolerance (1e-5 relative at desk scale).
+    Each view's observed entries are gathered from its tiles and accumulated
+    at once, and the per-view sums are added in view order, so the result
+    does not depend on the thread count. Matches the matrix path within
+    accumulation-order tolerance (1e-5 relative at desk scale).
     """
     cfg = cfg or LiftConfig()
     if mode not in ("rowsum", "rowsum2"):
         raise InvalidInputError(f"unknown lift mode {mode!r}")
     squared = mode == "rowsum2"
-    B = obs.dense_values()
-    observed = obs.observed_mask()
 
     def accumulate_view(view, alphas):
-        P = len(scene)  # runs after _map_views has checked the scene
-        sums = (np.zeros((P, obs.feature_dim)), np.zeros(P), np.zeros(P))
         start, _ = obs.view_ranges[view.view_id]
-        for rows_local, cols, weights in iter_view_entries(scene, view, cfg, alphas):
-            rows = rows_local + start
-            keep = observed[rows]
-            if np.any(keep):
-                tile = _accumulate(rows[keep], cols[keep], weights[keep], B, P, squared)
-                for total, part in zip(sums, tile):
-                    total += part
-        return sums
+        tiles = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
+                 *iter_view_entries(scene, view, cfg, alphas)]
+        rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
+        rows += start
+        keep = obs.index[rows] >= 0
+        P = len(scene)  # runs after _map_views has checked the scene
+        return _accumulate(rows[keep], cols[keep], weights[keep], obs, P, squared)
 
     _, parts = _map_views(scene, views, cfg, threads, accumulate_view,
                           expected_ranges=obs.view_ranges)

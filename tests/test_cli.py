@@ -214,6 +214,19 @@ def test_report_lambda_must_be_a_number(fixture_dir, tmp_path, capsys):
             assert "field.flt.json: lambda must be a number" in capsys.readouterr().err
 
 
+def test_lift_rejects_infinite_focal_length(fixture_dir, tmp_path, capsys):
+    header, first, *rest = (fixture_dir / "cameras.txt").read_text().splitlines()
+    fields = first.split()
+    fields[3:5] = ["inf", "inf"]  # fx, fy of the first view
+    cameras = tmp_path / "cameras.txt"
+    cameras.write_text("\n".join([header, " ".join(fields), *rest]) + "\n")
+    out = tmp_path / "field.flt"
+    assert main(["lift", "--scene", str(fixture_dir / "scene.ply"), "--cameras", str(cameras),
+                 "--features", str(fixture_dir / "features"), "--out", str(out)]) == 3
+    assert "focal lengths must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_filter_requires_masks(fixture_dir, tmp_path, capsys):
     # dense observations cannot be filtered
     dense_dir = tmp_path / "dense"
@@ -330,6 +343,23 @@ def test_segment_rejects_nonsense_threshold(fixture_dir, tmp_path, capsys):
                  "--query", str(fixture_dir / "queries" / "blob_a.flt"),
                  "--threshold", "sometimes", "--out", str(tmp_path / "x")])
     assert code == 1
+
+
+def test_segment_rejects_bins_below_one(fixture_dir, tmp_path, capsys):
+    field = tmp_path / "field.flt"
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    config = tmp_path / "conf.ini"
+    config.write_text("[splatlift]\nbins = 0\n")
+    segment = ["segment", *geo, "--field", str(field),
+               "--query", str(fixture_dir / "queries" / "blob_a.flt")]
+    out = tmp_path / "seg"
+    for extra in (["--bins", "0"], ["--config", str(config)]):
+        assert main([*segment, *extra, "--out", str(out)]) == 1
+        assert "bins must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_cosine_flow(fixture_dir, tmp_path):

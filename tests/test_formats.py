@@ -104,6 +104,14 @@ def test_label_features_empty_table(tmp_path):
     assert formats.read_label_features(path) == {}
 
 
+def test_label_features_duplicate_id_is_format_error(tmp_path):
+    path = tmp_path / "t.lft"
+    record = struct.pack("<i", 3) + np.ones(2, "<f4").tobytes()
+    path.write_bytes(formats.TABLE_MAGIC + struct.pack("<2I", 2, 2) + record + record)
+    with pytest.raises(FormatError, match="duplicate record for label 3"):
+        formats.read_label_features(path)
+
+
 def test_validate_label_pair():
     labels = np.array([[0, 2]], dtype=np.int32)
     formats.validate_label_pair(labels, {0: 1, 2: 1})
@@ -216,6 +224,15 @@ def test_cameras_rejects_bad_line(tmp_path):
 def test_cameras_validates_view_invariants(tmp_path):
     path = tmp_path / "cams.txt"
     nums = "4 4 -1.0 1.0 2.0 2.0 " + " ".join(str(float(x)) for x in np.eye(4).ravel())
+    path.write_text("v0 " + nums + "\n")
+    with pytest.raises(FormatError, match="focal"):
+        formats.read_cameras(path)
+
+
+@pytest.mark.parametrize("focal", ["inf inf", "nan 1.0", "1.0 -inf"])
+def test_cameras_rejects_non_finite_focal(tmp_path, focal):
+    path = tmp_path / "cams.txt"
+    nums = f"4 4 {focal} 2.0 2.0 " + " ".join(str(float(x)) for x in np.eye(4).ravel())
     path.write_text("v0 " + nums + "\n")
     with pytest.raises(FormatError, match="focal"):
         formats.read_cameras(path)

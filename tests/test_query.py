@@ -212,6 +212,13 @@ def test_threshold_accepts_attention_map():
 
 
 
+@pytest.mark.parametrize("bins", [0, -3])
+def test_auto_threshold_rejects_bins_below_one(bins):
+    scores = np.concatenate([np.full(50, 0.1), np.full(50, 0.9)])
+    with pytest.raises(InvalidInputError, match="bins"):
+        auto_threshold(scores, bins=bins)
+
+
 def test_smoothing_counts_no_bin_twice_at_the_edges():
     # The main mode sits within window // 2 bins of the lowest bin. Reflect
     # padding counted bins 1-3 twice in bin 0, made bin 0 the peak and put

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix
@@ -378,9 +379,10 @@ def test_label_backed_wide_lift_matches_sparse_reference(squared):
     masks, _ = make_observations(
         instance_label_maps(clean, ids, len(spec.objects)), views, spec)
     rng = np.random.default_rng(11)
-    tables = {vid: {k: rng.normal(size=512) for k in table}
-              for vid, table in masks.label_features.items()}
-    obs = ObservationSet.from_labels(views, masks.labels, tables)
+    tables = {vid: {k: rng.normal(size=512) for k in masks.view_label_table(vid)}
+              for vid in masks.view_ranges}
+    labels = {vid: masks.view_label_map(vid) for vid in masks.view_ranges}
+    obs = ObservationSet.from_labels(views, labels, tables)
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
     field = (lift_rowsum_squared if squared else lift_rowsum)(A, obs)
 
@@ -397,6 +399,53 @@ def test_label_backed_wide_lift_matches_sparse_reference(squared):
     assert np.count_nonzero(seen) > 0
     assert np.allclose(field.coverage, coverage, rtol=1e-12, atol=0)
     assert np.max(np.abs(field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("path", ["rowsum", "rowsum2", "streaming"])
+def test_label_backed_lifts_never_materialize_dense_values(path, monkeypatch):
+    # mask-style observations lift as (A_obs^T L) T over the label table
+    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=2)
+    scene, views, ids = make_scene(spec)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, _ = make_observations(
+        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+    cfg = LiftConfig(lam=1.2)
+    A = build_weight_matrix(scene, views, cfg)
+
+    def refuse(self):
+        raise AssertionError("the lift materialized the dense value matrix")
+
+    monkeypatch.setattr(ObservationSet, "dense_values", refuse)
+    if path == "streaming":
+        field = lift_streaming(scene, views, obs, cfg)
+    else:
+        field = (lift_rowsum_squared if path == "rowsum2" else lift_rowsum)(A, obs)
+    assert np.count_nonzero(~field.unobserved) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_label_backed_lift_matches_its_dense_values(seed):
+    # one table row per (view, label) and one per ray lift to the same field,
+    # before and after the same row restriction
+    rng = np.random.default_rng(seed)
+    rows = 40
+    A, _ = random_row_stochastic(rng, rows, 12, 1)
+    view = tiny_view(rows)
+    labels = rng.choice([-1, 2, 5, 9], size=rows)
+    labels[0] = 2  # at least one observed ray
+    table = {k: rng.normal(size=3) for k in (2, 5, 9)}
+    by_label = ObservationSet.from_labels([view], {"instance": labels}, {"instance": table})
+    dense = ObservationSet.from_dense(
+        [view], {"instance": by_label.dense_values()}).masked(by_label.observed_mask())
+    keep = rng.uniform(size=rows) > 0.4
+    keep[0] = True
+    for a, b in ((by_label, dense), (by_label.masked(keep), dense.masked(keep))):
+        assert np.array_equal(a.observed_mask(), b.observed_mask())
+        for lift in (lift_rowsum, lift_rowsum_squared):
+            fa, fb = lift(A, a), lift(A, b)
+            assert np.array_equal(fa.coverage, fb.coverage)
+            assert np.max(np.abs(fa.values - fb.values)) <= 1e-12 * np.max(np.abs(fb.values))
 
 
 def test_streaming_single_splat_exact():

@@ -111,7 +111,7 @@ def test_merged_feature_is_spherical_mean():
     merged = [k for k, t in tags.items() if t.merged]
     assert merged
     vid, label = merged[0]
-    vec = obs.label_features[vid][label]
+    vec = obs.view_label_table(vid)[label]
     # cosine against each source equals cos(half the angle between them)
     u = np.array(spec.objects[0].feature, float)
     v = np.array(spec.objects[1].feature, float)
