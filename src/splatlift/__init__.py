@@ -5,10 +5,8 @@ from .model import (
     InvalidInputError,
     KernelKind,
     LiftConfig,
-    SplatPrimitive,
     SplatScene,
-    opacity,
-    opacity_polarized,
+    polarized_opacities,
 )
 from .rasterize import (
     WeightMatrix,

@@ -240,12 +240,12 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
             f"{path}: every opacity lies in [0, 1]; this file may store activated "
             "opacities, but values are interpreted as raw logits", stacklevel=2)
     try:
-        return SplatScene.from_arrays(
+        return SplatScene(
             positions=np.stack([verts["x"], verts["y"], verts["z"]], axis=1),
             log_scales=np.stack([verts[f"scale_{i}"] for i in range(3)], axis=1),
             rotations=np.stack([verts[f"rot_{i}"] for i in range(4)], axis=1),
             thetas=thetas,
-            kernels=np.full(len(verts), int(kernel), dtype=np.int8),
+            kernels=kernel,
         )
     except InvalidInputError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Splat scene primitives, cameras, lift configuration, and opacity activations."""
+"""Splat scenes, cameras, lift configuration, and the opacity activation."""
 
 from __future__ import annotations
 
@@ -25,34 +25,6 @@ class KernelKind(enum.IntEnum):
     GAUSSIAN_2D = 1
 
 
-def opacity(theta: float) -> float:
-    """Sigmoid activation mapping a raw opacity logit into (0, 1).
-
-    Computed in the overflow-safe branch form: exp only ever sees a
-    non-positive argument.
-    """
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"opacity logit must be finite, got {theta!r}")
-    # np.exp rather than math.exp so scalar and vectorized paths agree bitwise
-    if theta >= 0.0:
-        return float(1.0 / (1.0 + np.exp(-np.float64(theta))))
-    e = np.exp(np.float64(theta))
-    return float(e / (1.0 + e))
-
-
-def opacity_polarized(theta: float, lam: float) -> float:
-    """Sharpened sigmoid 1 / (1 + exp(-lam * theta)).
-
-    lam = 1 recovers :func:`opacity` exactly; lam > 1 pushes values toward
-    the extremes {0, 1} monotonically.
-    """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise InvalidInputError(f"polarization factor must be a positive real, got {lam!r}")
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"opacity logit must be finite, got {theta!r}")
-    return opacity(lam * theta)
-
-
 def polarized_opacities(thetas: np.ndarray, lam: float) -> np.ndarray:
     """Vectorized overflow-safe sigmoid of lam * thetas."""
     if not (math.isfinite(lam) and lam > 0.0):
@@ -66,11 +38,6 @@ def polarized_opacities(thetas: np.ndarray, lam: float) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Convert a wxyz quaternion to a 3x3 rotation matrix (normalizing first)."""
-    return quaternions_to_rotations(np.asarray(q, dtype=np.float64).reshape(1, 4))[0]
 
 
 def quaternions_to_rotations(quats: np.ndarray) -> np.ndarray:
@@ -94,71 +61,18 @@ def quaternions_to_rotations(quats: np.ndarray) -> np.ndarray:
     return rot
 
 
-@dataclass(frozen=True)
-class SplatPrimitive:
-    """One splat: position, log-scales, wxyz rotation, raw opacity logit, kernel.
+class SplatScene:
+    """An ordered, immutable set of splats, one array per parameter.
 
+    positions (P, 3); log_scales (P, 3); rotations (P, 4) as wxyz
+    quaternions, normalized here; thetas (P,) raw opacity logits; kernels
+    (P,) KernelKind ids, one id for every splat, or None for GAUSSIAN_3D.
     Scales are stored as logs and opacity as a logit, matching the prevailing
     PLY convention for pretrained scenes; activation happens on read.
+    Primitive index j in [0, P) is stable.
     """
 
-    position: np.ndarray
-    log_scale: np.ndarray
-    rotation: np.ndarray
-    theta: float
-    kernel: KernelKind = KernelKind.GAUSSIAN_3D
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(3)
-        ls = np.asarray(self.log_scale, dtype=np.float64).reshape(3)
-        rot = np.asarray(self.rotation, dtype=np.float64).reshape(4)
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(ls)) and np.all(np.isfinite(rot))):
-            raise InvalidInputError("splat parameters must be finite")
-        if not math.isfinite(self.theta):
-            raise InvalidInputError("opacity logit must be finite")
-        n = np.linalg.norm(rot)
-        if n < 1e-12:
-            raise InvalidInputError("zero-norm quaternion cannot be normalized")
-        rot = rot / n
-        for name, value in (("position", pos), ("log_scale", ls), ("rotation", rot)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "kernel", KernelKind(self.kernel))
-
-    @property
-    def scale(self) -> np.ndarray:
-        """Exponentiated scales, strictly positive."""
-        return np.exp(self.log_scale)
-
-    @property
-    def alpha(self) -> float:
-        return opacity(self.theta)
-
-    def rotation_matrix(self) -> np.ndarray:
-        return quaternion_to_rotation(self.rotation)
-
-
-class SplatScene:
-    """An ordered, immutable collection of splat primitives.
-
-    Internally stores stacked arrays for vectorized projection; primitive
-    index j in [0, P) is stable.
-    """
-
-    def __init__(self, primitives):
-        prims = list(primitives)
-        if len(prims) < 1:
-            raise InvalidInputError("a scene needs at least one primitive")
-        self.positions = np.stack([p.position for p in prims]).astype(np.float64)
-        self.log_scales = np.stack([p.log_scale for p in prims]).astype(np.float64)
-        self.rotations = np.stack([p.rotation for p in prims]).astype(np.float64)
-        self.thetas = np.array([p.theta for p in prims], dtype=np.float64)
-        self.kernels = np.array([int(p.kernel) for p in prims], dtype=np.int8)
-        for a in (self.positions, self.log_scales, self.rotations, self.thetas, self.kernels):
-            a.setflags(write=False)
-
-    @classmethod
-    def from_arrays(cls, positions, log_scales, rotations, thetas, kernels=None) -> "SplatScene":
+    def __init__(self, positions, log_scales, rotations, thetas, kernels=None):
         positions = np.asarray(positions, dtype=np.float64)
         n = len(positions)
         if n < 1:
@@ -166,12 +80,7 @@ class SplatScene:
         log_scales = np.asarray(log_scales, dtype=np.float64)
         rotations = np.asarray(rotations, dtype=np.float64)
         thetas = np.asarray(thetas, dtype=np.float64)
-        if kernels is None:
-            kernels = np.zeros(n, dtype=np.int8)
-        else:
-            kernels = np.asarray([int(k) for k in np.atleast_1d(kernels)], dtype=np.int8)
-            if kernels.size == 1:
-                kernels = np.full(n, kernels[0], dtype=np.int8)
+        kernels = _kernel_ids(KernelKind.GAUSSIAN_3D if kernels is None else kernels, n)
         shapes_ok = (
             positions.shape == (n, 3)
             and log_scales.shape == (n, 3)
@@ -181,40 +90,35 @@ class SplatScene:
         )
         if not shapes_ok:
             raise InvalidInputError("inconsistent array shapes for scene construction")
-        scene = cls.__new__(cls)
-        norms = np.linalg.norm(rotations, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise InvalidInputError("zero-norm quaternion cannot be normalized")
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(log_scales))
                 and np.all(np.isfinite(rotations)) and np.all(np.isfinite(thetas))):
             raise InvalidInputError("scene arrays must be finite")
-        scene.positions = positions.copy()
-        scene.log_scales = log_scales.copy()
-        scene.rotations = (rotations / norms).copy()
-        scene.thetas = thetas.copy()
-        scene.kernels = kernels.copy()
-        for a in (scene.positions, scene.log_scales, scene.rotations, scene.thetas, scene.kernels):
+        norms = np.linalg.norm(rotations, axis=1, keepdims=True)
+        if np.any(norms < 1e-12):
+            raise InvalidInputError("zero-norm quaternion cannot be normalized")
+        self.positions = positions.copy()
+        self.log_scales = log_scales.copy()
+        self.rotations = rotations / norms
+        self.thetas = thetas.copy()
+        self.kernels = kernels
+        for a in (self.positions, self.log_scales, self.rotations, self.thetas, self.kernels):
             a.setflags(write=False)
-        return scene
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    @property
-    def count(self) -> int:
-        return len(self.positions)
 
-    def primitive(self, j: int) -> SplatPrimitive:
-        return SplatPrimitive(
-            position=self.positions[j],
-            log_scale=self.log_scales[j],
-            rotation=self.rotations[j],
-            theta=float(self.thetas[j]),
-            kernel=KernelKind(int(self.kernels[j])),
-        )
-
-    def scales(self) -> np.ndarray:
-        return np.exp(self.log_scales)
+def _kernel_ids(kernels, n: int) -> np.ndarray:
+    """KernelKind ids as int8, one id broadcast to n splats."""
+    try:
+        ids = np.atleast_1d(np.asarray(kernels, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise InvalidInputError("kernel ids must be numbers") from None
+    valid = [int(kind) for kind in KernelKind]
+    if not np.all(np.isin(ids, valid)):
+        raise InvalidInputError(f"kernel ids must be KernelKind values {valid}")
+    ids = ids.astype(np.int8)
+    return np.full(n, ids[0], dtype=np.int8) if ids.size == 1 else ids
 
 
 @dataclass(frozen=True)
@@ -278,14 +182,12 @@ class LiftConfig:
     lam sharpens the opacity activation (1.0 = plain sigmoid); accumulation
     along a ray terminates once transmittance drops below
     transmittance_floor; kernel evaluation is cut off at
-    kernel_cutoff_sigma standard deviations; tile_size controls the
-    tile-culling granularity.
+    kernel_cutoff_sigma standard deviations.
     """
 
     lam: float = 1.2
     transmittance_floor: float = 1e-4
     kernel_cutoff_sigma: float = 3.0
-    tile_size: int = 16
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0.1):
@@ -295,5 +197,3 @@ class LiftConfig:
                 f"transmittance_floor must lie in [1e-6, 0.1], got {self.transmittance_floor!r}")
         if not (math.isfinite(self.kernel_cutoff_sigma) and self.kernel_cutoff_sigma > 0):
             raise InvalidInputError("kernel_cutoff_sigma must be positive")
-        if not (isinstance(self.tile_size, int) and self.tile_size >= 1):
-            raise InvalidInputError("tile_size must be a positive integer")

@@ -10,7 +10,6 @@ with the same weights.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +19,6 @@ from .model import (
     InvalidInputError,
     KernelKind,
     LiftConfig,
-    SplatPrimitive,
     SplatScene,
     polarized_opacities,
     quaternions_to_rotations,
@@ -32,41 +30,8 @@ COV_LOWPASS = 0.3
 # Affine footprints under-estimate the perspective extent of tilted planar
 # disks; their bounding radius is inflated by this factor.
 PLANAR_RADIUS_SLACK = 1.25
-
-
-@dataclass(frozen=True)
-class Ray:
-    """World-space ray; direction need not be unit length."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-
-def camera_ray(view: CameraView, pixel) -> Ray:
-    """Ray through integer pixel coordinates (x, y) of a view."""
-    x, y = float(pixel[0]), float(pixel[1])
-    d_cam = np.array([(x - view.cx) / view.fx, (y - view.cy) / view.fy, 1.0])
-    return Ray(origin=view.camera_center, direction=view.rotation.T @ d_cam)
-
-
-@dataclass(frozen=True)
-class ProjectedFootprint:
-    """Screen-space footprint of one primitive in one view.
-
-    For planar (GAUSSIAN_2D) primitives the tangent frame is carried along so
-    the kernel can be evaluated at the exact ray-plane intersection.
-    """
-
-    kind: KernelKind
-    mean2d: np.ndarray
-    cov2d: np.ndarray
-    depth: float
-    radius: float
-    plane_origin: np.ndarray | None = None
-    plane_normal: np.ndarray | None = None
-    plane_axis_u: np.ndarray | None = None
-    plane_axis_v: np.ndarray | None = None
-    plane_scales: np.ndarray | None = None
+# Side in pixels of the square tiles that cull candidates before compositing.
+TILE_SIZE = 16
 
 
 class WeightMatrix:
@@ -251,53 +216,6 @@ def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
     return proj
 
 
-def project_primitive(splat: SplatPrimitive, view: CameraView,
-                      cfg: LiftConfig | None = None) -> ProjectedFootprint | None:
-    """Project one splat into a view; returns None when culled."""
-    cfg = cfg or LiftConfig()
-    scene = SplatScene([splat])
-    alphas = polarized_opacities(scene.thetas, cfg.lam)
-    proj = _project_scene(scene, view, cfg, alphas)
-    if len(proj.idx) == 0:
-        return None
-    a, b, c = proj.conic_a[0], proj.conic_b[0], proj.conic_c[0]
-    common = dict(mean2d=np.array([proj.mean_x[0], proj.mean_y[0]]),
-                  cov2d=np.array([[c, -b], [-b, a]]) / (a * c - b * b),
-                  depth=float(proj.depth[0]), radius=float(proj.radius[0]))
-    kind = KernelKind(int(splat.kernel))
-    if kind == KernelKind.GAUSSIAN_2D:
-        return ProjectedFootprint(
-            kind=kind, **common, plane_origin=scene.positions[0],
-            plane_normal=proj.plane_normal[0], plane_axis_u=proj.axis_u[0],
-            plane_axis_v=proj.axis_v[0], plane_scales=proj.plane_scales[0])
-    return ProjectedFootprint(kind=kind, **common)
-
-
-def kernel_eval(footprint: ProjectedFootprint, pixel, ray: Ray | None = None) -> float:
-    """Kernel value delta in [0, 1] at a pixel; 0 beyond the bounding radius."""
-    pix = np.asarray(pixel, dtype=np.float64)
-    d = pix - footprint.mean2d
-    if d @ d > footprint.radius**2:
-        return 0.0
-    if footprint.kind == KernelKind.GAUSSIAN_2D:
-        if ray is None:
-            raise InvalidInputError("planar kernels require the pixel ray")
-        denom = float(ray.direction @ footprint.plane_normal)
-        if abs(denom) < 1e-12:
-            return 0.0
-        t = float((footprint.plane_origin - ray.origin) @ footprint.plane_normal) / denom
-        if t <= NEAR_PLANE:
-            return 0.0
-        point = ray.origin + t * ray.direction
-        local = point - footprint.plane_origin
-        u = float(local @ footprint.plane_axis_u) / footprint.plane_scales[0]
-        v = float(local @ footprint.plane_axis_v) / footprint.plane_scales[1]
-        return float(min(np.exp(-0.5 * (u * u + v * v)), 1.0))
-    inv = np.linalg.inv(footprint.cov2d)
-    q = float(d @ inv @ d)
-    return float(min(np.exp(-0.5 * q), 1.0))
-
-
 def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
                   px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Kernel values (pixels x sub) of planar disks at the exact ray-plane hits."""
@@ -321,7 +239,7 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, cfg: LiftConfig):
     """
     if len(proj.idx) == 0:
         return
-    w, h, ts = view.width, view.height, cfg.tile_size
+    w, h, ts = view.width, view.height, TILE_SIZE
     r2 = proj.radius**2
     for ty0 in range(0, h, ts):
         ty1 = min(ty0 + ts, h)

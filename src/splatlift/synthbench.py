@@ -280,10 +280,9 @@ def make_scene(spec: SceneSpec):
         rotations.append(r)
         thetas.append(t)
         ids.append(np.full(len(p), obj_index, dtype=np.int64))
-    scene = SplatScene.from_arrays(
+    scene = SplatScene(
         np.concatenate(positions), np.concatenate(log_scales),
-        np.concatenate(rotations), np.concatenate(thetas),
-        np.full(sum(len(p) for p in positions), int(spec.kernel), dtype=np.int8))
+        np.concatenate(rotations), np.concatenate(thetas), spec.kernel)
     views = orbit_views(spec.views)
     return scene, views, np.concatenate(ids)
 
@@ -414,7 +413,7 @@ def layered_sheet_scene(focal: float = 64.0, resolution: int = 64):
     Used to measure dispersion against the polarization factor.
     """
     big = math.log(2.0e2)
-    scene = SplatScene.from_arrays(
+    scene = SplatScene(
         positions=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),
         log_scales=np.full((2, 3), big),
         rotations=np.tile(IDENTITY_QUAT, (2, 1)),

@@ -1,0 +1,120 @@
+"""Test scenes from plain arrays, and a per-ray compositing reference for the
+sparse weight matrix.
+
+The reference works one view, one splat and one ray at a time, straight from
+the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
+as in 3DGS), the exact ray-plane hit for planar disks (as in 2DGS), front to
+back in (depth, index) order, and the method's cut-offs. The constants below
+are the method's, restated here rather than read from the library.
+"""
+
+import math
+
+import numpy as np
+
+from splatlift.model import KernelKind, SplatScene
+
+NEAR_PLANE = 1e-3
+WEIGHT_EPS = 1e-8
+COV_LOWPASS = 0.3
+PLANAR_RADIUS_SLACK = 1.25
+
+
+def splat_scene(positions, scales, thetas, kernels=None):
+    """Scene of axis-aligned isotropic splats: one position (x, y, z), world
+    scale and opacity logit per splat; scales and logits broadcast."""
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = len(positions)
+    log_scales = np.repeat(np.log(np.broadcast_to(scales, (n,)))[:, None], 3, axis=1)
+    return SplatScene(positions, log_scales, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+                      np.broadcast_to(np.asarray(thetas, dtype=np.float64), (n,)), kernels)
+
+
+def rotation(q):
+    """Rotation matrix of one wxyz quaternion."""
+    w, x, y, z = np.asarray(q, dtype=np.float64) / math.sqrt(sum(v * v for v in q))
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+
+
+def footprints(scene, view, cfg):
+    """The view's non-culled splats as dicts, sorted by (depth, index)."""
+    w2c_rot, w2c_t = view.world_to_camera[:3, :3], view.world_to_camera[:3, 3]
+    out = []
+    for j in range(len(scene)):
+        x, y, z = w2c_rot @ scene.positions[j] + w2c_t
+        if z <= NEAR_PLANE:
+            continue
+        rot = rotation(scene.rotations[j])
+        planar = scene.kernels[j] == KernelKind.GAUSSIAN_2D
+        var = np.exp(2.0 * scene.log_scales[j])
+        if planar:
+            var[2] = 0.0
+        jac = np.array([[view.fx / z, 0.0, -view.fx * x / z ** 2],
+                        [0.0, view.fy / z, -view.fy * y / z ** 2]])
+        m = jac @ w2c_rot @ rot
+        cov = m @ np.diag(var) @ m.T + COV_LOWPASS * np.eye(2)
+        if not (np.linalg.det(cov) > 1e-12 and cov[0, 0] > 0 and cov[1, 1] > 0):
+            continue
+        radius = cfg.kernel_cutoff_sigma * math.sqrt(np.linalg.eigvalsh(cov)[-1])
+        out.append(dict(
+            index=j, depth=z, mean=(view.fx * x / z + view.cx, view.fy * y / z + view.cy),
+            inv_cov=np.linalg.inv(cov), radius=radius * (PLANAR_RADIUS_SLACK if planar else 1.0),
+            alpha=sigmoid(cfg.lam * scene.thetas[j]), planar=planar,
+            origin=scene.positions[j], axes=rot.T, scales=np.exp(scene.log_scales[j][:2])))
+    return sorted(out, key=lambda f: (f["depth"], f["index"]))
+
+
+def kernel_value(f, pixel, center, direction):
+    """Kernel value of footprint f at a pixel and its world ray."""
+    d = np.asarray(pixel, dtype=np.float64) - f["mean"]
+    if not f["planar"]:
+        return math.exp(-0.5 * float(d @ f["inv_cov"] @ d))
+    axis_u, axis_v, normal = f["axes"]
+    denom = float(direction @ normal)
+    if abs(denom) <= 1e-12:
+        return 0.0
+    t = float((f["origin"] - center) @ normal) / denom
+    if t <= NEAR_PLANE:
+        return 0.0
+    local = center + t * direction - f["origin"]
+    u = float(local @ axis_u) / f["scales"][0]
+    v = float(local @ axis_v) / f["scales"][1]
+    return min(math.exp(-0.5 * (u * u + v * v)), 1.0)
+
+
+def reference_rows(scene, views, cfg, tol=1e-9):
+    """Per ray in row order: (entries, near), where entries lists the kept
+    (primitive index, weight) pairs front to back and near says whether the
+    ray came within tol (relative) of the radius, transmittance-floor or
+    weight cut-off, where rounding may decide the outcome."""
+    rows = []
+    for view in views:
+        fps = footprints(scene, view, cfg)
+        center = view.camera_center
+        for py in range(view.height):
+            for px in range(view.width):
+                direction = view.rotation.T @ np.array(
+                    [(px - view.cx) / view.fx, (py - view.cy) / view.fy, 1.0])
+                transmittance, entries, near = 1.0, [], False
+                for f in fps:
+                    dx, dy = px - f["mean"][0], py - f["mean"][1]
+                    d2, r2 = dx * dx + dy * dy, f["radius"] ** 2
+                    near |= abs(d2 - r2) <= tol * r2
+                    if d2 > r2:
+                        continue
+                    sigma = f["alpha"] * kernel_value(f, (px, py), center, direction)
+                    weight = sigma * transmittance
+                    near |= (abs(transmittance - cfg.transmittance_floor)
+                             <= tol * cfg.transmittance_floor
+                             or abs(weight - WEIGHT_EPS) <= tol * WEIGHT_EPS)
+                    if transmittance >= cfg.transmittance_floor and weight >= WEIGHT_EPS:
+                        entries.append((f["index"], weight))
+                    transmittance *= 1.0 - sigma
+                rows.append((entries, near))
+    return rows

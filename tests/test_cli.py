@@ -404,17 +404,32 @@ def test_eval_requires_exactly_one_mode(tmp_path, capsys):
     assert main(["eval", "--gt", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 1
 
 
-def test_verify_suites_exit_codes(tmp_path, monkeypatch):
+def test_verify_suites_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--suite", "jensen", "--seed", "7"]) == 0
     assert main(["verify", "--suite", "mc"]) == 0
     assert main(["verify", "--suite", "dispersion", "--seed", "3"]) == 1
     report = tmp_path / "bounds.csv"
+    capsys.readouterr()
     assert main(["verify", "--suite", "bounds", "--seed", "3",
                  "--report", str(report)]) == 0
     rows = read_csv(report)
     assert rows[0][:3] == ["instance", "loss_ratio", "one_plus_beta"]
     assert len(rows) == 501
+    # the printed summary of the loss ratio against 1 + beta
+    out = capsys.readouterr().out
+    assert all(key in out for key in ("median", "p90", "p99", "max 1 + beta"))
+    assert "share of instances with ratio <= 1 + beta" in out
+
+
+def test_verify_dispersion_report_carries_the_losses(tmp_path):
+    report = tmp_path / "dispersion.csv"
+    assert main(["verify", "--suite", "dispersion", "--report", str(report)]) == 0
+    rows = read_csv(report)
+    assert rows[0] == ["lambda", "beta", "loss_true_rowsum", "loss_true_opt", "ratio"]
+    assert len(rows) == 6
+    for row in rows[1:]:
+        assert float(row[4]) == pytest.approx(float(row[2]) / float(row[3]), rel=1e-12)
 
 
 def test_verify_unknown_suite(capsys):

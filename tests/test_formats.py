@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import splat_scene
 from splatlift import formats
 from splatlift.formats import FormatError
-from splatlift.model import InvalidInputError, KernelKind, SplatScene, SplatPrimitive
+from splatlift.model import InvalidInputError, KernelKind, SplatScene
 from splatlift.solver import FeatureField
 from splatlift.synthbench import make_scene, two_blob_spec
 
@@ -136,7 +137,7 @@ def test_splat_ply_roundtrip(tmp_path):
 
 
 def test_splat_ply_kernel_override(tmp_path):
-    scene = SplatScene([SplatPrimitive([0, 0, 1], [0, 0, 0], [1, 0, 0, 0], 2.0)])
+    scene = splat_scene([0, 0, 1], 1.0, 2.0)
     path = tmp_path / "s.ply"
     formats.write_splat_ply(path, scene)
     back = formats.read_splat_ply(path, kernel=KernelKind.GAUSSIAN_2D)
@@ -144,7 +145,7 @@ def test_splat_ply_kernel_override(tmp_path):
 
 
 def test_splat_ply_warns_on_activated_opacities(tmp_path):
-    scene = SplatScene([SplatPrimitive([0, 0, 1], [0, 0, 0], [1, 0, 0, 0], 0.37)])
+    scene = splat_scene([0, 0, 1], 1.0, 0.37)
     path = tmp_path / "s.ply"
     formats.write_splat_ply(path, scene)
     with pytest.warns(UserWarning, match="logits"):
@@ -335,7 +336,8 @@ def sample_files(tmp_path_factory):
     """A small valid file per reader: (reader, bytes, length of its header)."""
     root = tmp_path_factory.mktemp("samples")
     scene, views, _ = make_scene(two_blob_spec(noise_fraction=0.0, resolution=8, views=2))
-    scene = SplatScene([scene.primitive(j) for j in range(3)])
+    scene = SplatScene(scene.positions[:3], scene.log_scales[:3], scene.rotations[:3],
+                       scene.thetas[:3], scene.kernels[:3])
     rng = np.random.default_rng(0)
     formats.write_feature_tensor(root / "t.flt", rng.normal(size=(2, 3, 2)))
     formats.write_label_map(root / "m.lbl", np.array([[0, 1, -1], [1, 1, 0]]))

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scipy.special import expit
+
 from splatlift.model import (
     CameraView,
     InvalidInputError,
     KernelKind,
     LiftConfig,
-    SplatPrimitive,
     SplatScene,
-    opacity,
-    opacity_polarized,
     polarized_opacities,
-    quaternion_to_rotation,
     quaternions_to_rotations,
 )
 
 finite_logits = st.floats(min_value=-500, max_value=500, allow_nan=False)
+
+
+def opacity(theta, lam=1.0):
+    """The activation of one logit."""
+    return float(polarized_opacities(np.array([theta]), lam)[0])
 
 
 def test_opacity_symmetry_point():
@@ -38,42 +41,45 @@ def test_opacity_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError):
             opacity(bad)
+        with pytest.raises(InvalidInputError):
+            polarized_opacities(np.array([0.0, bad, 1.0]), 1.0)
 
 
 def test_opacity_no_overflow_for_large_negative():
-    assert opacity(-800.0) == 0.0
-    assert opacity(800.0) == 1.0
+    with np.errstate(over="raise"):
+        assert polarized_opacities(np.array([-800.0, 800.0]), 1.0).tolist() == [0.0, 1.0]
 
 
 def test_polarized_fixed_point():
-    assert opacity_polarized(0.0, 5.0) == 0.5
+    assert opacity(0.0, 5.0) == 0.5
 
 
 def test_polarized_direct_value():
     # 1 / (1 + e^-2.4)
-    assert opacity_polarized(2.0, 1.2) == pytest.approx(0.9168273035060777, abs=1e-15)
+    assert opacity(2.0, 1.2) == pytest.approx(0.9168273035060777, abs=1e-15)
 
 
 def test_polarized_strong_lambda_saturates():
-    assert opacity_polarized(2.0, 10.0) == pytest.approx(1.0, abs=1e-8)
+    assert opacity(2.0, 10.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_polarized_rejects_bad_lambda():
     with pytest.raises(InvalidInputError):
-        opacity_polarized(1.0, 0.0)
+        opacity(1.0, 0.0)
     with pytest.raises(InvalidInputError):
-        opacity_polarized(1.0, -2.0)
+        opacity(1.0, -2.0)
 
 
 @given(finite_logits)
 def test_polarized_identity_at_one(theta):
-    assert opacity_polarized(theta, 1.0) == opacity(theta)
+    # lam = 1 is the plain sigmoid
+    assert opacity(theta, 1.0) == pytest.approx(expit(theta), rel=1e-15, abs=0.0)
 
 
 def test_polarized_identity_on_grid():
+    # lam only scales the logit, bit for bit
     grid = np.linspace(-30.0, 30.0, 1000)
-    plain = np.array([opacity(t) for t in grid])
-    assert np.array_equal(polarized_opacities(grid, 1.0), plain)
+    assert np.array_equal(polarized_opacities(grid, 1.7), polarized_opacities(1.7 * grid, 1.0))
 
 
 @given(
@@ -84,8 +90,8 @@ def test_polarized_identity_on_grid():
 def test_polarization_is_monotone_toward_extremes(theta, lam1, lam2):
     lo, hi = min(lam1, lam2), max(lam1, lam2)
     target = 1.0 if theta > 0 else 0.0
-    gap_lo = abs(opacity_polarized(theta, lo) - target)
-    gap_hi = abs(opacity_polarized(theta, hi) - target)
+    gap_lo = abs(opacity(theta, lo) - target)
+    gap_hi = abs(opacity(theta, hi) - target)
     assert gap_hi <= gap_lo + 1e-15
 
 
@@ -93,7 +99,7 @@ def test_polarized_opacities_matches_scalar():
     thetas = np.array([-5.0, -0.3, 0.0, 0.7, 12.0])
     vec = polarized_opacities(thetas, 1.7)
     for t, v in zip(thetas, vec):
-        assert v == pytest.approx(opacity_polarized(t, 1.7), abs=1e-15)
+        assert v == pytest.approx(1.0 / (1.0 + math.exp(-1.7 * t)), abs=1e-15)
 
 
 unit_quats = st.tuples(*[st.floats(-1, 1) for _ in range(4)]).filter(
@@ -102,56 +108,84 @@ unit_quats = st.tuples(*[st.floats(-1, 1) for _ in range(4)]).filter(
 
 @given(unit_quats)
 def test_quaternion_rotation_orthonormal(q):
-    rot = quaternion_to_rotation(np.array(q))
+    rot = quaternions_to_rotations(np.array([q]))[0]
     assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-6
     assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
 
+def hamilton(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return np.array([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw])
+
+
 def test_quaternion_batch_matches_single():
+    # each row rotates a vector v as the single quaternion product q v q* does
     quats = np.array([[1.0, 0, 0, 0], [0.3, -0.4, 0.5, 0.6], [2.0, 1.0, 0.0, -1.0]])
     batch = quaternions_to_rotations(quats)
+    v = np.array([0.2, -1.3, 0.7])
     for q, r in zip(quats, batch):
-        assert np.allclose(r, quaternion_to_rotation(q))
+        q = q / np.linalg.norm(q)
+        rotated = hamilton(hamilton(q, np.r_[0.0, v]), q * [1, -1, -1, -1])[1:]
+        assert np.allclose(r @ v, rotated, atol=1e-12)
 
 
 def test_zero_quaternion_rejected():
     with pytest.raises(InvalidInputError):
-        quaternion_to_rotation(np.zeros(4))
+        quaternions_to_rotations(np.zeros((1, 4)))
+    with pytest.raises(InvalidInputError):
+        scene_of(rotations=[[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
+
+
+def scene_of(**arrays):
+    """Two splats with valid arrays, some of them replaced by the given ones."""
+    base = dict(positions=[[0, 0, 1], [0, 0, 2]], log_scales=[[-1, -1, -1], [-2, -2, -2]],
+                rotations=[[1.0, 0, 0, 0], [1.0, 0, 0, 0]], thetas=[0.1, 0.2])
+    return SplatScene(**{**base, **arrays})
 
 
 def test_primitive_normalizes_quaternion():
-    p = SplatPrimitive(position=[0, 0, 1], log_scale=[-1, -1, -1],
-                       rotation=[2.0, 0, 0, 0], theta=0.5)
-    assert np.linalg.norm(p.rotation) == pytest.approx(1.0, abs=1e-6)
-    assert np.all(p.scale > 0)
+    scene = scene_of(rotations=[[2.0, 0, 0, 0], [0.5, 0.5, -0.5, 0.5]])
+    assert np.allclose(np.linalg.norm(scene.rotations, axis=1), 1.0, atol=1e-15)
 
 
 def test_primitive_rejects_non_finite():
-    with pytest.raises(InvalidInputError):
-        SplatPrimitive(position=[np.nan, 0, 0], log_scale=[0, 0, 0],
-                       rotation=[1, 0, 0, 0], theta=0.0)
+    for name, bad in (("positions", [[np.nan, 0, 0], [0, 0, 2]]),
+                      ("log_scales", [[0, 0, 0], [np.inf, 0, 0]]),
+                      ("rotations", [[1, 0, 0, np.nan], [1, 0, 0, 0]]),
+                      ("thetas", [0.0, -np.inf])):
+        with pytest.raises(InvalidInputError):
+            scene_of(**{name: bad})
 
 
 def test_scene_requires_primitives():
     with pytest.raises(InvalidInputError):
-        SplatScene([])
+        SplatScene(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0))
+
+
+def test_scene_rejects_inconsistent_shapes():
+    with pytest.raises(InvalidInputError):
+        scene_of(thetas=[0.1, 0.2, 0.3])
+    with pytest.raises(InvalidInputError):
+        scene_of(log_scales=[[-1, -1], [-2, -2]])
+    with pytest.raises(InvalidInputError):
+        scene_of(kernels=[0, 1, 0])
 
 
 def test_scene_keeps_order_and_exposes_primitives():
-    prims = [
-        SplatPrimitive([0, 0, 1], [-1, -1, -1], [1, 0, 0, 0], 0.1),
-        SplatPrimitive([0, 0, 2], [-2, -2, -2], [1, 0, 0, 0], 0.2,
-                       kernel=KernelKind.GAUSSIAN_2D),
-    ]
-    scene = SplatScene(prims)
+    scene = scene_of(kernels=[KernelKind.GAUSSIAN_3D, KernelKind.GAUSSIAN_2D])
     assert len(scene) == 2
-    assert scene.primitive(1).kernel == KernelKind.GAUSSIAN_2D
-    assert scene.primitive(0).theta == 0.1
-    assert np.allclose(scene.scales(), np.exp(scene.log_scales))
+    assert scene.kernels.tolist() == [0, 1] and scene.kernels.dtype == np.int8
+    assert scene.thetas.tolist() == [0.1, 0.2]
+    assert scene.positions[:, 2].tolist() == [1.0, 2.0]
+    assert not scene.positions.flags.writeable
 
 
-def test_scene_from_arrays_broadcasts_kernel():
-    scene = SplatScene.from_arrays(
+def test_scene_broadcasts_kernel():
+    scene = SplatScene(
         positions=np.zeros((3, 3)) + [0, 0, 1],
         log_scales=np.zeros((3, 3)),
         rotations=np.tile([1.0, 0, 0, 0], (3, 1)),
@@ -159,6 +193,14 @@ def test_scene_from_arrays_broadcasts_kernel():
         kernels=KernelKind.GAUSSIAN_2D,
     )
     assert np.all(scene.kernels == int(KernelKind.GAUSSIAN_2D))
+    assert np.all(scene_of().kernels == int(KernelKind.GAUSSIAN_3D))
+
+
+@pytest.mark.parametrize("kernels", [7, 1.7, -1, [0, 7], [0.0, 1.5], np.nan, "gaussian2d"])
+def test_scene_rejects_unknown_kernel_ids(kernels):
+    # only KernelKind ids; 7 is no kernel, and 1.7 must not truncate to 1
+    with pytest.raises(InvalidInputError, match="kernel"):
+        scene_of(kernels=kernels)
 
 
 def test_camera_view_invariants():
@@ -176,7 +218,7 @@ def test_camera_view_invariants():
 
 
 def test_camera_center_inverts_pose():
-    rot = quaternion_to_rotation(np.array([0.9, 0.1, -0.2, 0.3]))
+    rot = quaternions_to_rotations(np.array([[0.9, 0.1, -0.2, 0.3]]))[0]
     w2c = np.eye(4)
     w2c[:3, :3] = rot
     eye = np.array([1.0, -2.0, 0.5])
@@ -187,7 +229,7 @@ def test_camera_center_inverts_pose():
 
 
 def test_lift_config_bounds():
-    LiftConfig(lam=0.1, transmittance_floor=1e-6, kernel_cutoff_sigma=1.0, tile_size=1)
+    LiftConfig(lam=0.1, transmittance_floor=1e-6, kernel_cutoff_sigma=1.0)
     with pytest.raises(InvalidInputError):
         LiftConfig(lam=0.05)
     with pytest.raises(InvalidInputError):
@@ -195,4 +237,4 @@ def test_lift_config_bounds():
     with pytest.raises(InvalidInputError):
         LiftConfig(transmittance_floor=1e-9)
     with pytest.raises(InvalidInputError):
-        LiftConfig(tile_size=0)
+        LiftConfig(kernel_cutoff_sigma=0.0)

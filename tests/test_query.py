@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from splatlift.model import CameraView, InvalidInputError, LiftConfig, SplatPrimitive, SplatScene
+from oracle import splat_scene
+from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.query import (
     AttentionMap,
     _smooth,
@@ -90,10 +91,7 @@ def test_positive_scaling_leaves_threshold_and_masks_unchanged():
 def opaque_view_setup():
     view = CameraView(fx=20.0, fy=20.0, cx=2.5, cy=2.5, width=5, height=5,
                       world_to_camera=np.eye(4), view_id="v")
-    scene = SplatScene([
-        SplatPrimitive([0, 0, 1.0], [math.log(300.0)] * 3, [1, 0, 0, 0], 16.0),
-        SplatPrimitive([0, 0, 2.0], [math.log(600.0)] * 3, [1, 0, 0, 0], 16.0),
-    ])
+    scene = splat_scene([[0, 0, 1.0], [0, 0, 2.0]], [300.0, 600.0], 16.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, transmittance_floor=1e-6))
     return view, A
 
@@ -109,8 +107,7 @@ def test_render_attention_uniform_scores():
 def test_render_attention_uncovered_is_background():
     view = CameraView(fx=400.0, fy=400.0, cx=15.5, cy=15.5, width=31, height=31,
                       world_to_camera=np.eye(4), view_id="v")
-    scene = SplatScene([SplatPrimitive([0, 0, 1.0], [math.log(0.002)] * 3,
-                                       [1, 0, 0, 0], 9.0)])
+    scene = splat_scene([0, 0, 1.0], 0.002, 9.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     amap = render_attention(A, np.array([0.9]), [view])["v"]
     assert amap.scores[0, 0] == -1.0

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import reference_rows, splat_scene
+from splatlift import rasterize
 from splatlift.model import (
     CameraView,
     InvalidInputError,
     KernelKind,
     LiftConfig,
-    SplatPrimitive,
     SplatScene,
+    polarized_opacities,
 )
 from splatlift.rasterize import (
     WeightMatrix,
     build_weight_matrix,
-    camera_ray,
-    kernel_eval,
-    project_primitive,
     render,
     render_labels,
 )
@@ -30,81 +29,95 @@ def frontal_view(width=9, height=9, fx=100.0, view_id="v0", cx=None, cy=None):
 
 
 def splat_at(x, y, z, scale=0.1, theta=3.0, kernel=KernelKind.GAUSSIAN_3D):
-    return SplatPrimitive(position=[x, y, z], log_scale=[math.log(scale)] * 3,
-                          rotation=[1, 0, 0, 0], theta=theta, kernel=kernel)
+    return splat_scene([x, y, z], scale, theta, kernel)
+
+
+def axis_weights(scene, size=41, fx=100.0, cfg=None):
+    """A single-splat scene's weights on a frontal view whose principal point
+    is the centre pixel c: a function (dx, dy) -> weight of pixel
+    c + (dx, dy) (0.0 without an entry), and the splat's opacity."""
+    cfg = cfg or LiftConfig(lam=1.0)
+    c = size // 2
+    A = build_weight_matrix(scene, [frontal_view(size, size, fx, cx=c, cy=c)], cfg)
+
+    def weight(dx, dy):
+        idx, w = A.row_entries((c + dy) * size + c + dx)
+        return float(w[0]) if len(idx) else 0.0
+    return weight, float(polarized_opacities(scene.thetas, cfg.lam)[0])
 
 
 # -- projection ---------------------------------------------------------------
 
 def test_project_on_axis_hits_principal_point():
-    view = frontal_view()
-    fp = project_primitive(splat_at(0, 0, 1.0), view)
-    assert fp.mean2d[0] == view.cx and fp.mean2d[1] == view.cy
+    view = frontal_view(cx=4, cy=4)
+    A = build_weight_matrix(splat_at(0, 0, 1.0), [view], LiftConfig(lam=1.0))
+    sums = A.row_sums().reshape(view.height, view.width)
+    assert np.unravel_index(np.argmax(sums), sums.shape) == (4, 4)
+    assert np.array_equal(sums, sums[::-1, ::-1])  # symmetric about the principal point
 
 
 def test_project_isotropic_axis_covariance():
     # Hand evaluation of J W Sigma W^T J^T for an on-axis splat at depth 1,
     # f = 100, isotropic scale 0.1: diag(100, 100) plus the 0.3 dilation.
-    fp = project_primitive(splat_at(0, 0, 1.0, scale=0.1), frontal_view())
-    assert np.allclose(fp.cov2d, np.diag([100.3, 100.3]), atol=1e-9)
+    # The weights at offsets (10, 0), (0, 10) and (10, 10) give the conic.
+    weight, alpha = axis_weights(splat_at(0, 0, 1.0, scale=0.1))
+    qx, qy, qxy = (-2.0 * math.log(weight(dx, dy) / alpha)
+                   for dx, dy in ((10, 0), (0, 10), (10, 10)))
+    conic = np.array([[qx, (qxy - qx - qy) / 2], [(qxy - qx - qy) / 2, qy]]) / 100.0
+    assert np.allclose(np.linalg.inv(conic), np.diag([100.3, 100.3]), atol=1e-9)
 
 
 def test_project_behind_camera_is_culled():
-    assert project_primitive(splat_at(0, 0, -1.0), frontal_view()) is None
+    A = build_weight_matrix(splat_at(0, 0, -1.0), [frontal_view()], LiftConfig())
+    assert A.nnz == 0
 
 
 def test_project_radius_scales_with_cutoff():
-    cfg3 = LiftConfig(kernel_cutoff_sigma=3.0)
-    cfg5 = LiftConfig(kernel_cutoff_sigma=5.0)
-    f3 = project_primitive(splat_at(0, 0, 1.0), frontal_view(), cfg3)
-    f5 = project_primitive(splat_at(0, 0, 1.0), frontal_view(), cfg5)
-    assert f5.radius == pytest.approx(f3.radius * 5 / 3, rel=1e-12)
+    # One pixel row through the principal point: the covered pixels are
+    # exactly those within cutoff * sigma, sigma = sqrt(100.3) pixels.
+    view = CameraView(fx=100.0, fy=100.0, cx=60, cy=0, width=121, height=1,
+                      world_to_camera=np.eye(4), view_id="v")
+    offsets = np.abs(np.arange(121) - 60)
+    for cutoff in (3.0, 5.0):
+        cfg = LiftConfig(lam=1.0, kernel_cutoff_sigma=cutoff)
+        A = build_weight_matrix(splat_at(0, 0, 1.0, theta=8.0), [view], cfg)
+        assert np.array_equal(A.covered_rows(), offsets <= cutoff * math.sqrt(100.3))
 
 
 # -- kernel evaluation ---------------------------------------------------------
 
 def test_kernel_center_is_one():
-    fp = project_primitive(splat_at(0, 0, 1.0), frontal_view())
-    assert kernel_eval(fp, fp.mean2d) == 1.0
+    weight, alpha = axis_weights(splat_at(0, 0, 1.0))
+    assert weight(0, 0) == alpha
 
 
 def test_kernel_one_sigma_value():
-    fp = project_primitive(splat_at(0, 0, 1.0, scale=0.1), frontal_view())
-    sigma_px = math.sqrt(fp.cov2d[0, 0])
-    val = kernel_eval(fp, fp.mean2d + np.array([sigma_px, 0.0]))
-    assert val == pytest.approx(math.exp(-0.5), rel=1e-12)
+    # scale sqrt(99.7) / 100 makes the screen variance 99.7 + 0.3 = 10^2
+    weight, alpha = axis_weights(splat_at(0, 0, 1.0, scale=math.sqrt(99.7) / 100.0))
+    assert weight(10, 0) == pytest.approx(alpha * math.exp(-0.5), rel=1e-12)
+    assert weight(0, -10) == pytest.approx(alpha * math.exp(-0.5), rel=1e-12)
 
 
 def test_kernel_beyond_radius_is_zero():
-    fp = project_primitive(splat_at(0, 0, 1.0, scale=0.1), frontal_view())
-    assert kernel_eval(fp, fp.mean2d + np.array([fp.radius + 1.0, 0.0])) == 0.0
+    # radius 3 * sqrt(100.3) = 30.04 pixels; the kernel value beyond it is
+    # still far above the weight cut-off
+    weight, alpha = axis_weights(splat_at(0, 0, 1.0, scale=0.1), size=81)
+    assert weight(30, 0) == pytest.approx(alpha * math.exp(-0.5 * 900 / 100.3), rel=1e-12)
+    assert weight(31, 0) == 0.0 and weight(0, 31) == 0.0
 
 
 def test_planar_kernel_center_and_sigma():
-    view = frontal_view()
-    splat = splat_at(0, 0, 1.0, scale=0.05, kernel=KernelKind.GAUSSIAN_2D)
-    fp = project_primitive(splat, view)
-    center = kernel_eval(fp, fp.mean2d, camera_ray(view, fp.mean2d))
-    assert center == pytest.approx(1.0, abs=1e-12)
+    weight, alpha = axis_weights(splat_at(0, 0, 1.0, scale=0.05, kernel=KernelKind.GAUSSIAN_2D))
+    assert weight(0, 0) == pytest.approx(alpha, abs=1e-12)
     # one planar standard deviation (0.05 world at depth 1) is fx * 0.05 pixels
-    pix = fp.mean2d + np.array([view.fx * 0.05, 0.0])
-    val = kernel_eval(fp, pix, camera_ray(view, pix))
-    assert val == pytest.approx(math.exp(-0.5), rel=1e-6)
-
-
-def test_planar_kernel_requires_ray():
-    fp = project_primitive(splat_at(0, 0, 1.0, kernel=KernelKind.GAUSSIAN_2D),
-                           frontal_view())
-    with pytest.raises(InvalidInputError):
-        kernel_eval(fp, fp.mean2d)
+    assert weight(5, 0) == pytest.approx(alpha * math.exp(-0.5), rel=1e-6)
 
 
 # -- weight matrix construction --------------------------------------------------
 
 def opaque_pixel_scene(thetas, z_values, scale=50.0):
     """Giant flat splats so every pixel sees delta ~= 1 for each layer."""
-    prims = [splat_at(0, 0, z, scale=scale, theta=t) for t, z in zip(thetas, z_values)]
-    return SplatScene(prims)
+    return splat_scene([[0, 0, z] for z in z_values], scale, thetas)
 
 
 def test_single_splat_full_delta_row():
@@ -135,7 +148,7 @@ def test_two_layer_compositing_weights():
 
 def test_uncovered_pixel_has_empty_row():
     view = frontal_view(width=31, height=31, fx=400.0)
-    scene = SplatScene([splat_at(0, 0, 1.0, scale=0.002, theta=8.0)])
+    scene = splat_at(0, 0, 1.0, scale=0.002, theta=8.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     assert A.row_sums()[0] == 0.0
     assert not A.covered_rows()[0]
@@ -144,7 +157,7 @@ def test_uncovered_pixel_has_empty_row():
 
 def test_empty_inputs_rejected():
     view = frontal_view()
-    scene = SplatScene([splat_at(0, 0, 1.0)])
+    scene = splat_at(0, 0, 1.0)
     with pytest.raises(InvalidInputError):
         build_weight_matrix(scene, [], LiftConfig())
     with pytest.raises(InvalidInputError):
@@ -153,10 +166,8 @@ def test_empty_inputs_rejected():
 
 def test_rows_are_row_major_and_front_to_back():
     rng = np.random.default_rng(3)
-    prims = [splat_at(x, y, z, scale=0.3, theta=2.5)
-             for x, y, z in rng.uniform([-1, -1, 2], [1, 1, 5], size=(40, 3))]
+    scene = splat_scene(rng.uniform([-1, -1, 2], [1, 1, 5], size=(40, 3)), 0.3, 2.5)
     view = frontal_view(width=16, height=16, fx=30.0)
-    scene = SplatScene(prims)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     depths = scene.positions[:, 2]  # identity pose: camera depth = z
     for row in range(A.rows):
@@ -170,14 +181,12 @@ def test_rows_are_row_major_and_front_to_back():
 
 def test_row_stochastic_on_random_scene():
     rng = np.random.default_rng(11)
-    prims = [splat_at(x, y, z, scale=s, theta=t)
-             for (x, y, z), s, t in zip(rng.uniform([-1, -1, 2], [1, 1, 6], size=(120, 3)),
-                                        rng.uniform(0.05, 0.5, 120),
-                                        rng.uniform(-4, 10, 120))]
+    scene = splat_scene(rng.uniform([-1, -1, 2], [1, 1, 6], size=(120, 3)),
+                        rng.uniform(0.05, 0.5, 120), rng.uniform(-4, 10, 120))
     views = [frontal_view(width=24, height=24, fx=40.0, view_id=f"v{i}") for i in range(2)]
     views[1] = CameraView(fx=40.0, fy=40.0, cx=12, cy=12, width=24, height=24,
                           world_to_camera=views[1].world_to_camera, view_id="v1")
-    A = build_weight_matrix(SplatScene(prims), views, LiftConfig(lam=1.3))
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.3))
     sums = A.row_sums()
     assert sums.min() >= 0.0
     assert sums.max() <= 1.0 + 1e-6
@@ -187,9 +196,7 @@ def test_row_stochastic_on_random_scene():
 
 def test_deterministic_rebuild_bit_identical_across_threads():
     rng = np.random.default_rng(5)
-    prims = [splat_at(x, y, z, scale=0.25, theta=1.5)
-             for x, y, z in rng.uniform([-1, -1, 2], [1, 1, 5], size=(60, 3))]
-    scene = SplatScene(prims)
+    scene = splat_scene(rng.uniform([-1, -1, 2], [1, 1, 5], size=(60, 3)), 0.25, 1.5)
     views = [frontal_view(width=20, height=20, fx=35.0, view_id=f"v{i}") for i in range(3)]
     builds = [build_weight_matrix(scene, views, LiftConfig(lam=1.2), threads=n)
               for n in (1, 1, 4)]
@@ -200,17 +207,18 @@ def test_deterministic_rebuild_bit_identical_across_threads():
         assert ref.weights.tobytes() == other.weights.tobytes()
 
 
-def test_tile_culling_matches_single_tile_build():
+def test_tile_culling_matches_single_tile_build(monkeypatch):
     # One tile spanning the whole view is the no-tile-culling reference; the
     # per-pixel radius check makes tiling lossless, well under the
     # exp(-cutoff^2 / 2) bound.
     rng = np.random.default_rng(9)
-    prims = [splat_at(x, y, z, scale=0.15, theta=2.0)
-             for x, y, z in rng.uniform([-0.8, -0.8, 2], [0.8, 0.8, 4], size=(50, 3))]
-    scene = SplatScene(prims)
+    scene = splat_scene(rng.uniform([-0.8, -0.8, 2], [0.8, 0.8, 4], size=(50, 3)), 0.15, 2.0)
     view = frontal_view(width=33, height=33, fx=45.0)
-    tiled = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, tile_size=8))
-    whole = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, tile_size=64))
+    builds = []
+    for tile_size in (8, 64):
+        monkeypatch.setattr(rasterize, "TILE_SIZE", tile_size)
+        builds.append(build_weight_matrix(scene, [view], LiftConfig(lam=1.0)))
+    tiled, whole = builds
     assert tiled.indptr.tobytes() == whole.indptr.tobytes()
     assert tiled.indices.tobytes() == whole.indices.tobytes()
     assert np.max(np.abs(tiled.weights - whole.weights)) <= math.exp(-4.5)
@@ -219,8 +227,7 @@ def test_tile_culling_matches_single_tile_build():
 def test_cutoff_perturbs_weights_below_kernel_tail():
     # Sparse non-overlapping splats: enlarging the cutoff changes each weight
     # by at most the kernel value at the tighter cutoff radius.
-    prims = [splat_at(x, 0, 2.0, scale=0.05, theta=5.0) for x in (-0.6, 0.0, 0.6)]
-    scene = SplatScene(prims)
+    scene = splat_scene([[x, 0, 2.0] for x in (-0.6, 0.0, 0.6)], 0.05, 5.0)
     view = frontal_view(width=41, height=41, fx=60.0)
     tight = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, kernel_cutoff_sigma=3.0))
     loose = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, kernel_cutoff_sigma=6.0))
@@ -242,7 +249,7 @@ def test_render_opaque_single_splat_returns_value():
 
 def test_render_empty_row_returns_background():
     view = frontal_view(width=31, height=31, fx=400.0)
-    scene = SplatScene([splat_at(0, 0, 1.0, scale=0.002, theta=8.0)])
+    scene = splat_at(0, 0, 1.0, scale=0.002, theta=8.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     out = render(A, np.array([[1.0]]), np.array([7.0]))
     assert out[0, 0] == 7.0
@@ -302,7 +309,7 @@ def test_render_labels_weighted_argmax_and_empty():
 
     # a genuinely uncovered pixel maps to -1
     tiny_view = frontal_view(width=31, height=31, fx=400.0)
-    tiny = SplatScene([splat_at(0, 0, 1.0, scale=0.002, theta=8.0)])
+    tiny = splat_at(0, 0, 1.0, scale=0.002, theta=8.0)
     A2 = build_weight_matrix(tiny, [tiny_view], LiftConfig(lam=1.0))
     kappa2 = render_labels(A2, np.array([[0.0, 1.0]]))
     assert kappa2[0] == -1
@@ -311,9 +318,7 @@ def test_render_labels_weighted_argmax_and_empty():
 
 def test_render_labels_dominant_weight_wins_everywhere():
     rng = np.random.default_rng(21)
-    prims = [splat_at(x, y, z, scale=0.4, theta=4.0)
-             for x, y, z in rng.uniform([-1, -1, 2], [1, 1, 4], size=(30, 3))]
-    scene = SplatScene(prims)
+    scene = splat_scene(rng.uniform([-1, -1, 2], [1, 1, 4], size=(30, 3)), 0.4, 4.0)
     view = frontal_view(width=25, height=25, fx=40.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     labels = rng.integers(0, 3, size=30)
@@ -347,10 +352,8 @@ def test_planar_wall_composites_and_lifts():
     axis = np.linspace(-0.9, 0.9, 10)
     gx, gy = np.meshgrid(axis, axis)
     spacing = axis[1] - axis[0]
-    prims = [SplatPrimitive([x, y, 2.0], [math.log(spacing)] * 3, [1, 0, 0, 0],
-                            theta=9.0, kernel=KernelKind.GAUSSIAN_2D)
-             for x, y in zip(gx.ravel(), gy.ravel())]
-    scene = SplatScene(prims)
+    scene = splat_scene([[x, y, 2.0] for x, y in zip(gx.ravel(), gy.ravel())], spacing, 9.0,
+                        KernelKind.GAUSSIAN_2D)
     view = frontal_view(width=20, height=20, fx=24.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     sums = A.row_sums()
@@ -366,10 +369,9 @@ def test_planar_wall_composites_and_lifts():
 
 def test_mixed_kernel_scene_builds():
     # volumetric and planar primitives composite together front to back
-    vol = splat_at(0, 0, 1.5, scale=3.0, theta=math.log(0.6 / 0.4))
-    flat = SplatPrimitive([0, 0, 2.5], [math.log(5.0)] * 3, [1, 0, 0, 0],
-                          theta=math.log(0.8 / 0.2), kernel=KernelKind.GAUSSIAN_2D)
-    scene = SplatScene([vol, flat])
+    scene = splat_scene([[0, 0, 1.5], [0, 0, 2.5]], [3.0, 5.0],
+                        [math.log(0.6 / 0.4), math.log(0.8 / 0.2)],
+                        [KernelKind.GAUSSIAN_3D, KernelKind.GAUSSIAN_2D])
     view = frontal_view(width=9, height=9, fx=12.0, cx=4.0, cy=4.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     center = (9 // 2) * 9 + 9 // 2
@@ -378,6 +380,44 @@ def test_mixed_kernel_scene_builds():
     assert w[0] == pytest.approx(0.6, abs=1e-3)
     assert w[1] == pytest.approx(0.32, abs=1e-3)
     A.validate()
+
+
+def turned_view(angle, target, distance, **intrinsics):
+    """View turned by angle about the world y axis, looking at target."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    w2c = np.eye(4)
+    w2c[:3, :3] = rot
+    w2c[:3, 3] = -rot @ (np.asarray(target) - distance * rot[2])
+    return CameraView(world_to_camera=w2c, **intrinsics)
+
+
+def test_matrix_matches_per_ray_oracle_on_mixed_kernels():
+    rng = np.random.default_rng(0)
+    n = 48
+    positions = rng.uniform([-0.8, -0.8, 2.5], [0.8, 0.8, 4.0], size=(n, 3))
+    positions[-6:] = positions[:6]  # depth ties, broken by index
+    scene = SplatScene(positions, np.log(rng.uniform(0.04, 0.3, size=(n, 3))),
+                       rng.normal(size=(n, 4)), rng.uniform(-2.0, 6.0, n), rng.integers(0, 2, n))
+    assert 0 < scene.kernels.sum() < n  # both kernel kinds
+    views = [turned_view(0.0, [0, 0, 3.2], 3.2, fx=26.0, fy=24.0, cx=11.5, cy=9.7,
+                         width=24, height=20, view_id="a"),
+             turned_view(0.5, [0, 0, 3.2], 3.2, fx=30.0, fy=30.0, cx=12.2, cy=10.0,
+                         width=22, height=21, view_id="b")]
+    cfg = LiftConfig(lam=1.2)
+    A = build_weight_matrix(scene, views, cfg)
+    rows = reference_rows(scene, views, cfg)
+    assert len(rows) == A.rows
+    near = 0
+    for i, (entries, near_cutoff) in enumerate(rows):
+        if near_cutoff:  # rounding may decide these rays' entries
+            near += 1
+            continue
+        idx, w = A.row_entries(i)
+        assert idx.tolist() == [j for j, _ in entries], i
+        assert np.allclose(w, [wj for _, wj in entries], rtol=1e-12, atol=0.0), i
+    assert near < 0.01 * A.rows
+    assert A.nnz > 5 * A.rows  # the rays overlap many splats
 
 
 def matrix(indptr, indices, weights, cols):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import splat_scene
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix
 from splatlift.solver import (
@@ -449,10 +450,9 @@ def test_label_backed_lift_matches_its_dense_values(seed):
 
 
 def test_streaming_single_splat_exact():
-    from splatlift.model import SplatPrimitive, SplatScene
     view = CameraView(fx=20.0, fy=20.0, cx=1.5, cy=1.5, width=3, height=3,
                       world_to_camera=np.eye(4), view_id="v")
-    scene = SplatScene([SplatPrimitive([0, 0, 1], [np.log(20.0)] * 3, [1, 0, 0, 0], 12.0)])
+    scene = splat_scene([0, 0, 1], 20.0, 12.0)
     obs = ObservationSet.from_dense([view], {"v": np.full((9, 2), 3.5)})
     cfg = LiftConfig(lam=1.0)
     direct = lift_rowsum(build_weight_matrix(scene, [view], cfg), obs)
@@ -461,10 +461,9 @@ def test_streaming_single_splat_exact():
 
 
 def test_streaming_rejects_empty_observations():
-    from splatlift.model import SplatPrimitive, SplatScene
     view = CameraView(fx=20.0, fy=20.0, cx=1.5, cy=1.5, width=3, height=3,
                       world_to_camera=np.eye(4), view_id="v")
-    scene = SplatScene([SplatPrimitive([0, 0, 1], [np.log(20.0)] * 3, [1, 0, 0, 0], 12.0)])
+    scene = splat_scene([0, 0, 1], 20.0, 12.0)
     labels = {"v": np.full(9, -1, dtype=np.int32)}  # every ray unlabeled
     obs = ObservationSet.from_labels([view], labels, {"v": {7: np.array([1.0])}})
     with pytest.raises(InvalidInputError):
