@@ -15,20 +15,19 @@ from scipy.spatial import cKDTree
 from .model import InvalidInputError
 from .solver import FeatureField, ObservationSet
 
+# The default eps: this percentile of the distance to the min_points-th
+# nearest neighbor, floored at EPS_FLOOR so exactly-coincident rows cluster.
+EPS_PERCENTILE = 95.0
+EPS_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Density clustering parameters.
-
-    eps defaults to the 95th percentile of the distance to the
-    min_points-th nearest neighbor, floored at eps_floor to survive
-    exactly-coincident feature rows.
-    """
+    """Density clustering parameters; eps None picks it from the data
+    (EPS_PERCENTILE, EPS_FLOOR)."""
 
     min_points: int = 10
     eps: float | None = None
-    eps_percentile: float = 95.0
-    eps_floor: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class ClusterAssignment:
 
     labels: np.ndarray
     n_clusters: int
-    params: ClusterParams
 
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int64)
@@ -69,7 +67,7 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
     if len(obs_idx) < params.min_points:
         warnings.warn("fewer observed primitives than min_points; labeling all noise",
                       stacklevel=2)
-        return ClusterAssignment(labels=labels_full, n_clusters=0, params=params)
+        return ClusterAssignment(labels=labels_full, n_clusters=0)
 
     x = values[obs_idx] / norms[obs_idx, None]
     n = len(obs_idx)
@@ -79,7 +77,7 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
     else:
         k = min(params.min_points + 1, n)
         dists, _ = tree.query(x, k=k)
-        eps = max(float(np.percentile(dists[:, -1], params.eps_percentile)), params.eps_floor)
+        eps = max(float(np.percentile(dists[:, -1], EPS_PERCENTILE)), EPS_FLOOR)
 
     i, j = tree.query_pairs(eps, output_type="ndarray").T
     core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= params.min_points
@@ -103,7 +101,7 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
     claimed = best < len(first)
     labels[claimed] = best[claimed]
     labels_full[obs_idx] = labels
-    return ClusterAssignment(labels=labels_full, n_clusters=len(first), params=params)
+    return ClusterAssignment(labels=labels_full, n_clusters=len(first))
 
 
 def onehot(assignment: ClusterAssignment) -> np.ndarray:

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 invalid input, 2 invariant violation (verify),
 3 I/O failure. The SPLATLIFT_THREADS environment variable sets the worker
 count for per-view parallel stages; option precedence is
-flags > --config file > built-in defaults.
+flags > --config file > built-in defaults, except that lambda and kernel
+fall back to the field's run report before their defaults in the commands
+that reuse a field.
 """
 
 from __future__ import annotations
@@ -158,26 +160,57 @@ def _load_observations(views, features_dir) -> ObservationSet:
     return ObservationSet.from_labels(views, labels, tables)
 
 
-def _coverage_summary(field: FeatureField) -> dict:
-    unobserved = int(field.unobserved.sum())
-    cov = field.coverage if field.coverage is not None else np.zeros(field.count)
-    return {
-        "observed": int(field.count - unobserved),
-        "unobserved": unobserved,
-        "mean_coverage": float(cov.mean()),
-    }
-
-
 # -- lift ---------------------------------------------------------------------
+
+def _lift_setup(args, config: dict, report_path: Path | None = None):
+    """Scene, views, LiftConfig and kernel name of lift, cluster-filter and segment.
+
+    lambda and kernel each take the flag, else the --config value, else the
+    value in the run report at report_path when that file exists (the
+    field's report, for the commands that reuse a field), else the default.
+    """
+    lam = _setting(args, config, "lambda", None, float, attr="lam")
+    kernel = _setting(args, config, "kernel", None, str)
+    report = {}
+    if None in (lam, kernel) and report_path is not None and report_path.exists():
+        report = formats.read_run_report(report_path)
+        if not isinstance(report, dict):
+            raise InvalidInputError(f"{report_path}: a run report must be a JSON object")
+    if lam is None:
+        value = report.get("lambda", 1.2)
+        try:
+            lam = LiftConfig(lam=float(value)).lam
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"{report_path}: lambda must be a number >= 0.1, got {value!r}") from None
+    if kernel is None:
+        kernel = report.get("kernel", "gaussian3d")
+        if not isinstance(kernel, str) or kernel not in KERNELS:
+            raise InvalidInputError(
+                f"{report_path}: kernel must be one of {sorted(KERNELS)}, got {kernel!r}")
+    cfg = LiftConfig(lam=lam)
+    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel])
+    return scene, formats.read_cameras(args.cameras), cfg, kernel
+
+
+def _write_field(path: Path, field: FeatureField, cfg: LiftConfig, kernel: str, mode: str,
+                 path_kind: str, rows: int, elapsed: float) -> None:
+    """A lifted field and its run report beside it (<path>.json)."""
+    formats.write_feature_field(path, field)
+    unobserved = int(field.unobserved.sum())
+    formats.write_run_report(str(path) + ".json", {
+        "lambda": cfg.lam, "mode": mode, "path": path_kind, "kernel": kernel,
+        "rows": int(rows), "primitives": int(field.count),
+        "feature_dim": int(field.feature_dim), "timing_s": elapsed,
+        "coverage": {"observed": int(field.count - unobserved), "unobserved": unobserved,
+                     "mean_coverage": float(field.coverage.mean())},
+    })
+
 
 def _cmd_lift(args) -> int:
     config = _load_config(args.config)
-    lam = float(_setting(args, config, "lambda", 1.2, float, attr="lam"))
     mode = _setting(args, config, "mode", "rowsum", str)
-    kernel_name = _setting(args, config, "kernel", "gaussian3d", str)
-    cfg = LiftConfig(lam=lam)
-    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
-    views = formats.read_cameras(args.cameras)
+    scene, views, cfg, kernel = _lift_setup(args, config)
     obs = _load_observations(views, args.features)
     threads = _threads()
     started = time.perf_counter()
@@ -193,19 +226,7 @@ def _cmd_lift(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    formats.write_feature_field(out, field)
-    report = {
-        "lambda": lam,
-        "mode": mode,
-        "path": path_kind,
-        "kernel": kernel_name,
-        "rows": int(obs.rows),
-        "primitives": int(field.count),
-        "feature_dim": int(field.feature_dim),
-        "coverage": _coverage_summary(field),
-        "timing_s": elapsed,
-    }
-    formats.write_run_report(str(out) + ".json", report)
+    _write_field(out, field, cfg, kernel, mode, path_kind, obs.rows, elapsed)
     if args.render_views:
         if matrix is None:
             matrix = build_weight_matrix(scene, views, cfg, threads=threads)
@@ -218,36 +239,21 @@ def _cmd_lift(args) -> int:
                 rdir / f"{view.view_id}.flt",
                 rendered[start:stop].reshape(view.height, view.width, field.feature_dim))
     print(f"lift: wrote {out} ({field.count} primitives, F={field.feature_dim}, "
-          f"lambda={lam}, mode={mode}, {path_kind} path, {elapsed:.2f}s)")
+          f"lambda={cfg.lam}, mode={mode}, {path_kind} path, {elapsed:.2f}s)")
     return EXIT_OK
 
 
 # -- cluster-filter -------------------------------------------------------------
 
 def _field_matrix(args, config: dict, field: FeatureField):
-    """Views, weight matrix and kernel name for a command that reuses a field.
-
-    Lambda falls back to the one recorded in the field's run report, then to
-    the lift default; the scene must have as many primitives as the field.
-    """
-    kernel_name = _setting(args, config, "kernel", "gaussian3d", str)
-    lam = _setting(args, config, "lambda", None, float, attr="lam")
-    report_path = Path(args.field).with_suffix(Path(args.field).suffix + ".json")
-    if lam is None and report_path.exists():
-        lam = formats.read_run_report(report_path).get("lambda")
-        try:
-            lam = None if lam is None else float(lam)
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"{report_path}: lambda must be a number, got {lam!r}") from None
-    lam = 1.2 if lam is None else lam
-    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel_name])
-    views = formats.read_cameras(args.cameras)
-    matrix = build_weight_matrix(scene, views, LiftConfig(lam=lam), threads=_threads())
+    """Views, weight matrix, LiftConfig and kernel name for a command that
+    reuses a field; the scene must have as many primitives as the field."""
+    scene, views, cfg, kernel = _lift_setup(args, config, Path(str(args.field) + ".json"))
+    matrix = build_weight_matrix(scene, views, cfg, threads=_threads())
     if matrix.cols != field.count:
         raise InvalidInputError(
             f"field has {field.count} primitives but the scene has {matrix.cols}")
-    return views, matrix, kernel_name
+    return views, matrix, cfg, kernel
 
 
 def _cmd_cluster_filter(args) -> int:
@@ -257,7 +263,7 @@ def _cmd_cluster_filter(args) -> int:
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
     mode = _setting(args, config, "mode", "rowsum", str)
     field = formats.read_feature_field(args.field)
-    views, matrix, kernel_name = _field_matrix(args, config, field)
+    views, matrix, cfg, kernel = _field_matrix(args, config, field)
     obs = _load_observations(views, args.labels)
     if not obs.label_backed:
         raise InvalidInputError(
@@ -289,14 +295,7 @@ def _cmd_cluster_filter(args) -> int:
         started = time.perf_counter()
         relifted = LIFTS[mode](matrix, filtered)
         elapsed = time.perf_counter() - started
-        formats.write_feature_field(out / "field.flt", relifted)
-        formats.write_run_report(out / "field.flt.json", {
-            "lambda": matrix.lambda_used, "mode": mode, "path": "matrix",
-            "kernel": kernel_name, "rows": int(obs.rows), "primitives": int(relifted.count),
-            "feature_dim": int(relifted.feature_dim),
-            "coverage": _coverage_summary(relifted),
-            "timing_s": elapsed,
-        })
+        _write_field(out / "field.flt", relifted, cfg, kernel, mode, "matrix", obs.rows, elapsed)
         print(f"cluster-filter: re-lifted field written to {out / 'field.flt'}")
     return EXIT_OK
 
@@ -312,10 +311,10 @@ def _cmd_segment(args) -> int:
     qarr = formats.read_feature_tensor(args.query)
     query = QueryEmbedding(vector=qarr.reshape(-1).astype(np.float64),
                            name=Path(args.query).stem)
-    views, matrix, _ = _field_matrix(args, config, field)
+    views, matrix, _, _ = _field_matrix(args, config, field)
 
     scores = attention_scores(field, query)
-    maps = render_attention(matrix, scores, views, lift_lambda=matrix.lambda_used)
+    maps = render_attention(matrix, scores, views)
     if args.threshold == "auto":
         # One pooled threshold per query: merging the covered scores of all
         # views densifies the histogram, which stabilizes the valley search.
@@ -499,51 +498,43 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Feature lifting onto splat scenes via a sparse "
                                  "row-stochastic linear inverse problem")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options of every command that builds the weight matrix.
+    lifting = argparse.ArgumentParser(add_help=False)
+    lifting.add_argument("--scene", required=True)
+    lifting.add_argument("--cameras", required=True)
+    lifting.add_argument("--lambda", dest="lam", type=float, default=None)
+    lifting.add_argument("--kernel", choices=sorted(KERNELS), default=None)
+    lifting.add_argument("--config", default=None)
+    lifting.add_argument("--out", required=True)
 
-    lift = sub.add_parser("lift", help="lift per-view observations onto primitives")
-    lift.add_argument("--scene", required=True)
-    lift.add_argument("--cameras", required=True)
+    lift = sub.add_parser("lift", parents=[lifting],
+                          help="lift per-view observations onto primitives")
     lift.add_argument("--features", required=True)
-    lift.add_argument("--lambda", dest="lam", type=float, default=None)
     lift.add_argument("--mode", choices=sorted(LIFTS), default=None)
-    lift.add_argument("--kernel", choices=sorted(KERNELS), default=None)
     group = lift.add_mutually_exclusive_group()
     group.add_argument("--streaming", action="store_true")
     group.add_argument("--matrix", action="store_true")
     lift.add_argument("--render-views", default=None,
                       help="also render the lifted field back to per-view tensors")
-    lift.add_argument("--out", required=True)
-    lift.add_argument("--config", default=None)
     lift.set_defaults(func=_cmd_lift)
 
-    cf = sub.add_parser("cluster-filter",
+    cf = sub.add_parser("cluster-filter", parents=[lifting],
                         help="cluster the field, project labels, drop inconsistent masks")
     cf.add_argument("--field", required=True)
-    cf.add_argument("--scene", required=True)
-    cf.add_argument("--cameras", required=True)
     cf.add_argument("--labels", required=True)
     cf.add_argument("--tau", type=float, default=None)
-    cf.add_argument("--lambda", dest="lam", type=float, default=None)
     cf.add_argument("--mode", choices=sorted(LIFTS), default=None)
-    cf.add_argument("--kernel", choices=sorted(KERNELS), default=None)
     cf.add_argument("--relift", action="store_true")
-    cf.add_argument("--out", required=True)
-    cf.add_argument("--config", default=None)
     cf.set_defaults(func=_cmd_cluster_filter)
 
-    seg = sub.add_parser("segment", help="attention maps and binary masks for a query")
+    seg = sub.add_parser("segment", parents=[lifting],
+                         help="attention maps and binary masks for a query")
     seg.add_argument("--field", required=True)
-    seg.add_argument("--scene", required=True)
-    seg.add_argument("--cameras", required=True)
     seg.add_argument("--query", required=True)
     seg.add_argument("--threshold", default="auto")
     seg.add_argument("--bins", type=int, default=None)
     seg.add_argument("--smoothing", type=int, default=None)
     seg.add_argument("--fallback-threshold", type=float, default=None)
-    seg.add_argument("--lambda", dest="lam", type=float, default=None)
-    seg.add_argument("--kernel", choices=sorted(KERNELS), default=None)
-    seg.add_argument("--out", required=True)
-    seg.add_argument("--config", default=None)
     seg.set_defaults(func=_cmd_segment)
 
     ev = sub.add_parser("eval", help="mIoU over masks or cosine over rendered features")

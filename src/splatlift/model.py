@@ -177,23 +177,15 @@ class CameraView:
 
 @dataclass(frozen=True)
 class LiftConfig:
-    """Parameters controlling weight-matrix construction and lifting.
+    """The lift's one tuning parameter.
 
-    lam sharpens the opacity activation (1.0 = plain sigmoid); accumulation
-    along a ray terminates once transmittance drops below
-    transmittance_floor; kernel evaluation is cut off at
-    kernel_cutoff_sigma standard deviations.
+    lam sharpens the opacity activation (1.0 = plain sigmoid). The
+    compositing cut-offs are the constants rasterize.TRANSMITTANCE_FLOOR and
+    rasterize.KERNEL_CUTOFF_SIGMA.
     """
 
     lam: float = 1.2
-    transmittance_floor: float = 1e-4
-    kernel_cutoff_sigma: float = 3.0
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0.1):
             raise InvalidInputError(f"lam must be >= 0.1, got {self.lam!r}")
-        if not (1e-6 <= self.transmittance_floor <= 0.1):
-            raise InvalidInputError(
-                f"transmittance_floor must lie in [1e-6, 0.1], got {self.transmittance_floor!r}")
-        if not (math.isfinite(self.kernel_cutoff_sigma) and self.kernel_cutoff_sigma > 0):
-            raise InvalidInputError("kernel_cutoff_sigma must be positive")

@@ -78,21 +78,12 @@ def attention_scores(field: FeatureField, query: QueryEmbedding) -> np.ndarray:
     return scores
 
 
-def render_attention(A: WeightMatrix, scores: np.ndarray, views,
-                     lift_lambda: float | None = None) -> dict[str, AttentionMap]:
-    """Composite per-primitive scores into one scalar map per view.
-
-    Background contributes BACKGROUND_SCORE. If the matrix was built with a
-    different polarization factor than the lift, a warning is emitted (the
-    two should match).
-    """
+def render_attention(A: WeightMatrix, scores: np.ndarray, views) -> dict[str, AttentionMap]:
+    """Composite per-primitive scores into one scalar map per view; the
+    background contributes BACKGROUND_SCORE."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if scores.shape[0] != A.cols:
         raise InvalidInputError("one score per primitive is required")
-    if lift_lambda is not None and abs(lift_lambda - A.lambda_used) > 1e-12:
-        warnings.warn(
-            f"projection lambda {A.lambda_used} differs from lift lambda {lift_lambda}; "
-            "attention maps are sharpest when both match", stacklevel=2)
     composite = render(A, scores, BACKGROUND_SCORE)
     covered_rows = A.covered_rows()
     out = {}

@@ -32,6 +32,10 @@ COV_LOWPASS = 0.3
 PLANAR_RADIUS_SLACK = 1.25
 # Side in pixels of the square tiles that cull candidates before compositing.
 TILE_SIZE = 16
+# Compositing along a ray stops once its transmittance falls below this.
+TRANSMITTANCE_FLOOR = 1e-4
+# Kernels are cut off at this many standard deviations of the footprint.
+KERNEL_CUTOFF_SIGMA = 3.0
 
 
 class WeightMatrix:
@@ -150,12 +154,11 @@ class _ViewProjection:
     """
 
     __slots__ = ("idx", "mean_x", "mean_y", "conic_a", "conic_b", "conic_c",
-                 "radius", "alpha", "depth", "is_planar", "plane_normal", "axis_u",
+                 "radius", "alpha", "is_planar", "plane_normal", "axis_u",
                  "axis_v", "plane_scales", "plane_t", "plane_u0", "plane_v0")
 
 
-def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
-                   alphas: np.ndarray) -> _ViewProjection:
+def _project_scene(scene: SplatScene, view: CameraView, alphas: np.ndarray) -> _ViewProjection:
     w2c = view.world_to_camera
     rot_w2c = w2c[:3, :3]
     xc = scene.positions @ rot_w2c.T + w2c[:3, 3]
@@ -191,7 +194,7 @@ def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
     half_trace = 0.5 * (a + c)
     disc = np.sqrt(np.maximum(half_trace**2 - det, 0.0))
     lam_max = half_trace + disc
-    radius = cfg.kernel_cutoff_sigma * np.sqrt(np.maximum(lam_max, 0.0))
+    radius = KERNEL_CUTOFF_SIGMA * np.sqrt(np.maximum(lam_max, 0.0))
     radius = np.where(planar, radius * PLANAR_RADIUS_SLACK, radius)
 
     idx = np.flatnonzero(ok)
@@ -206,7 +209,6 @@ def _project_scene(scene: SplatScene, view: CameraView, cfg: LiftConfig,
     proj.conic_a, proj.conic_b, proj.conic_c = c[idx] / d, -b[idx] / d, a[idx] / d
     proj.radius = radius[idx]
     proj.alpha = alphas[idx]
-    proj.depth = z[idx]
     proj.is_planar = planar[idx]
     proj.axis_u, proj.axis_v, proj.plane_normal = rots[:, :, 0], rots[:, :, 1], rots[:, :, 2]
     proj.plane_scales = np.exp(scene.log_scales[idx][:, :2])
@@ -231,7 +233,7 @@ def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
     return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
 
 
-def _tile_entries(proj: _ViewProjection, view: CameraView, cfg: LiftConfig):
+def _tile_entries(proj: _ViewProjection, view: CameraView):
     """Yield (rows_local, cols, weights) arrays per tile of one view.
 
     Candidates are depth-sorted and entries come out pixel-major, so each
@@ -269,17 +271,16 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, cfg: LiftConfig):
             t_prefix = np.ones_like(sigma)
             np.cumprod(1.0 - sigma[:, :-1], axis=1, out=t_prefix[:, 1:])
             omega = sigma * t_prefix
-            keep = (t_prefix >= cfg.transmittance_floor) & (omega >= WEIGHT_EPS)
+            keep = (t_prefix >= TRANSMITTANCE_FLOOR) & (omega >= WEIGHT_EPS)
             if not np.any(keep):
                 continue
             pk, ck = np.nonzero(keep)
             yield rows_local[pk], proj.idx[cand[ck]], omega[pk, ck]
 
 
-def _build_view(scene: SplatScene, view: CameraView, cfg: LiftConfig, alphas: np.ndarray):
+def _build_view(scene: SplatScene, view: CameraView, alphas: np.ndarray):
     """Sparse weight arrays (indptr, indices, weights) for one view."""
-    proj = _project_scene(scene, view, cfg, alphas)
-    tiles = list(_tile_entries(proj, view, cfg))
+    tiles = list(_tile_entries(_project_scene(scene, view, alphas), view))
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
     if not tiles:
         return indptr, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
@@ -322,7 +323,7 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     """
     cfg = cfg or LiftConfig()
     ranges, chunks = _map_views(scene, views, cfg, threads,
-                                lambda view, alphas: _build_view(scene, view, cfg, alphas))
+                                lambda view, alphas: _build_view(scene, view, alphas))
     indptrs, indices, weights = zip(*chunks)
     offsets = np.cumsum([0] + [len(part) for part in indices])
     row_ends = [p[1:] + offset for p, offset in zip(indptrs, offsets)]
@@ -338,14 +339,10 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     return matrix
 
 
-def iter_view_entries(scene: SplatScene, view: CameraView, cfg: LiftConfig,
-                      alphas: np.ndarray | None = None):
+def iter_view_entries(scene: SplatScene, view: CameraView, alphas: np.ndarray):
     """Streaming access to one view's weight entries without materializing A:
-    (rows_local, cols, weights) per tile."""
-    if alphas is None:
-        alphas = polarized_opacities(scene.thetas, cfg.lam)
-    proj = _project_scene(scene, view, cfg, alphas)
-    yield from _tile_entries(proj, view, cfg)
+    (rows_local, cols, weights) per tile, given the splats' opacities."""
+    yield from _tile_entries(_project_scene(scene, view, alphas), view)
 
 
 def render(A: WeightMatrix, values, background) -> np.ndarray:

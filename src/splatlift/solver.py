@@ -38,7 +38,6 @@ class FeatureField:
 
     values: np.ndarray
     coverage: np.ndarray | None = None
-    lambda_used: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -223,7 +222,7 @@ def _accumulate(rows, cols, weights, obs: ObservationSet, P, squared):
     return num, den, cov
 
 
-def _finish(num, den, cov, lam) -> FeatureField:
+def _finish(num, den, cov) -> FeatureField:
     """Divide the lift sums; primitives below EPS_COVERAGE are zero-filled."""
     solvable = den > 0
     if not np.any(solvable):
@@ -231,13 +230,13 @@ def _finish(num, den, cov, lam) -> FeatureField:
     values = np.zeros_like(num)
     values[solvable] = num[solvable] / den[solvable, None]
     values[cov < EPS_COVERAGE] = 0.0
-    return FeatureField(values=values, coverage=cov, lambda_used=lam)
+    return FeatureField(values=values, coverage=cov)
 
 
 def lift_rowsum(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     """Closed-form lift x_j = sum_i A_ij B_i / sum_i A_ij over observed rays."""
     sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=False)
-    return _finish(*sums, A.lambda_used)
+    return _finish(*sums)
 
 
 def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
@@ -248,7 +247,7 @@ def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     built with the polarized activation.
     """
     sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=True)
-    return _finish(*sums, A.lambda_used)
+    return _finish(*sums)
 
 
 def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
@@ -269,7 +268,7 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     def accumulate_view(view, alphas):
         start, _ = obs.view_ranges[view.view_id]
         tiles = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
-                 *iter_view_entries(scene, view, cfg, alphas)]
+                 *iter_view_entries(scene, view, alphas)]
         rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
         rows += start
         keep = obs.index[rows] >= 0
@@ -279,7 +278,7 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     _, parts = _map_views(scene, views, cfg, threads, accumulate_view,
                           expected_ranges=obs.view_ranges)
     num, den, cov = (sum(view_sums) for view_sums in zip(*parts))
-    return _finish(num, den, cov, cfg.lam)
+    return _finish(num, den, cov)
 
 
 # -- convex losses ---------------------------------------------------------
@@ -393,14 +392,17 @@ def beta(A: WeightMatrix, obs: ObservationSet, x_hat) -> tuple[np.ndarray, float
     J = sum (1 + beta_i) mu_i^2 holds to machine precision; rays with zero
     weight mass (or mu_i < 1e-12) contribute beta_i = 0.
     """
+    _, beta_rows = _row_dispersion(A, obs, x_hat)
+    return beta_rows, float(beta_rows.max(initial=0.0))
+
+
+def _row_dispersion(A: WeightMatrix, obs: ObservationSet, x_hat):
+    """Per-ray (mu_i, beta_i) of beta, on rows renormalized to sum 1."""
     _check_alignment(A, obs)
     xv = _as_values(x_hat)
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("x_hat must be finite")
     rows, cols, weights = _observed_entries(A, obs)
-    beta_rows = np.zeros(A.rows)
-    if len(rows) == 0:
-        return beta_rows, 0.0
     sums = np.bincount(rows, weights=weights, minlength=A.rows)
     norm_w = weights / sums[rows]
     delta = np.linalg.norm(xv[cols] - obs.dense_values()[rows], axis=1)
@@ -408,8 +410,9 @@ def beta(A: WeightMatrix, obs: ObservationSet, x_hat) -> tuple[np.ndarray, float
     m2 = np.bincount(rows, weights=norm_w * delta * delta, minlength=A.rows)
     var = np.maximum(m2 - mu * mu, 0.0)
     ok = mu >= 1e-12
+    beta_rows = np.zeros(A.rows)
     beta_rows[ok] = var[ok] / (mu[ok] * mu[ok])
-    return beta_rows, float(beta_rows.max()) if beta_rows.size else 0.0
+    return mu, beta_rows
 
 
 def lsq_oracle(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
@@ -435,7 +438,7 @@ def lsq_oracle(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     inv = np.where(eigvals > cutoff, 1.0 / np.where(eigvals > cutoff, eigvals, 1.0), 0.0)
     x = eigvecs @ (inv[:, None] * (eigvecs.T @ rhs))
     coverage = np.asarray(csr.sum(axis=0)).reshape(-1)
-    return FeatureField(values=x, coverage=coverage, lambda_used=A.lambda_used)
+    return FeatureField(values=x, coverage=coverage)
 
 
 @dataclass(frozen=True)
@@ -445,7 +448,8 @@ class BoundReport:
     All quantities are computed on the row-normalized system (rows rescaled
     to sum 1) so the chain  L(rowsum) <= J(rowsum) <= J(opt)  is provable;
     the chain is asserted on construction. The looser comparison of
-    L(rowsum) against (1 + beta) L(opt) is reported, not asserted.
+    L(rowsum) against (1 + beta) L(opt) is reported, not asserted. The
+    per-row mu_i and beta_i (see beta) give J(opt) = sum (1 + beta_i) mu_i^2.
     """
 
     loss_true_rowsum: float
@@ -454,6 +458,7 @@ class BoundReport:
     loss_true_opt: float
     beta: float
     beta_per_row: np.ndarray
+    mu_per_row: np.ndarray
     ratio: float
 
     def __post_init__(self):
@@ -485,7 +490,11 @@ class BoundReport:
 
 
 def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:
-    """Compare the row-sum lift with the least-squares optimum under L2."""
+    """Compare the row-sum lift with the least-squares optimum under L2.
+
+    L(opt) <= 1e-12 ||B_obs||_F^2 is an exact fit, the oracle's rounding
+    residual: the ratio is then inf, or 1 if L(rowsum) is at that floor too.
+    """
     An = A.row_normalized()
     x_rowsum = lift_rowsum(An, obs)
     x_opt = lsq_oracle(An, obs)
@@ -493,9 +502,10 @@ def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:
     j_rowsum = loss_surrogate(An, obs, x_rowsum, "l2")
     j_opt = loss_surrogate(An, obs, x_opt, "l2")
     l_opt = loss_true(An, obs, x_opt, "l2")
-    beta_rows, beta_max = beta(An, obs, x_opt)
-    if l_opt == 0.0:
-        ratio = 1.0 if l_rowsum == 0.0 else math.inf
+    mu_rows, beta_rows = _row_dispersion(An, obs, x_opt)
+    fit_floor = 1e-12 * float(np.sum(obs.dense_values() ** 2))
+    if l_opt <= fit_floor:
+        ratio = 1.0 if l_rowsum <= fit_floor else math.inf
     else:
         ratio = l_rowsum / l_opt
     return BoundReport(
@@ -503,7 +513,8 @@ def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:
         loss_surrogate_rowsum=j_rowsum,
         loss_surrogate_opt=j_opt,
         loss_true_opt=l_opt,
-        beta=beta_max,
+        beta=float(beta_rows.max(initial=0.0)),
         beta_per_row=beta_rows,
+        mu_per_row=mu_rows,
         ratio=ratio,
     )

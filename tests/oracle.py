@@ -18,6 +18,8 @@ NEAR_PLANE = 1e-3
 WEIGHT_EPS = 1e-8
 COV_LOWPASS = 0.3
 PLANAR_RADIUS_SLACK = 1.25
+KERNEL_CUTOFF_SIGMA = 3.0
+TRANSMITTANCE_FLOOR = 1e-4
 
 
 def splat_scene(positions, scales, thetas, kernels=None):
@@ -61,7 +63,7 @@ def footprints(scene, view, cfg):
         cov = m @ np.diag(var) @ m.T + COV_LOWPASS * np.eye(2)
         if not (np.linalg.det(cov) > 1e-12 and cov[0, 0] > 0 and cov[1, 1] > 0):
             continue
-        radius = cfg.kernel_cutoff_sigma * math.sqrt(np.linalg.eigvalsh(cov)[-1])
+        radius = KERNEL_CUTOFF_SIGMA * math.sqrt(np.linalg.eigvalsh(cov)[-1])
         out.append(dict(
             index=j, depth=z, mean=(view.fx * x / z + view.cx, view.fy * y / z + view.cy),
             inv_cov=np.linalg.inv(cov), radius=radius * (PLANAR_RADIUS_SLACK if planar else 1.0),
@@ -110,10 +112,10 @@ def reference_rows(scene, views, cfg, tol=1e-9):
                         continue
                     sigma = f["alpha"] * kernel_value(f, (px, py), center, direction)
                     weight = sigma * transmittance
-                    near |= (abs(transmittance - cfg.transmittance_floor)
-                             <= tol * cfg.transmittance_floor
+                    near |= (abs(transmittance - TRANSMITTANCE_FLOOR)
+                             <= tol * TRANSMITTANCE_FLOOR
                              or abs(weight - WEIGHT_EPS) <= tol * WEIGHT_EPS)
-                    if transmittance >= cfg.transmittance_floor and weight >= WEIGHT_EPS:
+                    if transmittance >= TRANSMITTANCE_FLOOR and weight >= WEIGHT_EPS:
                         entries.append((f["index"], weight))
                     transmittance *= 1.0 - sigma
                 rows.append((entries, near))

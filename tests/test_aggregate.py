@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splatlift import aggregate
 from splatlift.aggregate import (
     ClusterAssignment,
     ClusterParams,
@@ -168,11 +169,11 @@ def test_border_point_between_two_clusters_takes_lower_id(first):
 
 def test_coincident_rows_cluster_at_eps_floor():
     # Every 11th-nearest distance but the lone row's is 0, so eps falls to
-    # eps_floor; the lone row 1e-3 away from group one is noise.
+    # EPS_FLOOR; the lone row 1e-3 away from group one is noise.
     params = ClusterParams()
     values = np.vstack([np.tile([1.0, 0.0], (12, 1)), np.tile([0.0, 3.0], (12, 1)),
                         _arc([1e-3])])
-    assign = assert_matches_oracle(values, params.eps_floor, params.min_points, params)
+    assign = assert_matches_oracle(values, aggregate.EPS_FLOOR, params.min_points, params)
     assert assign.n_clusters == 2
     assert assign.labels[-1] == -1
 
@@ -180,15 +181,13 @@ def test_coincident_rows_cluster_at_eps_floor():
 # -- one-hot encoding ---------------------------------------------------------------
 
 def test_onehot_example():
-    assign = ClusterAssignment(labels=np.array([-1, 0, 1]), n_clusters=2,
-                               params=ClusterParams())
+    assign = ClusterAssignment(labels=np.array([-1, 0, 1]), n_clusters=2)
     g = onehot(assign)
     assert np.array_equal(g, np.eye(3))
 
 
 def test_onehot_all_noise():
-    assign = ClusterAssignment(labels=np.array([-1, -1]), n_clusters=0,
-                               params=ClusterParams())
+    assign = ClusterAssignment(labels=np.array([-1, -1]), n_clusters=0)
     g = onehot(assign)
     assert g.shape == (2, 1)
     assert np.all(g[:, 0] == 1.0)
@@ -200,8 +199,7 @@ def test_onehot_roundtrip(raw):
     present = sorted(set(l for l in raw if l >= 0))
     remap = {old: new for new, old in enumerate(present)}
     labels = np.array([remap.get(l, -1) for l in raw])
-    assign = ClusterAssignment(labels=labels, n_clusters=len(present),
-                               params=ClusterParams())
+    assign = ClusterAssignment(labels=labels, n_clusters=len(present))
     assert np.array_equal(np.argmax(onehot(assign), axis=1) - 1, labels)
 
 

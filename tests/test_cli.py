@@ -1,11 +1,14 @@
 import csv
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splatlift
 from splatlift import formats
 from splatlift.cli import main
 from splatlift.model import LiftConfig
@@ -212,6 +215,51 @@ def test_report_lambda_must_be_a_number(fixture_dir, tmp_path, capsys):
             assert main([command, *geo, "--field", str(field), *args,
                          "--out", str(tmp_path / "out")]) == 1
             assert "field.flt.json: lambda must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report, message", [
+    ({"kernel": "gaussian4d"}, "field.flt.json: kernel must be one of"),
+    ({"kernel": ["gaussian2d"]}, "field.flt.json: kernel must be one of"),
+    ({"lambda": 0.05}, "field.flt.json: lambda must be a number >= 0.1"),
+    ([1.2, "gaussian2d"], "field.flt.json: a run report must be a JSON object"),
+])
+def test_report_settings_are_checked(fixture_dir, tmp_path, capsys, report, message):
+    field = tmp_path / "field.flt"
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    Path(str(field) + ".json").write_text(json.dumps(report))
+    assert main(["segment", *geo, "--field", str(field),
+                 "--query", str(fixture_dir / "queries" / "blob_a.flt"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_field_commands_take_the_kernel_from_the_report(fixture_dir, tmp_path):
+    # A gaussian2d field is segmented and re-lifted with gaussian2d whether
+    # or not --kernel is repeated.
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--kernel", "gaussian2d", "--out", str(field)]) == 0
+    outputs = []
+    for extra in ([], ["--kernel", "gaussian2d"]):
+        out = tmp_path / f"run{len(outputs)}"
+        for query in ("blob_a", "wall"):
+            assert main(["segment", *geo, *extra, "--field", str(field),
+                         "--query", str(fixture_dir / "queries" / f"{query}.flt"),
+                         "--out", str(out / "seg")]) == 0
+        assert main(["cluster-filter", *geo, *extra, "--field", str(field),
+                     "--labels", str(fixture_dir / "features"), "--relift",
+                     "--out", str(out / "filtered")]) == 0
+        report = formats.read_run_report(out / "filtered" / "field.flt.json")
+        assert report["kernel"] == "gaussian2d"
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "field.flt.json"})
+    assert len(outputs[0]) > 10
+    assert outputs[0] == outputs[1]
 
 
 def test_lift_rejects_infinite_focal_length(fixture_dir, tmp_path, capsys):
@@ -450,7 +498,11 @@ def test_verify_violation_exits_two(monkeypatch, capsys):
 
 
 def test_cli_module_entrypoint_runs():
+    # the subprocess imports the same splatlift package as this test
+    src = str(Path(splatlift.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "splatlift.cli", "verify",
-                           "--suite", "dispersion"], capture_output=True, text=True)
+                           "--suite", "dispersion"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "non-increasing" in proc.stdout

@@ -229,12 +229,6 @@ def test_camera_center_inverts_pose():
 
 
 def test_lift_config_bounds():
-    LiftConfig(lam=0.1, transmittance_floor=1e-6, kernel_cutoff_sigma=1.0)
+    LiftConfig(lam=0.1)
     with pytest.raises(InvalidInputError):
         LiftConfig(lam=0.05)
-    with pytest.raises(InvalidInputError):
-        LiftConfig(transmittance_floor=0.5)
-    with pytest.raises(InvalidInputError):
-        LiftConfig(transmittance_floor=1e-9)
-    with pytest.raises(InvalidInputError):
-        LiftConfig(kernel_cutoff_sigma=0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracle import splat_scene
+from splatlift import rasterize
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.query import (
     AttentionMap,
@@ -88,16 +89,17 @@ def test_positive_scaling_leaves_threshold_and_masks_unchanged():
 
 # -- attention rendering -----------------------------------------------------------
 
-def opaque_view_setup():
+def opaque_view_setup(monkeypatch):
+    monkeypatch.setattr(rasterize, "TRANSMITTANCE_FLOOR", 1e-6)
     view = CameraView(fx=20.0, fy=20.0, cx=2.5, cy=2.5, width=5, height=5,
                       world_to_camera=np.eye(4), view_id="v")
     scene = splat_scene([[0, 0, 1.0], [0, 0, 2.0]], [300.0, 600.0], 16.0)
-    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, transmittance_floor=1e-6))
+    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     return view, A
 
 
-def test_render_attention_uniform_scores():
-    view, A = opaque_view_setup()
+def test_render_attention_uniform_scores(monkeypatch):
+    view, A = opaque_view_setup(monkeypatch)
     maps = render_attention(A, np.array([0.37, 0.37]), [view])
     amap = maps["v"]
     assert amap.covered.all()
@@ -114,14 +116,8 @@ def test_render_attention_uncovered_is_background():
     assert not amap.covered[0, 0]
 
 
-def test_render_attention_lambda_mismatch_warns():
-    view, A = opaque_view_setup()
-    with pytest.warns(UserWarning, match="lambda"):
-        render_attention(A, np.array([0.1, 0.2]), [view], lift_lambda=2.0)
-
-
-def test_display_rescaling_is_lossless_metadata():
-    view, A = opaque_view_setup()
+def test_display_rescaling_is_lossless_metadata(monkeypatch):
+    view, A = opaque_view_setup(monkeypatch)
     amap = render_attention(A, np.array([0.2, 0.8]), [view])["v"]
     covered_vals = amap.covered_scores()
     assert amap.display_min == covered_vals.min()

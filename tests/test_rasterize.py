@@ -72,15 +72,15 @@ def test_project_behind_camera_is_culled():
     assert A.nnz == 0
 
 
-def test_project_radius_scales_with_cutoff():
+def test_project_radius_scales_with_cutoff(monkeypatch):
     # One pixel row through the principal point: the covered pixels are
     # exactly those within cutoff * sigma, sigma = sqrt(100.3) pixels.
     view = CameraView(fx=100.0, fy=100.0, cx=60, cy=0, width=121, height=1,
                       world_to_camera=np.eye(4), view_id="v")
     offsets = np.abs(np.arange(121) - 60)
     for cutoff in (3.0, 5.0):
-        cfg = LiftConfig(lam=1.0, kernel_cutoff_sigma=cutoff)
-        A = build_weight_matrix(splat_at(0, 0, 1.0, theta=8.0), [view], cfg)
+        monkeypatch.setattr(rasterize, "KERNEL_CUTOFF_SIGMA", cutoff)
+        A = build_weight_matrix(splat_at(0, 0, 1.0, theta=8.0), [view], LiftConfig(lam=1.0))
         assert np.array_equal(A.covered_rows(), offsets <= cutoff * math.sqrt(100.3))
 
 
@@ -224,15 +224,16 @@ def test_tile_culling_matches_single_tile_build(monkeypatch):
     assert np.max(np.abs(tiled.weights - whole.weights)) <= math.exp(-4.5)
 
 
-def test_cutoff_perturbs_weights_below_kernel_tail():
+def test_cutoff_perturbs_weights_below_kernel_tail(monkeypatch):
     # Sparse non-overlapping splats: enlarging the cutoff changes each weight
     # by at most the kernel value at the tighter cutoff radius.
     scene = splat_scene([[x, 0, 2.0] for x in (-0.6, 0.0, 0.6)], 0.05, 5.0)
     view = frontal_view(width=41, height=41, fx=60.0)
-    tight = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, kernel_cutoff_sigma=3.0))
-    loose = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, kernel_cutoff_sigma=6.0))
-    dense_tight = tight.to_csr().toarray()
-    dense_loose = loose.to_csr().toarray()
+    dense = []
+    for cutoff in (3.0, 6.0):
+        monkeypatch.setattr(rasterize, "KERNEL_CUTOFF_SIGMA", cutoff)
+        dense.append(build_weight_matrix(scene, [view], LiftConfig(lam=1.0)).to_csr().toarray())
+    dense_tight, dense_loose = dense
     assert np.max(np.abs(dense_tight - dense_loose)) <= math.exp(-9 / 2)
 
 
@@ -265,10 +266,11 @@ def test_render_partial_coverage_mixes_background():
     assert out[row] == pytest.approx(0.6, abs=1e-6)
 
 
-def test_render_constant_field_is_convex_closed():
+def test_render_constant_field_is_convex_closed(monkeypatch):
+    monkeypatch.setattr(rasterize, "TRANSMITTANCE_FLOOR", 1e-6)
     view = frontal_view(width=7, height=7, fx=15.0)
     scene = opaque_pixel_scene([15.0, 15.0, 15.0], [1.0, 1.5, 2.0])
-    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0, transmittance_floor=1e-6))
+    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     c = 0.7
     out = render(A, np.full(3, c), 0.0)
     covered = A.covered_rows()

@@ -304,7 +304,9 @@ def test_bound_report_chain_on_random_instances():
         assert rep.loss_true_rowsum <= rep.loss_surrogate_rowsum <= rep.loss_surrogate_opt
         assert rep.loss_true_opt <= rep.loss_true_rowsum
         assert rep.ratio >= 1.0
-        assert np.isfinite(rep.ratio)
+        # inf only where the optimum fits exactly (fewer rays than primitives)
+        exact = rep.loss_true_opt <= 1e-12 * np.sum(obs.dense_values() ** 2)
+        assert np.isfinite(rep.ratio) != exact
 
 
 def test_bound_report_identity():
@@ -322,12 +324,24 @@ def test_bound_report_identity():
         assert identity == pytest.approx(rep.loss_surrogate_opt, rel=1e-9)
 
 
+def test_bound_report_exact_fit_gives_infinite_ratio():
+    # An invertible row-stochastic A fits B = A x exactly; the oracle's
+    # L(opt) is rounding residue (about 1e-30), not a loss to divide by.
+    A = matrix_from_rows([[(0, 0.5), (1, 0.5)], [(1, 0.25), (2, 0.75)],
+                          [(0, 0.75), (2, 0.25)]], 3)
+    x = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 2.0]])
+    rep = bound_report(A, obs_from_values(A.to_csr() @ x))
+    assert rep.loss_true_opt <= 1e-12 * np.sum((A.to_csr() @ x) ** 2)
+    assert rep.loss_true_rowsum > 1.0
+    assert rep.ratio == np.inf
+
+
 def test_bound_report_invariant_violation_raises():
     with pytest.raises(InvariantViolation):
         from splatlift.solver import BoundReport
         BoundReport(loss_true_rowsum=2.0, loss_surrogate_rowsum=1.0,
                     loss_surrogate_opt=3.0, loss_true_opt=0.5,
-                    beta=0.0, beta_per_row=np.zeros(1), ratio=4.0)
+                    beta=0.0, beta_per_row=np.zeros(1), mu_per_row=np.zeros(1), ratio=4.0)
 
 
 # -- dispersion vs polarization -----------------------------------------------------
