@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 invalid input, 2 invariant violation (verify),
 count for per-view parallel stages; option precedence is
 flags > --config file > built-in defaults, except that lambda and kernel
 fall back to the field's run report before their defaults in the commands
-that reuse a field.
+that reuse a field. A command that writes a field writes the weight matrix
+it was lifted with beside it (<field>.A); the commands that reuse the field
+load that matrix when its key matches their inputs and build it otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import hashlib
+import json
 import os
 import sys
 import time
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats
+from . import formats, rasterize
 from .aggregate import cluster_features, filter_observations, iou, onehot
 from .model import CameraView, InvalidInputError, KernelKind, LiftConfig
 from .query import (
@@ -47,6 +51,10 @@ KERNELS = {"gaussian3d": KernelKind.GAUSSIAN_3D, "gaussian2d": KernelKind.GAUSSI
 # module's names (as perfbench/tracing.py does to time them) reaches them.
 LIFTS = {"rowsum": lambda A, obs: lift_rowsum(A, obs),
          "rowsum2": lambda A, obs: lift_rowsum_squared(A, obs)}
+
+# The rasterizer's constants that shape A, part of every weight-matrix key.
+MATRIX_CONSTANTS = ("NEAR_PLANE", "WEIGHT_EPS", "COV_LOWPASS", "PLANAR_RADIUS_SLACK",
+                    "TRANSMITTANCE_FLOOR", "KERNEL_CUTOFF_SIGMA")
 
 # Pipeline defaults for auto thresholding: coarser bins and a wider window
 # than the per-map library defaults, because the CLI pools scores across all
@@ -193,10 +201,27 @@ def _lift_setup(args, config: dict, report_path: Path | None = None):
     return scene, formats.read_cameras(args.cameras), cfg, kernel
 
 
+def _matrix_key(args, cfg: LiftConfig, kernel: str) -> bytes:
+    """SHA-256 over everything that determines A: the scene and camera file
+    contents, the kernel, lambda and the rasterizer's constants."""
+    digest = hashlib.sha256()
+    for path in (args.scene, args.cameras):
+        data = Path(path).read_bytes()
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    settings = {name: getattr(rasterize, name) for name in MATRIX_CONSTANTS}
+    settings.update(kernel=kernel, lam=cfg.lam)
+    digest.update(json.dumps(settings, sort_keys=True).encode("ascii"))
+    return digest.digest()
+
+
 def _write_field(path: Path, field: FeatureField, cfg: LiftConfig, kernel: str, mode: str,
-                 path_kind: str, rows: int, elapsed: float) -> None:
-    """A lifted field and its run report beside it (<path>.json)."""
+                 path_kind: str, rows: int, elapsed: float, matrix=None, key=None) -> None:
+    """A lifted field and its run report beside it (<path>.json), and the
+    weight matrix it was lifted with (<path>.A) when there is one."""
     formats.write_feature_field(path, field)
+    if matrix is not None:
+        formats.write_weight_matrix(str(path) + ".A", matrix, key)
     unobserved = int(field.unobserved.sum())
     formats.write_run_report(str(path) + ".json", {
         "lambda": cfg.lam, "mode": mode, "path": path_kind, "kernel": kernel,
@@ -224,12 +249,13 @@ def _cmd_lift(args) -> int:
         path_kind = "matrix"
     elapsed = time.perf_counter() - started
 
+    if args.render_views and matrix is None:
+        matrix = build_weight_matrix(scene, views, cfg, threads=threads)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_field(out, field, cfg, kernel, mode, path_kind, obs.rows, elapsed)
+    key = None if matrix is None else _matrix_key(args, cfg, kernel)
+    _write_field(out, field, cfg, kernel, mode, path_kind, obs.rows, elapsed, matrix, key)
     if args.render_views:
-        if matrix is None:
-            matrix = build_weight_matrix(scene, views, cfg, threads=threads)
         rendered = render(matrix, field.values, np.zeros(field.feature_dim))
         rdir = Path(args.render_views)
         rdir.mkdir(parents=True, exist_ok=True)
@@ -246,14 +272,22 @@ def _cmd_lift(args) -> int:
 # -- cluster-filter -------------------------------------------------------------
 
 def _field_matrix(args, config: dict, field: FeatureField):
-    """Views, weight matrix, LiftConfig and kernel name for a command that
-    reuses a field; the scene must have as many primitives as the field."""
+    """Views, weight matrix, LiftConfig, kernel name and matrix key for a
+    command that reuses a field; the scene must have as many primitives as
+    the field. The field's <field>.A is used when its key matches these
+    inputs; otherwise A is built."""
     scene, views, cfg, kernel = _lift_setup(args, config, Path(str(args.field) + ".json"))
-    matrix = build_weight_matrix(scene, views, cfg, threads=_threads())
-    if matrix.cols != field.count:
+    if len(scene) != field.count:
         raise InvalidInputError(
-            f"field has {field.count} primitives but the scene has {matrix.cols}")
-    return views, matrix, cfg, kernel
+            f"field has {field.count} primitives but the scene has {len(scene)}")
+    key = _matrix_key(args, cfg, kernel)
+    stored = Path(str(args.field) + ".A")
+    matrix = None
+    if stored.exists():
+        matrix = formats.read_weight_matrix(stored, key, views, len(scene), cfg.lam)
+    if matrix is None:
+        matrix = build_weight_matrix(scene, views, cfg, threads=_threads())
+    return views, matrix, cfg, kernel, key
 
 
 def _cmd_cluster_filter(args) -> int:
@@ -263,7 +297,7 @@ def _cmd_cluster_filter(args) -> int:
         raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
     mode = _setting(args, config, "mode", "rowsum", str)
     field = formats.read_feature_field(args.field)
-    views, matrix, cfg, kernel = _field_matrix(args, config, field)
+    views, matrix, cfg, kernel, key = _field_matrix(args, config, field)
     obs = _load_observations(views, args.labels)
     if not obs.label_backed:
         raise InvalidInputError(
@@ -295,7 +329,8 @@ def _cmd_cluster_filter(args) -> int:
         started = time.perf_counter()
         relifted = LIFTS[mode](matrix, filtered)
         elapsed = time.perf_counter() - started
-        _write_field(out / "field.flt", relifted, cfg, kernel, mode, "matrix", obs.rows, elapsed)
+        _write_field(out / "field.flt", relifted, cfg, kernel, mode, "matrix", obs.rows, elapsed,
+                     matrix, key)
         print(f"cluster-filter: re-lifted field written to {out / 'field.flt'}")
     return EXIT_OK
 
@@ -311,7 +346,7 @@ def _cmd_segment(args) -> int:
     qarr = formats.read_feature_tensor(args.query)
     query = QueryEmbedding(vector=qarr.reshape(-1).astype(np.float64),
                            name=Path(args.query).stem)
-    views, matrix, _, _ = _field_matrix(args, config, field)
+    views, matrix, *_ = _field_matrix(args, config, field)
 
     scores = attention_scores(field, query)
     maps = render_attention(matrix, scores, views)

@@ -1,6 +1,6 @@
-"""Binary and text file formats: feature tensors, label maps, splat PLY,
-camera lists, and PGM images. All multi-byte values are little-endian and
-round-trip bit-exactly."""
+"""Binary and text file formats: feature tensors, label maps, weight
+matrices, splat PLY, camera lists, and PGM images. All multi-byte values are
+little-endian and round-trip bit-exactly."""
 
 from __future__ import annotations
 
@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .model import CameraView, InvalidInputError, KernelKind, SplatScene
+from .rasterize import WeightMatrix, view_ranges
 
 FEATURE_MAGIC = b"FLT1"
 LABEL_MAGIC = b"LBL1"
 TABLE_MAGIC = b"LFT1"
+MATRIX_MAGIC = b"WMX1"
 FORMAT_VERSION = 1
+MATRIX_KEY_BYTES = 32
 
 
 class FormatError(Exception):
@@ -137,6 +140,69 @@ def validate_label_pair(labels: np.ndarray, table: dict, path="label map") -> No
     missing = present - set(int(k) for k in table)
     if missing:
         raise FormatError(f"{path}: labels {sorted(missing)} missing from the feature table")
+
+
+# -- weight matrices (WMX1) ----------------------------------------------------
+
+def write_weight_matrix(path, matrix: WeightMatrix, key: bytes) -> None:
+    """Write A's CSR arrays under a key that identifies the inputs it was
+    built from. The file appears whole or not at all: it is written beside
+    its final name and then renamed over it."""
+    if len(key) != MATRIX_KEY_BYTES:
+        raise InvalidInputError(f"a weight-matrix key has {MATRIX_KEY_BYTES} bytes, got {len(key)}")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MATRIX_MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(key)
+            fh.write(struct.pack("<3Q", matrix.rows, matrix.cols, matrix.nnz))
+            for arr, dtype in ((matrix.indptr, "<i8"), (matrix.indices, "<i8"),
+                               (matrix.weights, "<f8")):
+                fh.write(arr.astype(dtype, copy=False).tobytes(order="C"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> WeightMatrix | None:
+    """The matrix stored under key for these views and primitive count.
+
+    Returns None, without reading the payload, when the file was written
+    under another key. A matching file whose sizes disagree with the views
+    or the primitive count, or whose payload is not a valid weight matrix,
+    raises FormatError.
+    """
+    with open(path, "rb") as fh:
+        magic = _read_exact(fh, 4, path, "magic")
+        if magic != MATRIX_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} (expected {MATRIX_MAGIC!r})")
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if _read_exact(fh, MATRIX_KEY_BYTES, path, "key") != key:
+            return None
+        rows, ncols, nnz = struct.unpack("<3Q", _read_exact(fh, 24, path, "header"))
+        ranges = view_ranges(views)
+        pixels = sum(stop - start for start, stop in ranges.values())
+        if rows != pixels:
+            raise FormatError(f"{path}: {rows} rows but the views have {pixels} pixels")
+        if ncols != cols:
+            raise FormatError(f"{path}: {ncols} columns but the scene has {cols} primitives")
+        indptr = _read_exact(fh, 8 * (rows + 1), path, "indptr")
+        indices = _read_exact(fh, 8 * nnz, path, "indices")
+        weights = _read_exact(fh, 8 * nnz, path, "weights")
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after payload")
+    matrix = WeightMatrix(np.frombuffer(indptr, dtype="<i8").copy(),
+                          np.frombuffer(indices, dtype="<i8").copy(),
+                          np.frombuffer(weights, dtype="<f8").copy(), cols, ranges, lam)
+    try:
+        matrix.validate()
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return matrix
 
 
 # -- splat scenes (binary PLY) -------------------------------------------------
@@ -357,5 +423,5 @@ def write_run_report(path, report: dict) -> None:
 def read_run_report(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed run report: {exc}") from exc

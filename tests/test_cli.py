@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 import splatlift
-from splatlift import formats
+from splatlift import cli, formats, rasterize
 from splatlift.cli import main
 from splatlift.model import LiftConfig
-from splatlift.rasterize import build_weight_matrix
+from splatlift.rasterize import WeightMatrix, build_weight_matrix
 from splatlift.solver import lift_rowsum
 from splatlift.synthbench import (
     format_scene_spec,
@@ -132,6 +133,8 @@ def test_lift_deterministic_outputs(fixture_dir, tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the weight matrix beside each field too: only run reports vary
+    assert Path(f"{out1}.A").read_bytes() == Path(f"{out2}.A").read_bytes()
 
 
 def test_lift_thread_env_bit_identical(fixture_dir, tmp_path):
@@ -408,6 +411,174 @@ def test_segment_rejects_bins_below_one(fixture_dir, tmp_path, capsys):
         assert main([*segment, *extra, "--out", str(out)]) == 1
         assert "bins must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+# -- the weight-matrix file beside a field ----------------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The weight-matrix builds the CLI makes, one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].lam)
+        return build_weight_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_weight_matrix", counting)
+    return calls
+
+
+def tree_bytes(root: Path) -> dict:
+    """Every output file under root but the run reports, which hold timings."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.suffix != ".json"}
+
+
+def test_pipeline_builds_the_matrix_once(fixture_dir, tmp_path, builds):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    filtered = tmp_path / "filtered"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    assert main(["cluster-filter", *geo, "--field", str(field), "--relift",
+                 "--labels", str(fixture_dir / "features"), "--out", str(filtered)]) == 0
+    for fld in (field, filtered / "field.flt"):
+        for query in ("blob_a", "blob_b", "wall"):
+            assert main(["segment", *geo, "--field", str(fld),
+                         "--query", str(fixture_dir / "queries" / f"{query}.flt"),
+                         "--out", str(tmp_path / f"seg_{fld.parent.name}")]) == 0
+    assert builds == [1.2]
+    assert Path(f"{field}.A").read_bytes() == (filtered / "field.flt.A").read_bytes()
+
+
+def test_streaming_lift_writes_a_matrix_only_when_it_renders(fixture_dir, tmp_path, builds):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt"),
+           "--features", str(fixture_dir / "features"), "--streaming"]
+    assert main(["lift", *geo, "--out", str(tmp_path / "plain.flt")]) == 0
+    assert not (tmp_path / "plain.flt.A").exists()
+    assert main(["lift", *geo, "--render-views", str(tmp_path / "rendered"),
+                 "--out", str(tmp_path / "rendered.flt")]) == 0
+    assert (tmp_path / "rendered.flt.A").exists()
+    assert builds == [1.2]
+
+
+def _change_one_scene_byte(scene: Path) -> None:
+    blob = bytearray(scene.read_bytes())
+    blob[blob.index(b"end_header\n") + 11 + 2] ^= 0x40  # x of the first splat
+    scene.write_bytes(bytes(blob))
+
+
+def _change_one_camera_byte(cameras: Path) -> None:
+    header, first, *rest = cameras.read_text().splitlines()
+    parts = first.split(" ")
+    parts[5] = str((int(parts[5][0]) + 1) % 10) + parts[5][1:]  # a digit of cx
+    cameras.write_text("\n".join([header, " ".join(parts), *rest]) + "\n")
+
+
+@pytest.mark.parametrize("change", ["none", "lambda", "kernel", "scene", "cameras", "cutoff"])
+def test_matrix_key_covers_every_input(fixture_dir, tmp_path, monkeypatch, builds, change):
+    scene, cameras = tmp_path / "scene.ply", tmp_path / "cameras.txt"
+    shutil.copy(fixture_dir / "scene.ply", scene)
+    shutil.copy(fixture_dir / "cameras.txt", cameras)
+    geo = ["--scene", str(scene), "--cameras", str(cameras)]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    stored = Path(f"{field}.A").read_bytes()
+    extra = {"lambda": ["--lambda", "2.0"], "kernel": ["--kernel", "gaussian2d"]}.get(change, [])
+    if change == "scene":
+        _change_one_scene_byte(scene)
+    elif change == "cameras":
+        _change_one_camera_byte(cameras)
+    elif change == "cutoff":
+        monkeypatch.setattr(rasterize, "KERNEL_CUTOFF_SIGMA", 2.5)
+    outputs, counts = [], []
+    for run in ("with_matrix", "without_matrix"):
+        if run == "without_matrix":
+            Path(f"{field}.A").unlink()
+        out = tmp_path / run
+        builds.clear()
+        for query in ("blob_a", "wall"):
+            assert main(["segment", *geo, *extra, "--field", str(field),
+                         "--query", str(fixture_dir / "queries" / f"{query}.flt"),
+                         "--out", str(out / "seg")]) == 0
+        assert main(["cluster-filter", *geo, *extra, "--field", str(field), "--relift",
+                     "--labels", str(fixture_dir / "features"),
+                     "--out", str(out / "filtered")]) == 0
+        outputs.append(tree_bytes(out))
+        counts.append(len(builds))
+        if run == "with_matrix":
+            assert Path(f"{field}.A").read_bytes() == stored  # only field writers write it
+    assert counts == [0 if change == "none" else 3, 3]
+    assert len(outputs[0]) > 10
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_loaded_matrix_equals_a_fresh_build(fixture_dir, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("SPLATLIFT_THREADS", threads)
+    field = tmp_path / "field.flt"
+    assert main(["lift", "--scene", str(fixture_dir / "scene.ply"),
+                 "--cameras", str(fixture_dir / "cameras.txt"),
+                 "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    scene = formats.read_splat_ply(fixture_dir / "scene.ply")
+    views = formats.read_cameras(fixture_dir / "cameras.txt")
+    stored = Path(f"{field}.A")
+    loaded = formats.read_weight_matrix(stored, stored.read_bytes()[8:40], views, len(scene), 1.2)
+    fresh = build_weight_matrix(scene, views, LiftConfig(lam=1.2), threads=int(threads))
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(loaded, name).tobytes() == getattr(fresh, name).tobytes()
+    assert loaded.view_ranges == fresh.view_ranges
+
+
+@pytest.mark.parametrize("corruption", ["weight_above_one", "index_past_cols",
+                                        "decreasing_indptr"])
+def test_invalid_matrix_payload_is_format_error(fixture_dir, tmp_path, capsys, corruption):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    stored = Path(f"{field}.A")
+    key = stored.read_bytes()[8:40]
+    views = formats.read_cameras(fixture_dir / "cameras.txt")
+    A = formats.read_weight_matrix(stored, key, views, formats.read_feature_field(field).count,
+                                   1.2)
+    indptr, indices, weights = A.indptr.copy(), A.indices.copy(), A.weights.copy()
+    if corruption == "weight_above_one":
+        weights[len(weights) // 2] = 1.5
+    elif corruption == "index_past_cols":
+        indices[len(indices) // 2] = A.cols
+    else:
+        middle = len(indptr) // 2
+        indptr[middle] = indptr[middle + 1] + 1
+    # a well-formed header under the right key over a payload validate rejects
+    formats.write_weight_matrix(
+        stored, WeightMatrix(indptr, indices, weights, A.cols, A.view_ranges, 1.2), key)
+    for command, args in (("segment", ["--query", str(fixture_dir / "queries" / "wall.flt")]),
+                          ("cluster-filter", ["--labels", str(fixture_dir / "features")])):
+        assert main([command, *geo, "--field", str(field), *args,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "field.flt.A" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "cluster-filter"])
+def test_non_ascii_run_report_is_format_error(fixture_dir, tmp_path, capsys, command):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    report = Path(f"{field}.json")
+    report.write_bytes(report.read_bytes().replace(b'"gaussian3d"', b'"gaussian3d\xe9"'))
+    extra = {"segment": ["--query", str(fixture_dir / "queries" / "wall.flt")],
+             "cluster-filter": ["--labels", str(fixture_dir / "features")]}[command]
+    assert main([command, *geo, "--field", str(field), *extra,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "field.flt.json: malformed run report" in capsys.readouterr().err
 
 
 def test_eval_cosine_flow(fixture_dir, tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracle import splat_scene
 from splatlift import formats
 from splatlift.formats import FormatError
-from splatlift.model import InvalidInputError, KernelKind, SplatScene
+from splatlift.model import InvalidInputError, KernelKind, LiftConfig, SplatScene
+from splatlift.rasterize import build_weight_matrix
 from splatlift.solver import FeatureField
 from splatlift.synthbench import make_scene, two_blob_spec
 
@@ -296,6 +298,95 @@ def test_run_report_malformed(tmp_path):
         formats.read_run_report(path)
 
 
+def test_run_report_non_ascii_is_format_error(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_bytes(b'{"kernel": "gaussian3d\xe9"}')
+    with pytest.raises(FormatError, match="malformed run report"):
+        formats.read_run_report(path)
+
+
+# -- weight matrices -------------------------------------------------------------------
+
+KEY = bytes(range(32))
+WMX_HEADER = 64  # magic, version, key, rows, cols, nnz
+
+
+@pytest.fixture(scope="module")
+def small_matrix():
+    """A weight matrix of 3 splats over 2 views of 8x8, with its views."""
+    scene, views, _ = make_scene(two_blob_spec(noise_fraction=0.0, resolution=8, views=2))
+    scene = SplatScene(scene.positions[:3], scene.log_scales[:3], scene.rotations[:3],
+                       scene.thetas[:3], scene.kernels[:3])
+    return build_weight_matrix(scene, views, LiftConfig(lam=1.2)), views
+
+
+def test_weight_matrix_roundtrip_bit_exact(tmp_path, small_matrix):
+    A, views = small_matrix
+    path = tmp_path / "field.flt.A"
+    formats.write_weight_matrix(path, A, KEY)
+    assert [p.name for p in tmp_path.iterdir()] == ["field.flt.A"]  # no temporary left
+    assert path.stat().st_size == WMX_HEADER + 8 * (A.rows + 1) + 16 * A.nnz
+    back = formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(back, name).tobytes() == getattr(A, name).tobytes()
+    assert back.cols == A.cols and back.view_ranges == A.view_ranges
+
+
+def test_weight_matrix_key_mismatch_reads_no_payload(tmp_path, small_matrix):
+    A, views = small_matrix
+    path = tmp_path / "field.flt.A"
+    formats.write_weight_matrix(path, A, KEY)
+    path.write_bytes(path.read_bytes()[:WMX_HEADER])  # a payload read would fail
+    assert formats.read_weight_matrix(path, bytes(32), views, A.cols, 1.2) is None
+    with pytest.raises(FormatError, match="truncated"):
+        formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (0, 127, "128 pixels"), (0, 192, "128 pixels"), (1, 4, "3 primitives")])
+def test_weight_matrix_sizes_must_match_the_inputs(tmp_path, small_matrix, field, value,
+                                                   message):
+    A, views = small_matrix
+    path = tmp_path / "field.flt.A"
+    formats.write_weight_matrix(path, A, KEY)
+    blob = bytearray(path.read_bytes())
+    blob[40 + 8 * field:48 + 8 * field] = struct.pack("<Q", value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=message):
+        formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+
+
+def test_weight_matrix_rows_must_match_the_cameras(tmp_path, small_matrix):
+    A, views = small_matrix
+    path = tmp_path / "field.flt.A"
+    formats.write_weight_matrix(path, A, KEY)
+    with pytest.raises(FormatError, match="64 pixels"):
+        formats.read_weight_matrix(path, KEY, views[:1], A.cols, 1.2)
+
+
+def test_weight_matrix_oversized_nnz_allocates_nothing(tmp_path, small_matrix):
+    A, views = small_matrix
+    path = tmp_path / "field.flt.A"
+    formats.write_weight_matrix(path, A, KEY)
+    blob = bytearray(path.read_bytes())
+    blob[56:64] = struct.pack("<Q", 2**60)
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated while reading indices"):
+            formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_weight_matrix_key_has_32_bytes(tmp_path, small_matrix):
+    with pytest.raises(InvalidInputError, match="32 bytes"):
+        formats.write_weight_matrix(tmp_path / "f.A", small_matrix[0], b"short")
+    assert not list(tmp_path.iterdir())
+
+
 # -- malformed and corrupted headers ---------------------------------------------------
 
 VERTEX_HEADER = "".join(f"property float {name}\n" for name in (
@@ -332,9 +423,11 @@ def test_ply_elements_after_vertex_are_ignored(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def sample_files(tmp_path_factory):
+def sample_files(tmp_path_factory, small_matrix):
     """A small valid file per reader: (reader, bytes, length of its header)."""
     root = tmp_path_factory.mktemp("samples")
+    A, matrix_views = small_matrix
+    formats.write_weight_matrix(root / "f.A", A, KEY)
     scene, views, _ = make_scene(two_blob_spec(noise_fraction=0.0, resolution=8, views=2))
     scene = SplatScene(scene.positions[:3], scene.log_scales[:3], scene.rotations[:3],
                        scene.thetas[:3], scene.kernels[:3])
@@ -355,11 +448,14 @@ def sample_files(tmp_path_factory):
         "ply": (formats.read_splat_ply, ply, ply.index(b"end_header\n") + 11),
         "pgm": (formats.read_pgm, pgm, pgm.index(b"255\n") + 4),
         "cameras": (formats.read_cameras, cams, len(cams)),
+        "wmx": (lambda path: formats.read_weight_matrix(path, KEY, matrix_views, A.cols, 1.2),
+                (root / "f.A").read_bytes(), WMX_HEADER),
     }
 
 
 @settings(max_examples=400, deadline=None)
-@given(kind=st.sampled_from(["flt", "lbl", "lft", "ply", "pgm", "cameras"]), data=st.data())
+@given(kind=st.sampled_from(["flt", "lbl", "lft", "ply", "pgm", "cameras", "wmx"]),
+       data=st.data())
 def test_corrupted_files_raise_only_format_error(tmp_path_factory, sample_files, kind, data):
     reader, original, header_len = sample_files[kind]
     if data.draw(st.booleans(), label="truncate"):
