@@ -37,6 +37,17 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return data
 
 
+def _read_array(fh, dtype: str, count: int, path, what: str) -> np.ndarray:
+    """Read count items straight into a new array; refused, like _read_exact,
+    before anything is allocated when the file is too short."""
+    out = None
+    if count * np.dtype(dtype).itemsize <= os.fstat(fh.fileno()).st_size - fh.tell():
+        out = np.empty(count, dtype=dtype)
+    if out is None or fh.readinto(out.view(np.uint8)) != out.nbytes:
+        raise FormatError(f"{path}: truncated while reading {what}")
+    return out
+
+
 # -- feature tensors (FLT1) --------------------------------------------------
 
 def write_feature_tensor(path, values: np.ndarray) -> None:
@@ -190,14 +201,12 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
             raise FormatError(f"{path}: {rows} rows but the views have {pixels} pixels")
         if ncols != cols:
             raise FormatError(f"{path}: {ncols} columns but the scene has {cols} primitives")
-        indptr = _read_exact(fh, 8 * (rows + 1), path, "indptr")
-        indices = _read_exact(fh, 8 * nnz, path, "indices")
-        weights = _read_exact(fh, 8 * nnz, path, "weights")
+        indptr = _read_array(fh, "<i8", rows + 1, path, "indptr")
+        indices = _read_array(fh, "<i8", nnz, path, "indices")
+        weights = _read_array(fh, "<f8", nnz, path, "weights")
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    matrix = WeightMatrix(np.frombuffer(indptr, dtype="<i8").copy(),
-                          np.frombuffer(indices, dtype="<i8").copy(),
-                          np.frombuffer(weights, dtype="<f8").copy(), cols, ranges, lam)
+    matrix = WeightMatrix(indptr, indices, weights, cols, ranges, lam)
     try:
         matrix.validate()
     except InvalidInputError as exc:

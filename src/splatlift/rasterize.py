@@ -93,11 +93,14 @@ class WeightMatrix:
             raise InvalidInputError("weights must be finite")
         if self.nnz and (self.weights.min() <= 0.0 or self.weights.max() > 1.0):
             raise InvalidInputError("weights must lie in (0, 1]")
-        sums = self.row_sums()
+        # One entry-sized temporary: the row of each entry, then its key.
+        keys = np.repeat(np.arange(self.rows), np.diff(ptr))
+        sums = np.bincount(keys, weights=self.weights, minlength=self.rows)
         if sums.size and sums.max() > 1.0 + 1e-6:
             raise InvalidInputError(f"row sum exceeds 1: {sums.max()}")
-        rows = np.repeat(np.arange(self.rows), np.diff(ptr))
-        keys = np.sort(rows * self.cols + self.indices)
+        keys *= self.cols
+        keys += self.indices
+        keys.sort()
         dup = np.flatnonzero(keys[1:] == keys[:-1])
         if dup.size:
             raise InvalidInputError(

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from splatlift import aggregate
 from splatlift.aggregate import (
@@ -169,13 +170,128 @@ def test_border_point_between_two_clusters_takes_lower_id(first):
 
 def test_coincident_rows_cluster_at_eps_floor():
     # Every 11th-nearest distance but the lone row's is 0, so eps falls to
-    # EPS_FLOOR; the lone row 1e-3 away from group one is noise.
+    # EPS_FLOOR; the lone row 1e-3 away from group one is noise. In the
+    # second input the groups sit all around the circle, so at eps = 1e-6
+    # the grid's cell coordinates reach about 10**6 per axis.
     params = ClusterParams()
-    values = np.vstack([np.tile([1.0, 0.0], (12, 1)), np.tile([0.0, 3.0], (12, 1)),
-                        _arc([1e-3])])
-    assign = assert_matches_oracle(values, aggregate.EPS_FLOOR, params.min_points, params)
-    assert assign.n_clusters == 2
-    assert assign.labels[-1] == -1
+    lone = _arc([1e-3])
+    inputs = [
+        (np.vstack([np.tile([1.0, 0.0], (12, 1)), np.tile([0.0, 3.0], (12, 1)), lone]), 2),
+        (np.vstack([np.repeat(_arc(np.linspace(0, 2 * np.pi, 8, endpoint=False)), 12, axis=0),
+                    lone]), 8),
+    ]
+    for values, n_clusters in inputs:
+        assign = assert_matches_oracle(values, aggregate.EPS_FLOOR, params.min_points, params)
+        assert assign.n_clusters == n_clusters
+        assert assign.labels[-1] == -1
+
+
+def _dense_groups(data):
+    """2-6 tight groups of 10-60 rows, scattered rows and rows between two
+    groups, of rank 1-5 or one rank above GRID_MAX_RANK, mapped by a random
+    orthonormal matrix into rank..16 dimensions. Returns the rows and the
+    number of rows between groups, which come last."""
+    rank = data.draw(st.sampled_from([3, 2, 4, 5, 1, aggregate.GRID_MAX_RANK + 1]), label="rank")
+    dim = data.draw(st.integers(rank, 16), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    spread = data.draw(st.sampled_from([0.003, 0.02, 0.1]), label="spread")
+    sizes = data.draw(st.lists(st.integers(10, 60), min_size=2, max_size=6), label="sizes")
+    groups = [rng.normal(size=rank) + rng.normal(0, spread, (size, rank)) for size in sizes]
+    scattered = rng.normal(size=(data.draw(st.integers(0, 30), label="scattered"), rank))
+    unit = [g / np.linalg.norm(g, axis=1)[:, None] for g in groups]
+    bridges = []
+    for _ in range(data.draw(st.integers(0, 8), label="bridges")):
+        # halfway between the nearest rows of two groups on the unit sphere,
+        # unless they are antipodal
+        a, b = rng.choice(len(groups), 2, replace=False)
+        gap = ((unit[a][:, None, :] - unit[b][None, :, :]) ** 2).sum(axis=-1)
+        i, j = np.unravel_index(np.argmin(gap), gap.shape)
+        if gap[i, j] < 3.9:
+            bridges.append((unit[a][i] + unit[b][j]) / 2)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, rank)))
+    return np.vstack(groups + [scattered] + bridges) @ basis.T, len(bridges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_clustering_matches_seed_order_oracle_on_dense_groups(data):
+    # Tight groups fill grid cells with min_points rows, which the small
+    # integer lattice of the oracle test above almost never does.
+    values, bridges = _dense_groups(data)
+    min_points = data.draw(st.integers(1, 12), label="min_points")
+    x = values / np.linalg.norm(values, axis=1)[:, None]
+    pair = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    dist = np.unique(pair)
+    # eps halfway between two distinct pair distances
+    gaps = np.flatnonzero(np.diff(dist) > 1e-9)
+    candidates = np.concatenate([(dist[gaps] + dist[gaps + 1]) / 2, [dist.max() + 1]])
+    if bridges and data.draw(st.booleans(), label="eps at a bridge row"):
+        # just past the k-th nearest neighbor of a row between two groups,
+        # k < min_points - 1: a border row, perhaps of two clusters
+        row = len(x) - 1 - data.draw(st.integers(0, bridges - 1), label="bridge")
+        k = data.draw(st.integers(1, max(min_points - 2, 1)), label="neighbor")
+        eps = float(candidates[np.searchsorted(candidates, np.sort(pair[row])[k])])
+    else:
+        # often drawn towards the small distances, where the groups split
+        position = data.draw(st.floats(0, 1), label="eps position") ** data.draw(
+            st.sampled_from([1, 3]), label="eps skew")
+        eps = float(candidates[int(position * (len(candidates) - 1))])
+    assert_matches_oracle(values, eps, min_points, ClusterParams(min_points=min_points, eps=eps))
+
+
+def test_grid_cells_hold_only_pairs_within_eps():
+    # Two rows on a cell diagonal, just below eps / sqrt(rank) apart per
+    # axis: they may share a cell only if the kd-tree finds them within eps.
+    rng = np.random.default_rng(0)
+    for eps in np.concatenate([[aggregate.EPS_FLOOR, 0.01, 0.1, 0.5], rng.uniform(1e-6, 1, 200)]):
+        for rank in range(1, aggregate.GRID_MAX_RANK + 1):
+            side = eps / np.sqrt(rank)
+            for step in (side * (1 - 2.0 ** -50), side * (1 - 2.0 ** -52), np.nextafter(side, 0)):
+                y = np.array([np.zeros(rank), np.full(rank, step)])
+                cells = aggregate._grid_cells(y, eps)
+                if np.array_equal(cells[0], cells[1]):
+                    assert cKDTree(y).query_ball_point(y[0], eps, return_length=True) == 2
+
+
+def test_rows_in_a_subspace_of_r512_cluster_as_their_coordinates():
+    rng = np.random.default_rng(4)
+    coords = np.vstack([rng.normal(center, 0.03, (60, 3))
+                        for center in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]
+                       + [rng.normal(size=(15, 3))])
+    basis, _ = np.linalg.qr(rng.normal(size=(512, 3)))
+    values = coords @ basis.T
+    x = values / np.linalg.norm(values, axis=1)[:, None]
+    assert aggregate._span_coordinates(x).shape == (len(values), 3)
+    low, high = cluster_features(field_from(coords)), cluster_features(field_from(values))
+    assert low.n_clusters == high.n_clusters == 4
+    assert np.array_equal(low.labels, high.labels)
+
+
+@pytest.mark.parametrize("params", [dict(eps=-1.0), dict(eps=0.0), dict(eps=float("nan")),
+                                    dict(eps=float("inf")), dict(eps="0.1"), dict(eps=True),
+                                    dict(min_points=0), dict(min_points=-3),
+                                    dict(min_points=2.5), dict(min_points=True)])
+def test_cluster_params_reject_invalid_values(params):
+    with pytest.raises(InvalidInputError):
+        ClusterParams(**params)
+
+
+def test_cluster_params_accept_valid_values():
+    ClusterParams(min_points=np.int64(3), eps=np.float64(0.2))
+    ClusterParams(min_points=1, eps=1)
+    ClusterParams(eps=None)
+
+
+def test_assignment_rejects_labels_below_minus_one():
+    # onehot would write label -2 to column -1, the last cluster's
+    with pytest.raises(InvalidInputError, match=">= -1"):
+        ClusterAssignment(labels=np.array([-2, 0]), n_clusters=1)
+
+
+def test_assignment_rejects_a_negative_cluster_count():
+    # onehot would build no noise column and fail with an IndexError
+    with pytest.raises(InvalidInputError, match="n_clusters"):
+        ClusterAssignment(labels=np.array([-1, -1]), n_clusters=-1)
 
 
 # -- one-hot encoding ---------------------------------------------------------------
