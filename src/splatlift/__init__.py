@@ -33,7 +33,6 @@ from .aggregate import (
     cluster_features,
     filter_observations,
     iou,
-    onehot,
 )
 from .query import (
     AttentionMap,

@@ -236,18 +236,6 @@ def _join_dense_cells(y, eps, cells, order, sizes, joined, min_points):
     return np.array([find(c) for c in range(m)])
 
 
-def onehot(assignment: ClusterAssignment) -> np.ndarray:
-    """Encode labels as a (P, K+1) indicator matrix.
-
-    Column 0 corresponds to label -1 (noise); column k+1 to cluster k. The
-    encoding inverts exactly: argmax(onehot(g)) - 1 == g.
-    """
-    labels = assignment.labels
-    out = np.zeros((len(labels), assignment.n_clusters + 1))
-    out[np.arange(len(labels)), labels + 1] = 1.0
-    return out
-
-
 def iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     """Intersection over union of two binary masks; 0 when both are empty."""
     a = np.asarray(mask_a, dtype=bool)

@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 invalid input, 2 invariant violation (verify),
 3 I/O failure. The SPLATLIFT_THREADS environment variable sets the worker
 count for per-view parallel stages; option precedence is
-flags > --config file > built-in defaults, except that lambda and kernel
-fall back to the field's run report before their defaults in the commands
-that reuse a field. A command that writes a field writes the weight matrix
-it was lifted with beside it (<field>.A); the commands that reuse the field
-load that matrix when its key matches their inputs and build it otherwise.
+flags > --config file > built-in defaults, except that lambda, kernel and
+mode fall back to the field's run report before their defaults in the
+commands that reuse a field. A command that writes a field writes the
+weight matrix it was lifted with beside it (<field>.A); the commands that
+reuse the field load that matrix when its key matches their inputs and
+build it otherwise.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, rasterize
-from .aggregate import cluster_features, filter_observations, iou, onehot
-from .model import CameraView, InvalidInputError, KernelKind, LiftConfig
+from .aggregate import cluster_features, filter_observations, iou
+from .model import KERNEL_NAMES, CameraView, InvalidInputError, LiftConfig
 from .query import (
     QueryEmbedding,
     ValleyNotFoundError,
@@ -38,7 +39,7 @@ from .query import (
 )
 from .rasterize import build_weight_matrix, render, render_labels
 from .solver import FeatureField, ObservationSet, lift_rowsum, lift_rowsum_squared, lift_streaming
-from .synthbench import instance_label_maps, make_observations, make_scene, parse_scene_spec
+from .synthbench import SILHOUETTE_DOMINANCE, make_observations, make_scene, parse_scene_spec
 from .verify import SUITES, VerificationError, run_suite
 
 EXIT_OK = 0
@@ -46,7 +47,6 @@ EXIT_INVALID_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-KERNELS = {"gaussian3d": KernelKind.GAUSSIAN_3D, "gaussian2d": KernelKind.GAUSSIAN_2D}
 # The lifts are looked up by name on each call, so that rebinding the
 # module's names (as perfbench/tracing.py does to time them) reaches them.
 LIFTS = {"rowsum": lambda A, obs: lift_rowsum(A, obs),
@@ -56,11 +56,8 @@ LIFTS = {"rowsum": lambda A, obs: lift_rowsum(A, obs),
 MATRIX_CONSTANTS = ("NEAR_PLANE", "WEIGHT_EPS", "COV_LOWPASS", "PLANAR_RADIUS_SLACK",
                     "TRANSMITTANCE_FLOOR", "KERNEL_CUTOFF_SIGMA")
 
-# Pipeline defaults for auto thresholding: coarser bins and a wider window
-# than the per-map library defaults, because the CLI pools scores across all
-# views of a query before locating the valley.
-SEGMENT_BINS = 96
-SEGMENT_SMOOTHING = 7
+# segment's threshold when the pooled scores of a query have no valley.
+FALLBACK_THRESHOLD = 0.5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +87,7 @@ def _load_config(path) -> dict:
     if not cp.has_section("splatlift"):
         return {}
     config = dict(cp["splatlift"])
-    for key, table in (("mode", LIFTS), ("kernel", KERNELS)):
+    for key, table in (("mode", LIFTS), ("kernel", KERNEL_NAMES)):
         if key in config and config[key] not in table:
             raise InvalidInputError(
                 f"{path}: {key} must be one of {sorted(table)}, got {config[key]!r}")
@@ -136,7 +133,6 @@ def _view_observation(view, features_dir: Path):
     if lab.shape != (view.height, view.width):
         raise InvalidInputError(f"{lbl}: map is {lab.shape[0]}x{lab.shape[1]} but {size}")
     table = formats.read_label_features(lft)
-    formats.validate_label_pair(lab, table, path=str(lbl))
     return lab, {k: v.astype(np.float64) for k, v in table.items()}
 
 
@@ -171,16 +167,19 @@ def _load_observations(views, features_dir) -> ObservationSet:
 # -- lift ---------------------------------------------------------------------
 
 def _lift_setup(args, config: dict, report_path: Path | None = None):
-    """Scene, views, LiftConfig and kernel name of lift, cluster-filter and segment.
+    """Scene, views, LiftConfig, kernel name and lift mode of lift,
+    cluster-filter and segment.
 
-    lambda and kernel each take the flag, else the --config value, else the
-    value in the run report at report_path when that file exists (the
-    field's report, for the commands that reuse a field), else the default.
+    lambda, kernel and mode each take the flag, else the --config value,
+    else the value in the run report at report_path when that file exists
+    (the field's report, for the commands that reuse a field), else the
+    default.
     """
     lam = _setting(args, config, "lambda", None, float, attr="lam")
     kernel = _setting(args, config, "kernel", None, str)
+    mode = _setting(args, config, "mode", None, str)
     report = {}
-    if None in (lam, kernel) and report_path is not None and report_path.exists():
+    if None in (lam, kernel, mode) and report_path is not None and report_path.exists():
         report = formats.read_run_report(report_path)
         if not isinstance(report, dict):
             raise InvalidInputError(f"{report_path}: a run report must be a JSON object")
@@ -191,14 +190,19 @@ def _lift_setup(args, config: dict, report_path: Path | None = None):
         except (TypeError, ValueError):
             raise InvalidInputError(
                 f"{report_path}: lambda must be a number >= 0.1, got {value!r}") from None
-    if kernel is None:
-        kernel = report.get("kernel", "gaussian3d")
-        if not isinstance(kernel, str) or kernel not in KERNELS:
-            raise InvalidInputError(
-                f"{report_path}: kernel must be one of {sorted(KERNELS)}, got {kernel!r}")
-    cfg = LiftConfig(lam=lam)
-    scene = formats.read_splat_ply(args.scene, kernel=KERNELS[kernel])
-    return scene, formats.read_cameras(args.cameras), cfg, kernel
+
+    def named(value, key, table, default):
+        if value is None:
+            value = report.get(key, default)
+            if not isinstance(value, str) or value not in table:
+                raise InvalidInputError(
+                    f"{report_path}: {key} must be one of {sorted(table)}, got {value!r}")
+        return value
+
+    kernel = named(kernel, "kernel", KERNEL_NAMES, "gaussian3d")
+    mode = named(mode, "mode", LIFTS, "rowsum")
+    scene = formats.read_splat_ply(args.scene, kernel=KERNEL_NAMES[kernel])
+    return scene, formats.read_cameras(args.cameras), LiftConfig(lam=lam), kernel, mode
 
 
 def _matrix_key(args, cfg: LiftConfig, kernel: str) -> bytes:
@@ -234,8 +238,7 @@ def _write_field(path: Path, field: FeatureField, cfg: LiftConfig, kernel: str, 
 
 def _cmd_lift(args) -> int:
     config = _load_config(args.config)
-    mode = _setting(args, config, "mode", "rowsum", str)
-    scene, views, cfg, kernel = _lift_setup(args, config)
+    scene, views, cfg, kernel, mode = _lift_setup(args, config)
     obs = _load_observations(views, args.features)
     threads = _threads()
     started = time.perf_counter()
@@ -272,11 +275,11 @@ def _cmd_lift(args) -> int:
 # -- cluster-filter -------------------------------------------------------------
 
 def _field_matrix(args, config: dict, field: FeatureField):
-    """Views, weight matrix, LiftConfig, kernel name and matrix key for a
-    command that reuses a field; the scene must have as many primitives as
-    the field. The field's <field>.A is used when its key matches these
-    inputs; otherwise A is built."""
-    scene, views, cfg, kernel = _lift_setup(args, config, Path(str(args.field) + ".json"))
+    """Views, weight matrix, LiftConfig, kernel name, lift mode and matrix
+    key for a command that reuses a field; the scene must have as many
+    primitives as the field. The field's <field>.A is used when its key
+    matches these inputs; otherwise A is built."""
+    scene, views, cfg, kernel, mode = _lift_setup(args, config, Path(str(args.field) + ".json"))
     if len(scene) != field.count:
         raise InvalidInputError(
             f"field has {field.count} primitives but the scene has {len(scene)}")
@@ -287,17 +290,14 @@ def _field_matrix(args, config: dict, field: FeatureField):
         matrix = formats.read_weight_matrix(stored, key, views, len(scene), cfg.lam)
     if matrix is None:
         matrix = build_weight_matrix(scene, views, cfg, threads=_threads())
-    return views, matrix, cfg, kernel, key
+    return views, matrix, cfg, kernel, mode, key
 
 
 def _cmd_cluster_filter(args) -> int:
     config = _load_config(args.config)
     tau = float(_setting(args, config, "tau", 0.6, float))
-    if not (0.0 < tau < 1.0):
-        raise InvalidInputError(f"tau must lie in (0, 1), got {tau}")
-    mode = _setting(args, config, "mode", "rowsum", str)
     field = formats.read_feature_field(args.field)
-    views, matrix, cfg, kernel, key = _field_matrix(args, config, field)
+    views, matrix, cfg, kernel, mode, key = _field_matrix(args, config, field)
     obs = _load_observations(views, args.labels)
     if not obs.label_backed:
         raise InvalidInputError(
@@ -305,7 +305,7 @@ def _cmd_cluster_filter(args) -> int:
             "dense feature tensors carry no masks to filter")
 
     assignment = cluster_features(field)
-    kappa = render_labels(matrix, onehot(assignment))
+    kappa = render_labels(matrix, assignment.labels)
     filtered, records = filter_observations(obs, kappa, tau)
 
     out = Path(args.out)
@@ -339,9 +339,6 @@ def _cmd_cluster_filter(args) -> int:
 
 def _cmd_segment(args) -> int:
     config = _load_config(args.config)
-    bins = int(_setting(args, config, "bins", SEGMENT_BINS, int))
-    smoothing = int(_setting(args, config, "smoothing", SEGMENT_SMOOTHING, int))
-    fallback = float(_setting(args, config, "fallback-threshold", 0.5, float))
     field = formats.read_feature_field(args.field)
     qarr = formats.read_feature_tensor(args.query)
     query = QueryEmbedding(vector=qarr.reshape(-1).astype(np.float64),
@@ -355,11 +352,11 @@ def _cmd_segment(args) -> int:
         # views densifies the histogram, which stabilizes the valley search.
         pooled = np.concatenate([maps[v.view_id].covered_scores() for v in views])
         try:
-            threshold = auto_threshold(pooled, bins=bins, smoothing_window=smoothing)
+            threshold = auto_threshold(pooled)
             picked = "auto"
         except ValleyNotFoundError as exc:
-            print(f"segment: {exc}; falling back to fixed threshold {fallback}")
-            threshold = fallback
+            print(f"segment: {exc}; falling back to fixed threshold {FALLBACK_THRESHOLD}")
+            threshold = FALLBACK_THRESHOLD
             picked = "fallback"
     else:
         try:
@@ -475,8 +472,8 @@ def _cmd_synth(args) -> int:
     spec = parse_scene_spec(spec_text)
     scene, views, object_ids = make_scene(spec)
     clean_matrix = build_weight_matrix(scene, views, LiftConfig(lam=1.0), threads=_threads())
-    clean_maps = instance_label_maps(clean_matrix, object_ids, len(spec.objects))
-    obs, tags = make_observations(clean_maps, views, spec)
+    clean_labels = render_labels(clean_matrix, object_ids, min_weight=SILHOUETTE_DOMINANCE)
+    obs, tags = make_observations(clean_labels, views, spec)
 
     out = Path(args.out)
     (out / "features").mkdir(parents=True, exist_ok=True)
@@ -490,7 +487,8 @@ def _cmd_synth(args) -> int:
         formats.write_label_map(out / "features" / f"{vid}.lbl", obs.view_label_map(vid))
         formats.write_label_features(out / "features" / f"{vid}.lft",
                                      obs.view_label_table(vid), feature_dim=obs.feature_dim)
-        clean = clean_maps[vid].reshape(view.height, view.width)
+        start, stop = clean_matrix.view_ranges[vid]
+        clean = clean_labels[start:stop].reshape(view.height, view.width)
         for obj_index, obj in enumerate(spec.objects):
             formats.write_pgm(out / "gt" / f"{obj.name}__{vid}_mask.pgm", clean == obj_index)
     feats = np.array([o.feature for o in spec.objects], dtype=np.float64)
@@ -538,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     lifting.add_argument("--scene", required=True)
     lifting.add_argument("--cameras", required=True)
     lifting.add_argument("--lambda", dest="lam", type=float, default=None)
-    lifting.add_argument("--kernel", choices=sorted(KERNELS), default=None)
+    lifting.add_argument("--kernel", choices=sorted(KERNEL_NAMES), default=None)
     lifting.add_argument("--config", default=None)
     lifting.add_argument("--out", required=True)
 
@@ -567,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--field", required=True)
     seg.add_argument("--query", required=True)
     seg.add_argument("--threshold", default="auto")
-    seg.add_argument("--bins", type=int, default=None)
-    seg.add_argument("--smoothing", type=int, default=None)
-    seg.add_argument("--fallback-threshold", type=float, default=None)
     seg.set_defaults(func=_cmd_segment)
 
     ev = sub.add_parser("eval", help="mIoU over masks or cosine over rendered features")

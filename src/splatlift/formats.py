@@ -146,13 +146,6 @@ def read_label_features(path) -> dict:
     return table
 
 
-def validate_label_pair(labels: np.ndarray, table: dict, path="label map") -> None:
-    present = set(int(u) for u in np.unique(labels) if u >= 0)
-    missing = present - set(int(k) for k in table)
-    if missing:
-        raise FormatError(f"{path}: labels {sorted(missing)} missing from the feature table")
-
-
 # -- weight matrices (WMX1) ----------------------------------------------------
 
 def write_weight_matrix(path, matrix: WeightMatrix, key: bytes) -> None:

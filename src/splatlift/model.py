@@ -25,6 +25,10 @@ class KernelKind(enum.IntEnum):
     GAUSSIAN_2D = 1
 
 
+# The kernel names of scene specs, configs, run reports and the CLI.
+KERNEL_NAMES = {"gaussian3d": KernelKind.GAUSSIAN_3D, "gaussian2d": KernelKind.GAUSSIAN_2D}
+
+
 def polarized_opacities(thetas: np.ndarray, lam: float) -> np.ndarray:
     """Vectorized overflow-safe sigmoid of lam * thetas."""
     if not (math.isfinite(lam) and lam > 0.0):

@@ -47,7 +47,6 @@ class AttentionMap:
     view_id: str
     scores: np.ndarray
     covered: np.ndarray
-    primitive_scores: np.ndarray
     display_min: float
     display_max: float
 
@@ -95,8 +94,7 @@ def render_attention(A: WeightMatrix, scores: np.ndarray, views) -> dict[str, At
         lo = float(covered_vals.min()) if covered_vals.size else 0.0
         hi = float(covered_vals.max()) if covered_vals.size else 0.0
         out[view.view_id] = AttentionMap(
-            view_id=view.view_id, scores=vals, covered=cov,
-            primitive_scores=scores, display_min=lo, display_max=hi)
+            view_id=view.view_id, scores=vals, covered=cov, display_min=lo, display_max=hi)
     return out
 
 
@@ -149,7 +147,7 @@ def _valleys(hist: np.ndarray, peak: int, direction: int):
 MIN_MODE_FRACTION = 0.02
 
 
-def auto_threshold(attention, bins: int = 256, smoothing_window: int = 5) -> float:
+def auto_threshold(attention, bins: int = 96, smoothing_window: int = 7) -> float:
     """Histogram-valley threshold over covered raw scores.
 
     Builds a histogram spanning [min, max], box-smooths it, locates the

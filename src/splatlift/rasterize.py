@@ -368,21 +368,24 @@ def render(A: WeightMatrix, values, background) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def render_labels(A: WeightMatrix, gamma_onehot) -> np.ndarray:
-    """Composite one-hot label indicators and decode per ray.
+def render_labels(A: WeightMatrix, labels, min_weight: float = 0.0) -> np.ndarray:
+    """Per ray, the primitive label with the largest composited weight.
 
-    Returns argmax column minus 1 per ray; argmax ties break toward the
-    lower column index, and rays with no entries map to -1.
+    labels holds one integer label per primitive, -1 for noise. Ties go to
+    the lower label, so noise wins a tie. A ray whose largest weight is not
+    above min_weight, as every ray without entries, maps to -1.
     """
-    g = np.asarray(gamma_onehot, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != A.cols:
+    lab = np.asarray(labels)
+    if lab.shape != (A.cols,) or not np.issubdtype(lab.dtype, np.integer):
         raise InvalidInputError(
-            f"one-hot matrix rows ({g.shape}) do not match primitive count ({A.cols})")
-    if not np.all((g == 0.0) | (g == 1.0)):
-        raise InvalidInputError("label matrix entries must lie in {0, 1}")
-    if np.any(g.sum(axis=1) > 1.0):
-        raise InvalidInputError("rows of the label matrix must be one-hot or all zero")
-    scores = A.to_csr() @ g
-    kappa = np.argmax(scores, axis=1).astype(np.int64) - 1
-    kappa[~A.covered_rows()] = -1
-    return kappa
+            f"one integer label per primitive ({A.cols}) is required, got {lab.dtype} {lab.shape}")
+    if lab.size and lab.min() < -1:
+        raise InvalidInputError("labels must be >= -1")
+    # One column per distinct label, in ascending order, so that argmax
+    # breaks ties toward the lower label.
+    ids, column = np.unique(lab, return_inverse=True)
+    rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
+    mass = np.bincount(rows * len(ids) + column[A.indices], weights=A.weights,
+                       minlength=A.rows * len(ids)).reshape(A.rows, len(ids))
+    best = np.argmax(mass, axis=1)
+    return np.where(mass[np.arange(A.rows), best] > min_weight, ids[best], -1).astype(np.int64)

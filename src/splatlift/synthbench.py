@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CameraView, InvalidInputError, KernelKind, SplatScene
-from .rasterize import WeightMatrix
+from .model import KERNEL_NAMES, CameraView, InvalidInputError, KernelKind, SplatScene
+from .rasterize import WeightMatrix, view_ranges
 from .solver import ObservationSet
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -23,7 +23,7 @@ SILHOUETTE_DOMINANCE = 0.5
 @dataclass(frozen=True)
 class ObjectSpec:
     name: str
-    shape: str                      # wall | blob | sphere-cloud
+    shape: str                      # wall | disk
     count: int
     theta_range: tuple[float, float]
     feature: tuple[float, ...]
@@ -32,7 +32,7 @@ class ObjectSpec:
     scale_factor: float = 1.0
 
     def __post_init__(self):
-        if self.shape not in ("wall", "blob", "sphere-cloud", "disk"):
+        if self.shape not in ("wall", "disk"):
             raise InvalidInputError(f"unknown object shape {self.shape!r}")
         if self.count < 1:
             raise InvalidInputError("object primitive count must be >= 1")
@@ -101,8 +101,7 @@ def parse_scene_spec(text: str) -> SceneSpec:
     scene_sec = cp["scene"] if cp.has_section("scene") else {}
     seed = int(scene_sec.get("seed", 0))
     kernel_name = scene_sec.get("kernel", "gaussian3d").strip().lower()
-    kernel = {"gaussian3d": KernelKind.GAUSSIAN_3D,
-              "gaussian2d": KernelKind.GAUSSIAN_2D}.get(kernel_name)
+    kernel = KERNEL_NAMES.get(kernel_name)
     if kernel is None:
         raise InvalidInputError(f"unknown kernel {kernel_name!r}")
 
@@ -157,7 +156,8 @@ def parse_scene_spec(text: str) -> SceneSpec:
 def format_scene_spec(spec: SceneSpec) -> str:
     """Serialize a SceneSpec back to the INI text format."""
     cp = configparser.ConfigParser()
-    cp["scene"] = {"seed": str(spec.seed), "kernel": spec.kernel.name.lower().replace("_", "")}
+    kernel = next(name for name, kind in KERNEL_NAMES.items() if kind == spec.kernel)
+    cp["scene"] = {"seed": str(spec.seed), "kernel": kernel}
     cp["views"] = {
         "count": str(spec.views.count), "width": str(spec.views.width),
         "height": str(spec.views.height), "focal": repr(spec.views.focal),
@@ -237,15 +237,7 @@ def _object_primitives(rng: np.random.Generator, obj: ObjectSpec):
             spacing = 2.0 * obj.extent / (n - 1)
         scale = spacing * obj.scale_factor
         count = len(positions)
-    elif obj.shape == "blob":
-        # Uniform solid ball: sharp silhouette compared to a Gaussian cloud.
-        dirs = rng.normal(size=(obj.count, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = obj.extent * rng.uniform(0.0, 1.0, obj.count) ** (1.0 / 3.0)
-        positions = center + dirs * radii[:, None]
-        scale = obj.extent / obj.count ** (1.0 / 3.0) * obj.scale_factor
-        count = obj.count
-    elif obj.shape == "disk":
+    else:  # disk
         # Flat circular plate of small splats: pixel-sharp silhouette.
         n = max(2, int(math.ceil(math.sqrt(4.0 / math.pi * obj.count))))
         axis = np.linspace(-obj.extent, obj.extent, n)
@@ -257,12 +249,6 @@ def _object_primitives(rng: np.random.Generator, obj: ObjectSpec):
         positions = pts[keep] + center
         scale = spacing * obj.scale_factor
         count = len(positions)
-    else:  # sphere-cloud
-        dirs = rng.normal(size=(obj.count, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        positions = center + dirs * obj.extent
-        scale = obj.extent * math.sqrt(4.0 * math.pi / obj.count) * obj.scale_factor
-        count = obj.count
     thetas = rng.uniform(lo, hi, count)
     log_scales = np.full((count, 3), math.log(max(scale, 1e-9)))
     rotations = np.tile(IDENTITY_QUAT, (count, 1))
@@ -287,21 +273,6 @@ def make_scene(spec: SceneSpec):
     return scene, views, np.concatenate(ids)
 
 
-def instance_label_maps(A: WeightMatrix, object_ids: np.ndarray, n_objects: int):
-    """Per-view silhouette label maps: the dominant object, or -1.
-
-    A pixel is labeled with the object holding the largest composited
-    weight, provided that weight exceeds SILHOUETTE_DOMINANCE.
-    """
-    onehot_obj = np.zeros((len(object_ids), n_objects))
-    onehot_obj[np.arange(len(object_ids)), object_ids] = 1.0
-    scores = A.to_csr() @ onehot_obj
-    best = np.argmax(scores, axis=1)
-    best_weight = scores[np.arange(len(best)), best]
-    labels = np.where(best_weight > SILHOUETTE_DOMINANCE, best, -1).astype(np.int32)
-    return {vid: labels[start:stop] for vid, (start, stop) in A.view_ranges.items()}
-
-
 @dataclass(frozen=True)
 class MaskTag:
     view_id: str
@@ -318,13 +289,14 @@ def _unit_features(spec: SceneSpec) -> np.ndarray:
     return feats / norms[:, None]
 
 
-def make_observations(labels_by_view: dict, views, spec: SceneSpec):
+def make_observations(clean_labels: np.ndarray, views, spec: SceneSpec):
     """Label-backed observations with optional merged-mask corruption.
 
-    labels_by_view holds the clean per-view label maps (flattened, as from
-    instance_label_maps). Clean views carry one mask per visible object with
-    that object's unit feature vector; a deterministic fraction of views has
-    each designated pair merged into one mask whose feature is the
+    clean_labels holds the clean object label of every ray, in the row order
+    of views (render_labels of the object ids at SILHOUETTE_DOMINANCE, on a
+    weight matrix over views). Clean views carry one mask per visible object
+    with that object's unit feature vector; a deterministic fraction of views
+    has each designated pair merged into one mask whose feature is the
     renormalized mean of the two. Returns (observations, {(view_id, label):
     MaskTag}).
     """
@@ -341,9 +313,9 @@ def make_observations(labels_by_view: dict, views, spec: SceneSpec):
     maps = {}
     tables = {}
     tags = {}
-    for view in views:
+    for view, (start, stop) in zip(views, view_ranges(views).values()):
         vid = view.view_id
-        lab = labels_by_view[vid].copy()
+        lab = clean_labels[start:stop].copy()
         table = {}
         merged_into = {}
         if vid in noisy_views:

@@ -1,5 +1,5 @@
-"""Test scenes from plain arrays, and a per-ray compositing reference for the
-sparse weight matrix.
+"""Test scenes from plain arrays, a per-ray compositing reference for the
+sparse weight matrix, and a dense reference for label compositing.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -120,3 +120,15 @@ def reference_rows(scene, views, cfg, tol=1e-9):
                     transmittance *= 1.0 - sigma
                 rows.append((entries, near))
     return rows
+
+
+def onehot_label_votes(A, labels, min_weight=0.0):
+    """Per-ray label by a dense one-hot product: column 0 is noise (-1) and
+    column k + 1 label k; argmax takes the first of equal columns, and a
+    ray whose best column holds no more than min_weight maps to -1."""
+    labels = np.asarray(labels)
+    onehot = np.zeros((len(labels), max(int(labels.max()) + 2, 1)))
+    onehot[np.arange(len(labels)), labels + 1] = 1.0
+    mass = A.to_csr().toarray() @ onehot
+    best = np.argmax(mass, axis=1)
+    return np.where(mass[np.arange(len(best)), best] > min_weight, best - 1, -1)

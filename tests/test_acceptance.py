@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from splatlift import formats
-from splatlift.aggregate import cluster_features, filter_observations, iou, onehot
+from splatlift.aggregate import cluster_features, filter_observations
 from splatlift.cli import main
 from splatlift.model import LiftConfig
 from splatlift.query import ValleyNotFoundError, auto_threshold
@@ -27,9 +27,9 @@ from splatlift.solver import (
     surrogate_gradient,
 )
 from splatlift.synthbench import (
+    SILHOUETTE_DOMINANCE,
     alpha_sum_stats,
     format_scene_spec,
-    instance_label_maps,
     layered_sheet_scene,
     make_observations,
     make_scene,
@@ -180,7 +180,7 @@ def blob_fixtures():
         scene, views, ids = make_scene(spec)
         clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
         obs, tags = make_observations(
-            instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+            render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
         out[name] = (spec, scene, views, ids, obs, tags)
     return out
 
@@ -218,7 +218,7 @@ def test_criterion_8_aggregation_filtering(blob_fixtures):
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
     field = lift_rowsum(A, obs)
     assignment = cluster_features(field)
-    kappa = render_labels(A, onehot(assignment))
+    kappa = render_labels(A, assignment.labels)
     merged = {k for k, t in tags.items() if t.merged}
     clean = {k for k, t in tags.items() if not t.merged}
     assert merged, "noisy benchmark must contain merged masks"

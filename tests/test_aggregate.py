@@ -12,13 +12,12 @@ from splatlift.aggregate import (
     cluster_features,
     filter_observations,
     iou,
-    onehot,
 )
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
-from splatlift.rasterize import build_weight_matrix
+from splatlift.rasterize import build_weight_matrix, render_labels
 from splatlift.solver import FeatureField, ObservationSet, lift_rowsum, loss_true
 from splatlift.synthbench import (
-    instance_label_maps,
+    SILHOUETTE_DOMINANCE,
     make_observations,
     make_scene,
     two_blob_spec,
@@ -283,40 +282,13 @@ def test_cluster_params_accept_valid_values():
 
 
 def test_assignment_rejects_labels_below_minus_one():
-    # onehot would write label -2 to column -1, the last cluster's
     with pytest.raises(InvalidInputError, match=">= -1"):
         ClusterAssignment(labels=np.array([-2, 0]), n_clusters=1)
 
 
 def test_assignment_rejects_a_negative_cluster_count():
-    # onehot would build no noise column and fail with an IndexError
     with pytest.raises(InvalidInputError, match="n_clusters"):
         ClusterAssignment(labels=np.array([-1, -1]), n_clusters=-1)
-
-
-# -- one-hot encoding ---------------------------------------------------------------
-
-def test_onehot_example():
-    assign = ClusterAssignment(labels=np.array([-1, 0, 1]), n_clusters=2)
-    g = onehot(assign)
-    assert np.array_equal(g, np.eye(3))
-
-
-def test_onehot_all_noise():
-    assign = ClusterAssignment(labels=np.array([-1, -1]), n_clusters=0)
-    g = onehot(assign)
-    assert g.shape == (2, 1)
-    assert np.all(g[:, 0] == 1.0)
-
-
-@given(st.lists(st.integers(min_value=-1, max_value=6), min_size=1, max_size=40))
-def test_onehot_roundtrip(raw):
-    labels = np.array(raw)
-    present = sorted(set(l for l in raw if l >= 0))
-    remap = {old: new for new, old in enumerate(present)}
-    labels = np.array([remap.get(l, -1) for l in raw])
-    assign = ClusterAssignment(labels=labels, n_clusters=len(present))
-    assert np.array_equal(np.argmax(onehot(assign), axis=1) - 1, labels)
 
 
 # -- iou --------------------------------------------------------------------------
@@ -446,7 +418,7 @@ def test_relift_on_filtered_equals_restricted_subproblem():
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, tags = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
     drops = [key for key, tag in tags.items() if tag.merged]
     filtered = obs.drop_view_labels(drops)

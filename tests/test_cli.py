@@ -13,11 +13,11 @@ import splatlift
 from splatlift import cli, formats, rasterize
 from splatlift.cli import main
 from splatlift.model import LiftConfig
-from splatlift.rasterize import WeightMatrix, build_weight_matrix
+from splatlift.rasterize import WeightMatrix, build_weight_matrix, render_labels
 from splatlift.solver import lift_rowsum
 from splatlift.synthbench import (
+    SILHOUETTE_DOMINANCE,
     format_scene_spec,
-    instance_label_maps,
     make_observations,
     make_scene,
     two_blob_spec,
@@ -68,7 +68,7 @@ def test_lift_matches_library_golden(fixture_dir, tmp_path):
     scene, views, ids = make_scene(SMALL_SPEC)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, _ = make_observations(
-        instance_label_maps(clean, ids, len(SMALL_SPEC.objects)), views, SMALL_SPEC)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, SMALL_SPEC)
     lib_field = lift_rowsum(build_weight_matrix(scene, views, LiftConfig(lam=1.2)), obs)
     assert np.max(np.abs(cli_field.values - lib_field.values)) <= 1e-6
 
@@ -339,6 +339,68 @@ def test_cluster_filter_clean_keeps_everything(fixture_dir, tmp_path):
         assert np.array_equal(lab, orig)
 
 
+def test_cluster_filter_tau_zero_keeps_every_mask(fixture_dir, tmp_path):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    out = tmp_path / "filtered"
+    assert main(["cluster-filter", *geo, "--field", str(field),
+                 "--labels", str(fixture_dir / "features"), "--tau", "0",
+                 "--out", str(out)]) == 0
+    rows = read_csv(out / "filter_report.csv")[1:]
+    assert len(rows) >= 6 and all(row[3] == "kept" for row in rows)
+    for lbl in (fixture_dir / "features").glob("*.lbl"):
+        assert (out / "labels" / lbl.name).read_bytes() == lbl.read_bytes()
+
+
+def test_relift_keeps_the_field_mode(fixture_dir, tmp_path):
+    # Without --mode, cluster-filter --relift lifts as the field was lifted.
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--mode", "rowsum2", "--out", str(field)]) == 0
+    outputs = []
+    for extra in ([], ["--mode", "rowsum2"]):
+        out = tmp_path / f"filtered{len(outputs)}"
+        assert main(["cluster-filter", *geo, *extra, "--field", str(field),
+                     "--labels", str(fixture_dir / "features"), "--relift",
+                     "--out", str(out)]) == 0
+        assert formats.read_run_report(out / "field.flt.json")["mode"] == "rowsum2"
+        outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "field.flt.json"})
+    assert Path("field.flt") in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_report_mode_is_checked(fixture_dir, tmp_path, capsys):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    report = formats.read_run_report(str(field) + ".json")
+    formats.write_run_report(str(field) + ".json", {**report, "mode": "rowsum3"})
+    assert main(["cluster-filter", *geo, "--field", str(field),
+                 "--labels", str(fixture_dir / "features"), "--relift",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "field.flt.json: mode must be one of" in capsys.readouterr().err
+
+
+def test_label_missing_from_its_table_names_the_view(fixture_dir, tmp_path, capsys):
+    features = tmp_path / "features"
+    shutil.copytree(fixture_dir / "features", features)
+    table = formats.read_label_features(features / "view_001.lft")
+    del table[max(table)]
+    formats.write_label_features(features / "view_001.lft", table)
+    assert main(["lift", "--scene", str(fixture_dir / "scene.ply"),
+                 "--cameras", str(fixture_dir / "cameras.txt"),
+                 "--features", str(features), "--out", str(tmp_path / "f.flt")]) == 1
+    assert "view 'view_001': labels" in capsys.readouterr().err
+
+
 def test_segment_and_eval_flow(fixture_dir, tmp_path):
     field = tmp_path / "field.flt"
     assert main(["lift", "--scene", str(fixture_dir / "scene.ply"),
@@ -394,23 +456,6 @@ def test_segment_rejects_nonsense_threshold(fixture_dir, tmp_path, capsys):
                  "--query", str(fixture_dir / "queries" / "blob_a.flt"),
                  "--threshold", "sometimes", "--out", str(tmp_path / "x")])
     assert code == 1
-
-
-def test_segment_rejects_bins_below_one(fixture_dir, tmp_path, capsys):
-    field = tmp_path / "field.flt"
-    geo = ["--scene", str(fixture_dir / "scene.ply"),
-           "--cameras", str(fixture_dir / "cameras.txt")]
-    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
-                 "--out", str(field)]) == 0
-    config = tmp_path / "conf.ini"
-    config.write_text("[splatlift]\nbins = 0\n")
-    segment = ["segment", *geo, "--field", str(field),
-               "--query", str(fixture_dir / "queries" / "blob_a.flt")]
-    out = tmp_path / "seg"
-    for extra in (["--bins", "0"], ["--config", str(config)]):
-        assert main([*segment, *extra, "--out", str(out)]) == 1
-        assert "bins must be >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
 
 
 # -- the weight-matrix file beside a field ----------------------------------------

@@ -115,13 +115,6 @@ def test_label_features_duplicate_id_is_format_error(tmp_path):
         formats.read_label_features(path)
 
 
-def test_validate_label_pair():
-    labels = np.array([[0, 2]], dtype=np.int32)
-    formats.validate_label_pair(labels, {0: 1, 2: 1})
-    with pytest.raises(FormatError, match="missing"):
-        formats.validate_label_pair(labels, {0: 1})
-
-
 # -- splat PLY -------------------------------------------------------------------------
 
 def test_splat_ply_roundtrip(tmp_path):

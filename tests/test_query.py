@@ -198,8 +198,7 @@ def test_threshold_accepts_attention_map():
     rng = np.random.default_rng(5)
     scores = scores + rng.normal(0, 0.02, scores.size)
     amap = AttentionMap(view_id="v", scores=scores.reshape(40, 25),
-                        covered=np.ones((40, 25), dtype=bool),
-                        primitive_scores=np.zeros(3), display_min=0.0, display_max=1.0)
+                        covered=np.ones((40, 25), dtype=bool), display_min=0.0, display_max=1.0)
     thr = auto_threshold(amap)
     assert 0.2 < thr < 0.8
 

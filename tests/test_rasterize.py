@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_rows, splat_scene
+from oracle import onehot_label_votes, reference_rows, splat_scene
 from splatlift import rasterize
 from splatlift.model import (
     CameraView,
@@ -292,28 +292,25 @@ def test_render_labels_single_opaque_splat():
     view = frontal_view(width=3, height=3, fx=20.0)
     scene = opaque_pixel_scene([30.0], [1.0])
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    gamma = np.zeros((1, 5))
-    gamma[0, 4] = 1.0  # cluster 3 lives in column 4
-    kappa = render_labels(A, gamma)
+    kappa = render_labels(A, np.array([3]))
     assert kappa[1 * 3 + 1] == 3
 
 
 def test_render_labels_weighted_argmax_and_empty():
-    # center pixel: weights 0.6 on cluster 1 and 0.32 on cluster 2 -> cluster 1
+    # center pixel: weights 0.6 on cluster 0 and 0.32 on cluster 1 -> cluster 0
     view = frontal_view(width=5, height=5, fx=50.0)
     scene = opaque_pixel_scene([math.log(0.6 / 0.4), math.log(0.8 / 0.2)], [1.0, 2.0])
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    gamma = np.zeros((2, 3))
-    gamma[0, 1] = 1.0
-    gamma[1, 2] = 1.0
-    kappa = render_labels(A, gamma)
-    assert kappa[2 * 5 + 2] == 0  # column 1 - 1
+    kappa = render_labels(A, np.array([0, 1]))
+    assert kappa[2 * 5 + 2] == 0
+    # 0.6 is not above min_weight 0.6
+    assert render_labels(A, np.array([0, 1]), min_weight=0.6)[2 * 5 + 2] == -1
 
     # a genuinely uncovered pixel maps to -1
     tiny_view = frontal_view(width=31, height=31, fx=400.0)
     tiny = splat_at(0, 0, 1.0, scale=0.002, theta=8.0)
     A2 = build_weight_matrix(tiny, [tiny_view], LiftConfig(lam=1.0))
-    kappa2 = render_labels(A2, np.array([[0.0, 1.0]]))
+    kappa2 = render_labels(A2, np.array([0]))
     assert kappa2[0] == -1
     assert kappa2[(31 // 2) * 31 + 31 // 2] == 0
 
@@ -324,9 +321,7 @@ def test_render_labels_dominant_weight_wins_everywhere():
     view = frontal_view(width=25, height=25, fx=40.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     labels = rng.integers(0, 3, size=30)
-    gamma = np.zeros((30, 4))
-    gamma[np.arange(30), labels + 1] = 1.0
-    kappa = render_labels(A, gamma)
+    kappa = render_labels(A, labels)
     for row in range(A.rows):
         idx, w = A.row_entries(row)
         if len(idx) == 0:
@@ -339,12 +334,46 @@ def test_render_labels_dominant_weight_wins_everywhere():
             assert kappa[row] == np.argmax(mass) - 1
 
 
-def test_render_labels_rejects_non_onehot():
-    view = frontal_view(width=3, height=3, fx=20.0)
-    scene = opaque_pixel_scene([2.0], [1.0])
-    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    with pytest.raises(InvalidInputError):
-        render_labels(A, np.array([[0.5, 0.5]]))
+def dyadic_matrix(rng, rows, cols):
+    """Up to 4 entries per row, some rows empty, weights 1/8 or 2/8: every
+    sum is exact in any order, and equal label masses are common."""
+    counts = rng.integers(0, 5, rows)
+    indices = np.concatenate([rng.choice(cols, c, replace=False) for c in counts])
+    weights = rng.integers(1, 3, len(indices)) / 8.0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return WeightMatrix(indptr, indices, weights, cols, {"v": (0, rows)}, 1.0)
+
+
+@pytest.mark.parametrize("clusters", [0, 1, 3, 40])
+@pytest.mark.parametrize("min_weight", [0.0, 0.5])
+def test_render_labels_matches_a_dense_onehot_oracle(clusters, min_weight):
+    rng = np.random.default_rng(clusters)
+    A = dyadic_matrix(rng, rows=400, cols=60)
+    A.validate()
+    labels = rng.integers(-1, clusters, 60)  # clusters 0: every primitive is noise
+    kappa = render_labels(A, labels, min_weight=min_weight)
+    assert np.array_equal(kappa, onehot_label_votes(A, labels, min_weight))
+    assert np.all(kappa[~A.covered_rows()] == -1)
+    if clusters == 0:
+        assert np.all(kappa == -1)
+
+
+def test_render_labels_breaks_ties_toward_the_lower_label():
+    # one ray, two primitives of equal weight
+    A = WeightMatrix([0, 2], [0, 1], [0.25, 0.25], 2, {"v": (0, 1)}, 1.0)
+    assert render_labels(A, np.array([5, 2]))[0] == 2
+    assert render_labels(A, np.array([-1, 0]))[0] == -1  # noise wins a tie
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0, -2]), ">= -1"),
+    (np.array([0.0, 1.0]), "integer label"),
+    (np.array([0, 1, 2]), "integer label"),
+], ids=["below_minus_one", "float", "wrong_length"])
+def test_render_labels_rejects_bad_labels(labels, message):
+    A = WeightMatrix([0, 2], [0, 1], [0.25, 0.25], 2, {"v": (0, 1)}, 1.0)
+    with pytest.raises(InvalidInputError, match=message):
+        render_labels(A, labels)
 
 
 def test_planar_wall_composites_and_lifts():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import splat_scene
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
-from splatlift.rasterize import WeightMatrix, build_weight_matrix
+from splatlift.rasterize import WeightMatrix, build_weight_matrix, render_labels
 from splatlift.solver import (
     EPS_COVERAGE,
     InvariantViolation,
@@ -20,7 +20,7 @@ from splatlift.solver import (
     surrogate_gradient,
 )
 from splatlift.synthbench import (
-    instance_label_maps,
+    SILHOUETTE_DOMINANCE,
     layered_sheet_scene,
     make_observations,
     make_scene,
@@ -362,7 +362,7 @@ def test_streaming_matches_matrix_path():
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, _ = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     cfg = LiftConfig(lam=1.2)
     A = build_weight_matrix(scene, views, cfg)
     for mode, fn in (("rowsum", lift_rowsum), ("rowsum2", lift_rowsum_squared)):
@@ -377,7 +377,7 @@ def test_streaming_bit_identical_across_threads():
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, _ = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     cfg = LiftConfig(lam=1.2)
     one = lift_streaming(scene, views, obs, cfg, threads=1)
     two = lift_streaming(scene, views, obs, cfg, threads=2)
@@ -392,7 +392,7 @@ def test_label_backed_wide_lift_matches_sparse_reference(squared):
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     masks, _ = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     rng = np.random.default_rng(11)
     tables = {vid: {k: rng.normal(size=512) for k in masks.view_label_table(vid)}
               for vid in masks.view_ranges}
@@ -423,7 +423,7 @@ def test_label_backed_lifts_never_materialize_dense_values(path, monkeypatch):
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, _ = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     cfg = LiftConfig(lam=1.2)
     A = build_weight_matrix(scene, views, cfg)
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from splatlift.model import InvalidInputError, LiftConfig
-from splatlift.rasterize import build_weight_matrix
+from splatlift.rasterize import build_weight_matrix, render_labels
 from splatlift.synthbench import (
+    SILHOUETTE_DOMINANCE,
     NoiseSpec,
     ObjectSpec,
     SceneSpec,
     ViewOrbit,
     alpha_sum_stats,
     format_scene_spec,
-    instance_label_maps,
     make_observations,
     make_scene,
     mc_background_gradient,
@@ -44,7 +44,7 @@ def test_make_scene_rejects_degenerate_spec():
     with pytest.raises(InvalidInputError):
         SceneSpec(objects=())
     with pytest.raises(InvalidInputError):
-        ObjectSpec(name="o", shape="blob", count=0, theta_range=(1, 2),
+        ObjectSpec(name="o", shape="disk", count=0, theta_range=(1, 2),
                    feature=(1.0,), center=(0, 0, 0), extent=1.0)
 
 
@@ -85,7 +85,7 @@ def test_observation_noise_counts_and_tags():
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, tags = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     merged_views = {t.view_id for t in tags.values() if t.merged}
     assert len(merged_views) == 2  # round(0.2 * 10)
     for tag in tags.values():
@@ -98,7 +98,7 @@ def test_clean_fraction_zero_all_clean():
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, tags = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     assert all(not t.merged for t in tags.values())
 
 
@@ -107,7 +107,7 @@ def test_merged_feature_is_spherical_mean():
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
     obs, tags = make_observations(
-        instance_label_maps(clean, ids, len(spec.objects)), views, spec)
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     merged = [k for k, t in tags.items() if t.merged]
     assert merged
     vid, label = merged[0]
@@ -126,8 +126,9 @@ def test_silhouettes_partition_views():
     spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=3)
     scene, views, ids = make_scene(spec)
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
-    maps = instance_label_maps(A, ids, 3)
-    for vid, labels in maps.items():
+    clean = render_labels(A, ids, SILHOUETTE_DOMINANCE)
+    for start, stop in A.view_ranges.values():
+        labels = clean[start:stop]
         assert labels.min() >= -1
         assert labels.max() <= 2
         # backing wall guarantees every ray is dominated by some object
@@ -187,7 +188,7 @@ def test_spec_roundtrip():
 def test_spec_rejects_bad_merge_pair():
     with pytest.raises(InvalidInputError):
         SceneSpec(
-            objects=(ObjectSpec(name="a", shape="blob", count=5, theta_range=(1, 2),
+            objects=(ObjectSpec(name="a", shape="disk", count=5, theta_range=(1, 2),
                                 feature=(1.0,), center=(0, 0, 4), extent=1.0),),
             views=ViewOrbit(),
             noise=NoiseSpec(fraction=0.5, merge_pairs=(("a", "missing"),)),
@@ -196,7 +197,7 @@ def test_spec_rejects_bad_merge_pair():
 
 def test_spec_rejects_malformed_text():
     with pytest.raises(InvalidInputError):
-        parse_scene_spec("[object:x]\nshape = blob\n")  # missing required keys
+        parse_scene_spec("[object:x]\nshape = disk\n")  # missing required keys
     with pytest.raises(InvalidInputError):
         parse_scene_spec("not an ini at all [")
 
