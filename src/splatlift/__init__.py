@@ -41,8 +41,6 @@ from .query import (
     attention_scores,
     auto_threshold,
     eval_cosine,
-    eval_miou,
-    pca_rgb,
     render_attention,
     segment,
 )

@@ -59,6 +59,9 @@ MATRIX_CONSTANTS = ("NEAR_PLANE", "WEIGHT_EPS", "COV_LOWPASS", "PLANAR_RADIUS_SL
 # segment's threshold when the pooled scores of a query have no valley.
 FALLBACK_THRESHOLD = 0.5
 
+# The [splatlift] keys of a --config file; any other key is refused.
+CONFIG_KEYS = ("lambda", "kernel", "mode", "tau")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -87,6 +90,9 @@ def _load_config(path) -> dict:
     if not cp.has_section("splatlift"):
         return {}
     config = dict(cp["splatlift"])
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise InvalidInputError(f"{path}: config key {key} must be one of {list(CONFIG_KEYS)}")
     for key, table in (("mode", LIFTS), ("kernel", KERNEL_NAMES)):
         if key in config and config[key] not in table:
             raise InvalidInputError(
@@ -371,7 +377,7 @@ def _cmd_segment(args) -> int:
     rows = []
     for view in views:
         amap = maps[view.view_id]
-        mask = segment(amap, threshold)
+        mask = segment(amap.scores, threshold)
         stem = f"{query.name}__{view.view_id}"
         formats.write_pgm(out / f"{stem}_mask.pgm", mask)
         formats.write_pgm(out / f"{stem}_attention.pgm", amap.to_display())

@@ -1,9 +1,9 @@
 """Query-time operations: attention scores against embeddings, 2D attention
-rendering, histogram-valley auto-thresholding, segmentation, and metrics."""
+rendering, histogram-valley auto-thresholding, segmentation, and the cosine
+metric."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +147,8 @@ def _valleys(hist: np.ndarray, peak: int, direction: int):
 MIN_MODE_FRACTION = 0.02
 
 
-def auto_threshold(attention, bins: int = 96, smoothing_window: int = 7) -> float:
-    """Histogram-valley threshold over covered raw scores.
+def auto_threshold(scores: np.ndarray, bins: int = 96, smoothing_window: int = 7) -> float:
+    """Histogram-valley threshold over raw scores (non-finite ones ignored).
 
     Builds a histogram spanning [min, max], box-smooths it, locates the
     largest peak, and scans toward higher scores for the first valley
@@ -159,10 +159,7 @@ def auto_threshold(attention, bins: int = 96, smoothing_window: int = 7) -> floa
     """
     if bins < 1:
         raise InvalidInputError(f"bins must be >= 1, got {bins!r}")
-    if isinstance(attention, AttentionMap):
-        vals = attention.covered_scores()
-    else:
-        vals = np.asarray(attention, dtype=np.float64).reshape(-1)
+    vals = np.asarray(scores, dtype=np.float64).reshape(-1)
     vals = vals[np.isfinite(vals)]
     if vals.size < 2 or vals.min() == vals.max():
         raise ValleyNotFoundError("no valley found: fewer than 2 distinct scores")
@@ -180,29 +177,11 @@ def auto_threshold(attention, bins: int = 96, smoothing_window: int = 7) -> floa
     raise ValleyNotFoundError("no valley found: histogram is unimodal")
 
 
-def segment(attention, threshold: float) -> np.ndarray:
+def segment(scores: np.ndarray, threshold: float) -> np.ndarray:
     """Binary mask of raw scores >= threshold."""
     if not np.isfinite(threshold):
         raise InvalidInputError("threshold must be finite")
-    scores = attention.scores if isinstance(attention, AttentionMap) else np.asarray(attention)
-    return scores >= threshold
-
-
-def eval_miou(pred_masks: dict, gt_masks: dict) -> float:
-    """Mean IoU over queries shared by both mask sets.
-
-    Queries missing a ground-truth mask are excluded with a warning;
-    invariant under query reordering.
-    """
-    from .aggregate import iou
-
-    missing = sorted(set(pred_masks) - set(gt_masks))
-    if missing:
-        warnings.warn(f"queries without ground truth excluded: {missing}", stacklevel=2)
-    shared = sorted(set(pred_masks) & set(gt_masks))
-    if not shared:
-        raise InvalidInputError("no queries with both prediction and ground truth")
-    return float(np.mean([iou(pred_masks[q], gt_masks[q]) for q in shared]))
+    return np.asarray(scores) >= threshold
 
 
 @dataclass(frozen=True)
@@ -233,33 +212,3 @@ def eval_cosine(rendered: np.ndarray, obs: ObservationSet) -> CosineReport:
     cos = np.sum(rendered[usable] * gt[usable], axis=1) / (rn[usable] * gn[usable])
     return CosineReport(mean=float(cos.mean()), rays_used=int(np.count_nonzero(usable)),
                         rays_excluded=excluded)
-
-
-def pca_rgb(field: FeatureField) -> np.ndarray:
-    """Project observed features onto their top-3 principal components and
-    min-max normalize each channel to [0, 1].
-
-    Deterministic sign convention: the largest-magnitude loading of each
-    component is made positive. Rank-deficient channels (and unobserved
-    primitives) are filled with 0.5.
-    """
-    observed = ~field.unobserved
-    n_obs = int(np.count_nonzero(observed))
-    if n_obs < 3:
-        raise InvalidInputError("PCA visualization needs at least 3 observed primitives")
-    x = field.values[observed]
-    centered = x - x.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    out = np.full((field.count, 3), 0.5)
-    n_comp = min(3, vt.shape[0])
-    for c in range(n_comp):
-        if svals[c] <= 1e-12 * max(svals[0], 1e-300):
-            break
-        comp = vt[c]
-        if comp[np.argmax(np.abs(comp))] < 0:
-            comp = -comp
-        proj = centered @ comp
-        lo, hi = proj.min(), proj.max()
-        channel = (proj - lo) / (hi - lo) if hi > lo else np.full(n_obs, 0.5)
-        out[observed, c] = channel
-    return out

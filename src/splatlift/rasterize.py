@@ -63,14 +63,12 @@ class WeightMatrix:
     def nnz(self) -> int:
         return len(self.weights)
 
-    def row_entries(self, i: int):
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
+    def entry_rows(self) -> np.ndarray:
+        """The row of every entry, in storage order (a fresh int64 array)."""
+        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
 
     def row_sums(self) -> np.ndarray:
-        reps = np.diff(self.indptr)
-        rows_idx = np.repeat(np.arange(self.rows), reps)
-        return np.bincount(rows_idx, weights=self.weights, minlength=self.rows)
+        return np.bincount(self.entry_rows(), weights=self.weights, minlength=self.rows)
 
     def covered_rows(self) -> np.ndarray:
         return np.diff(self.indptr) > 0
@@ -94,7 +92,7 @@ class WeightMatrix:
         if self.nnz and (self.weights.min() <= 0.0 or self.weights.max() > 1.0):
             raise InvalidInputError("weights must lie in (0, 1]")
         # One entry-sized temporary: the row of each entry, then its key.
-        keys = np.repeat(np.arange(self.rows), np.diff(ptr))
+        keys = self.entry_rows()
         sums = np.bincount(keys, weights=self.weights, minlength=self.rows)
         if sums.size and sums.max() > 1.0 + 1e-6:
             raise InvalidInputError(f"row sum exceeds 1: {sums.max()}")
@@ -384,8 +382,7 @@ def render_labels(A: WeightMatrix, labels, min_weight: float = 0.0) -> np.ndarra
     # One column per distinct label, in ascending order, so that argmax
     # breaks ties toward the lower label.
     ids, column = np.unique(lab, return_inverse=True)
-    rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
-    mass = np.bincount(rows * len(ids) + column[A.indices], weights=A.weights,
+    mass = np.bincount(A.entry_rows() * len(ids) + column[A.indices], weights=A.weights,
                        minlength=A.rows * len(ids)).reshape(A.rows, len(ids))
     best = np.argmax(mass, axis=1)
     return np.where(mass[np.arange(A.rows), best] > min_weight, ids[best], -1).astype(np.int64)

@@ -201,8 +201,7 @@ def _check_alignment(A: WeightMatrix, obs: ObservationSet) -> None:
 def _observed_entries(A: WeightMatrix, obs: ObservationSet):
     """Flat (rows, cols, weights) triplets restricted to observed rays."""
     _check_alignment(A, obs)
-    reps = np.diff(A.indptr)
-    rows = np.repeat(np.arange(A.rows), reps)
+    rows = A.entry_rows()
     mask = obs.observed_mask()[rows]
     return rows[mask], A.indices[mask], A.weights[mask]
 
@@ -483,10 +482,6 @@ class BoundReport:
             raise InvariantViolation(
                 f"oracle dominance violated: L(opt)={self.loss_true_opt!r} > "
                 f"L(rowsum)={self.loss_true_rowsum!r}")
-
-    @property
-    def bound_one_plus_beta(self) -> float:
-        return (1.0 + self.beta) * self.loss_true_opt
 
 
 def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:

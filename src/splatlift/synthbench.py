@@ -4,7 +4,6 @@ plus Monte-Carlo verification helpers for the compositing statistics."""
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -88,7 +87,7 @@ class SceneSpec:
 # -- declarative text config -------------------------------------------------
 
 def parse_scene_spec(text: str) -> SceneSpec:
-    """Parse the INI-style scene description (see format_scene_spec)."""
+    """Parse the INI-style scene description (see scenes/*.ini)."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -151,36 +150,6 @@ def parse_scene_spec(text: str) -> SceneSpec:
             raise InvalidInputError(f"object {name!r} is missing key {exc}") from exc
     return SceneSpec(seed=seed, kernel=kernel, objects=tuple(objects),
                      views=views, noise=NoiseSpec(fraction=fraction, merge_pairs=merge_pairs))
-
-
-def format_scene_spec(spec: SceneSpec) -> str:
-    """Serialize a SceneSpec back to the INI text format."""
-    cp = configparser.ConfigParser()
-    kernel = next(name for name, kind in KERNEL_NAMES.items() if kind == spec.kernel)
-    cp["scene"] = {"seed": str(spec.seed), "kernel": kernel}
-    cp["views"] = {
-        "count": str(spec.views.count), "width": str(spec.views.width),
-        "height": str(spec.views.height), "focal": repr(spec.views.focal),
-        "radius": repr(spec.views.radius), "height_offset": repr(spec.views.height_offset),
-        "span_degrees": repr(spec.views.span_degrees),
-        "target": " ".join(repr(t) for t in spec.views.target),
-    }
-    if spec.noise.fraction or spec.noise.merge_pairs:
-        cp["noise"] = {
-            "fraction": repr(spec.noise.fraction),
-            "merge": " ".join(f"{a}+{b}" for a, b in spec.noise.merge_pairs),
-        }
-    for obj in spec.objects:
-        cp[f"object:{obj.name}"] = {
-            "shape": obj.shape, "count": str(obj.count),
-            "theta": f"{obj.theta_range[0]!r} {obj.theta_range[1]!r}",
-            "feature": " ".join(repr(f) for f in obj.feature),
-            "center": " ".join(repr(c) for c in obj.center),
-            "extent": repr(obj.extent), "scale_factor": repr(obj.scale_factor),
-        }
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 # -- scene construction ------------------------------------------------------
@@ -452,36 +421,24 @@ def alpha_sum_stats(A: WeightMatrix) -> dict[str, tuple[float, float]]:
 
 # -- random instances for property suites ------------------------------------
 
-def random_row_stochastic(rng: np.random.Generator, rows: int, cols: int,
-                          features: int, max_entries: int = 8):
+RANDOM_MAX_ENTRIES = 8
+
+
+def random_row_stochastic(rng: np.random.Generator, rows: int, cols: int, features: int):
     """A random row-stochastic weight matrix paired with Gaussian observations.
 
-    Weights are dyadic rationals k / 2^20 adjusted so every row sums to
-    exactly 1.0 in floating point, making the row-stochastic premise of the
-    Jensen bound hold in real arithmetic, not just approximately.
+    Each row holds 1 to RANDOM_MAX_ENTRIES distinct columns with Dirichlet(1)
+    weights. row_normalized snaps them to dyadic rationals k / 2^30 that sum
+    to exactly 1.0 per row, so the row-stochastic premise of the Jensen bound
+    holds in real arithmetic, not just approximately.
     """
-    denom = 1 << 20
-    indptr = [0]
-    indices = []
-    weights = []
-    for _ in range(rows):
-        k = int(rng.integers(1, min(max_entries, cols) + 1))
-        idx = rng.choice(cols, size=k, replace=False)
-        draw = rng.dirichlet(np.ones(k))
-        ticks = np.maximum(np.round(draw * denom).astype(np.int64), 1)
-        ticks[np.argmax(ticks)] += denom - ticks.sum()
-        assert ticks.min() >= 1 and ticks.sum() == denom
-        indices.append(idx)
-        weights.append(ticks.astype(np.float64) / denom)
-        indptr.append(indptr[-1] + k)
-    A = WeightMatrix(
-        indptr=np.array(indptr, dtype=np.int64),
-        indices=np.concatenate(indices),
-        weights=np.concatenate(weights),
-        cols=cols,
-        view_ranges={"instance": (0, rows)},
-        lambda_used=1.0,
-    )
+    width = min(RANDOM_MAX_ENTRIES, cols)
+    sizes = rng.integers(1, width + 1, size=rows)
+    columns = np.argsort(rng.random((rows, cols)), axis=1)[:, :width]
+    draws = rng.standard_exponential((rows, width))
+    kept = np.arange(width) < sizes[:, None]
+    A = WeightMatrix(np.concatenate([[0], np.cumsum(sizes)]), columns[kept], draws[kept],
+                     cols, {"instance": (0, rows)}, 1.0).row_normalized()
     values = rng.normal(size=(rows, features))
     view = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=rows,
                       world_to_camera=np.eye(4), view_id="instance")

@@ -1,5 +1,6 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
-sparse weight matrix, and a dense reference for label compositing.
+sparse weight matrix, row access to it, and a dense reference for label
+compositing.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -120,6 +121,12 @@ def reference_rows(scene, views, cfg, tol=1e-9):
                     transmittance *= 1.0 - sigma
                 rows.append((entries, near))
     return rows
+
+
+def row_entries(A, i):
+    """Primitive indices and weights of row i of a WeightMatrix, in storage order."""
+    lo, hi = A.indptr[i], A.indptr[i + 1]
+    return A.indices[lo:hi], A.weights[lo:hi]
 
 
 def onehot_label_votes(A, labels, min_weight=0.0):

@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, not configured elsewhere.
 
 import csv
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from splatlift.solver import (
 from splatlift.synthbench import (
     SILHOUETTE_DOMINANCE,
     alpha_sum_stats,
-    format_scene_spec,
     layered_sheet_scene,
     make_observations,
     make_scene,
@@ -266,11 +266,12 @@ def test_criterion_9_auto_threshold():
               f"(worst {worst_bins:.2f}); degenerate inputs raise")
 
 
-def _run_pipeline(tmp_path, spec, tag, relift):
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def _run_pipeline(tmp_path, spec_path, tag, relift):
     fix = tmp_path / f"fix_{tag}"
     work = tmp_path / f"work_{tag}"
-    spec_path = tmp_path / f"{tag}.ini"
-    spec_path.write_text(format_scene_spec(spec))
     assert main(["synth", "--spec", str(spec_path), "--out", str(fix)]) == 0
     field = work / "field.flt"
     assert main(["lift", "--scene", str(fix / "scene.ply"),
@@ -304,13 +305,12 @@ def _run_pipeline(tmp_path, spec, tag, relift):
 
 def test_criterion_10_end_to_end(tmp_path):
     started = time.perf_counter()
-    clean_miou = _run_pipeline(tmp_path, two_blob_spec(noise_fraction=0.0),
-                               "clean", relift=True)
+    # the bundled scenes are two_blob_spec(0.0) and two_blob_spec(0.2)
+    clean_miou = _run_pipeline(tmp_path, SCENES / "two_blob.ini", "clean", relift=True)
     assert clean_miou >= 0.95
-    noisy_raw = _run_pipeline(tmp_path, two_blob_spec(noise_fraction=0.2),
-                              "noisy_raw", relift=False)
-    noisy_filtered = _run_pipeline(tmp_path, two_blob_spec(noise_fraction=0.2),
-                                   "noisy_filt", relift=True)
+    noisy_raw = _run_pipeline(tmp_path, SCENES / "two_blob_noisy.ini", "noisy_raw", relift=False)
+    noisy_filtered = _run_pipeline(tmp_path, SCENES / "two_blob_noisy.ini", "noisy_filt",
+                                   relift=True)
     assert noisy_filtered > noisy_raw
     assert noisy_filtered >= 0.95
     elapsed = time.perf_counter() - started

@@ -17,12 +17,54 @@ from splatlift.rasterize import WeightMatrix, build_weight_matrix, render_labels
 from splatlift.solver import lift_rowsum
 from splatlift.synthbench import (
     SILHOUETTE_DOMINANCE,
-    format_scene_spec,
     make_observations,
     make_scene,
+    parse_scene_spec,
     two_blob_spec,
 )
 
+# scenes/two_blob.ini at 32 x 32 pixels and 3 views.
+SMALL_INI = """\
+[scene]
+seed = 7
+
+[views]
+count = 3
+width = 32
+height = 32
+focal = 33.6
+span_degrees = 24.0
+
+[noise]
+merge = blob_a+blob_b
+
+[object:blob_a]
+shape = disk
+count = 3000
+theta = 9.0 11.0
+feature = 1.0 0.0 0.0 0.0
+center = -1.12 0.0 4.0
+extent = 1.0
+scale_factor = 0.65
+
+[object:blob_b]
+shape = disk
+count = 3000
+theta = 9.0 11.0
+feature = 0.0 1.0 0.0 0.0
+center = 1.12 0.0 4.0
+extent = 1.0
+scale_factor = 0.65
+
+[object:wall]
+shape = wall
+count = 1600
+theta = 9.0 11.0
+feature = 0.0 0.0 1.0 0.0
+center = 0.0 0.0 6.0
+extent = 6.5
+scale_factor = 1.4
+"""
 SMALL_SPEC = two_blob_spec(noise_fraction=0.0, resolution=32, views=3)
 
 
@@ -30,7 +72,8 @@ SMALL_SPEC = two_blob_spec(noise_fraction=0.0, resolution=32, views=3)
 def fixture_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fixture")
     spec_path = out / "spec.ini"
-    spec_path.write_text(format_scene_spec(SMALL_SPEC))
+    assert parse_scene_spec(SMALL_INI) == SMALL_SPEC
+    spec_path.write_text(SMALL_INI)
     assert main(["synth", "--spec", str(spec_path), "--out", str(out / "fix")]) == 0
     return out / "fix"
 
@@ -178,7 +221,8 @@ def test_config_file_precedence(fixture_dir, tmp_path):
 
 @pytest.mark.parametrize("command", ["lift", "cluster-filter", "segment"])
 @pytest.mark.parametrize("key, value", [("kernel", "foo"), ("mode", "bogus"),
-                                        ("lambda", "abc")])
+                                        ("lambda", "abc"), ("lamda", "2.0"),
+                                        ("bins", "64")])
 def test_config_rejects_bad_value(fixture_dir, tmp_path, capsys, command, key, value):
     field = tmp_path / "field.flt"
     geo = ["--scene", str(fixture_dir / "scene.ply"),

@@ -1,20 +1,19 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from oracle import splat_scene
 from splatlift import rasterize
+from splatlift.cli import main
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.query import (
-    AttentionMap,
     _smooth,
     QueryEmbedding,
     ValleyNotFoundError,
     attention_scores,
     auto_threshold,
     eval_cosine,
-    eval_miou,
-    pca_rgb,
     render_attention,
     segment,
 )
@@ -193,17 +192,6 @@ def test_threshold_scans_down_when_top_mode_dominates():
     assert 0.3 < thr < 0.7
 
 
-def test_threshold_accepts_attention_map():
-    scores = np.concatenate([np.full(600, 0.1), np.full(400, 0.9)])
-    rng = np.random.default_rng(5)
-    scores = scores + rng.normal(0, 0.02, scores.size)
-    amap = AttentionMap(view_id="v", scores=scores.reshape(40, 25),
-                        covered=np.ones((40, 25), dtype=bool), display_min=0.0, display_max=1.0)
-    thr = auto_threshold(amap)
-    assert 0.2 < thr < 0.8
-
-
-
 @pytest.mark.parametrize("bins", [0, -3])
 def test_auto_threshold_rejects_bins_below_one(bins):
     scores = np.concatenate([np.full(50, 0.1), np.full(50, 0.9)])
@@ -253,35 +241,60 @@ def test_segment_rejects_nan_threshold():
 
 # -- metrics -----------------------------------------------------------------------
 
-def test_miou_perfect_and_complement():
+# `splatlift eval --pred` is the one owner of mIoU, so its tests run the command.
+
+def write_mask(path, mask):
+    """A P5 PGM mask written byte by byte: 255 inside, 0 outside."""
+    h, w = mask.shape
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    path.write_bytes(header + np.where(mask, 255, 0).astype(np.uint8).tobytes())
+
+
+def eval_pred(root, pred, gt):
+    """Run `eval --pred` on {name}_mask.pgm files under root; returns the
+    exit code and, on success, the rows of the written CSV."""
+    for sub, masks in (("pred", pred), ("gt", gt)):
+        (root / sub).mkdir(parents=True)
+        for name, mask in masks.items():
+            write_mask(root / sub / f"{name}_mask.pgm", np.asarray(mask, dtype=bool))
+    out = root / "miou.csv"
+    code = main(["eval", "--pred", str(root / "pred"), "--gt", str(root / "gt"),
+                 "--out", str(out)])
+    if code != 0:
+        return code, None
+    with open(out, newline="") as fh:
+        return code, list(csv.reader(fh))
+
+
+def test_miou_perfect_and_complement(tmp_path):
     gt = {"a": np.array([[True, False], [False, True]])}
-    assert eval_miou(gt, gt) == 1.0
-    pred = {"a": ~gt["a"]}
-    assert eval_miou(pred, gt) == 0.0
+    assert eval_pred(tmp_path / "same", gt, gt)[1][-1] == ["mIoU", "1.000000"]
+    assert eval_pred(tmp_path / "flip", {"a": ~gt["a"]}, gt)[1][-1] == ["mIoU", "0.000000"]
 
 
-def test_miou_mean_and_reordering():
-    m1 = np.zeros((10, 10), bool)
-    m1[:, :] = True
+def test_miou_mean_and_reordering(tmp_path):
+    full = np.ones((10, 10), bool)
     half = np.zeros((10, 10), bool)
     half[:, :5] = True
-    pred = {"q1": m1, "q2": half}
-    gt = {"q1": m1, "q2": m1}
-    assert eval_miou(pred, gt) == pytest.approx(0.75)
-    assert eval_miou(dict(reversed(list(pred.items()))), gt) == pytest.approx(0.75)
+    gt = {"q1": full, "q2": full}
+    for order, pred in enumerate(({"q1": full, "q2": half}, {"q1": half, "q2": full})):
+        code, rows = eval_pred(tmp_path / str(order), pred, gt)
+        assert code == 0
+        assert rows[-1] == ["mIoU", "0.750000"]
+        assert sorted(float(r[1]) for r in rows[1:-1]) == [0.5, 1.0]
 
 
-def test_miou_warns_on_missing_gt():
+def test_miou_warns_on_missing_gt(tmp_path, capsys):
     m = np.ones((2, 2), bool)
-    with pytest.warns(UserWarning, match="excluded"):
-        value = eval_miou({"a": m, "b": m}, {"a": m})
-    assert value == 1.0
+    code, rows = eval_pred(tmp_path, {"a": m, "b": m}, {"a": m})
+    assert code == 0
+    assert "no ground truth for b_mask.pgm, excluded" in capsys.readouterr().out
+    assert rows == [["mask", "iou"], ["a_mask.pgm", "1.000000"], ["mIoU", "1.000000"]]
 
 
-def test_miou_errors_with_no_overlap():
-    with pytest.raises(InvalidInputError):
-        with pytest.warns(UserWarning):
-            eval_miou({"a": np.ones((2, 2), bool)}, {"b": np.ones((2, 2), bool)})
+def test_miou_errors_with_no_overlap(tmp_path):
+    assert eval_pred(tmp_path, {"a": np.ones((2, 2), bool)}, {"b": np.ones((2, 2), bool)}) == (
+        1, None)
 
 
 def make_obs(values, labels=None):
@@ -309,47 +322,3 @@ def test_cosine_excludes_zero_norm_and_unlabeled():
     assert rep.rays_excluded == 1
     assert rep.mean == pytest.approx(1.0)
 
-
-# -- pca visualization -----------------------------------------------------------
-
-def test_pca_axis_aligned_identity_up_to_order():
-    rng = np.random.default_rng(13)
-    vals = np.zeros((60, 3))
-    vals[:, 0] = rng.uniform(-4, 4, 60)
-    vals[:, 1] = rng.uniform(-1, 1, 60)
-    vals[:, 2] = rng.uniform(-0.2, 0.2, 60)
-    rgb = pca_rgb(field_from(vals))
-    assert rgb.shape == (60, 3)
-    assert rgb.min() >= 0.0 and rgb.max() <= 1.0
-    # leading channel follows the dominant axis ordering
-    corr = np.corrcoef(vals[:, 0], rgb[:, 0])[0, 1]
-    assert abs(corr) > 0.99
-
-
-def test_pca_two_clusters_get_distinct_colors():
-    rng = np.random.default_rng(14)
-    a = rng.normal([5, 0, 0, 0], 0.05, (30, 4))
-    b = rng.normal([0, 5, 0, 0], 0.05, (30, 4))
-    rgb = pca_rgb(field_from(np.vstack([a, b])))
-    dist = np.abs(rgb[:30].mean(axis=0) - rgb[30:].mean(axis=0))
-    assert dist.max() > 0.3
-
-
-def test_pca_rank_one_pads_with_half():
-    base = np.outer(np.linspace(-1, 1, 50), [1.0, 2.0, 3.0])
-    rgb = pca_rgb(field_from(base))
-    assert np.allclose(rgb[:, 1], 0.5)
-    assert np.allclose(rgb[:, 2], 0.5)
-    assert rgb[:, 0].max() == 1.0 and rgb[:, 0].min() == 0.0
-
-
-def test_pca_requires_three_observed():
-    field = field_from(np.eye(3), coverage=[1.0, 1.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        pca_rgb(field)
-
-
-def test_pca_deterministic_sign():
-    rng = np.random.default_rng(15)
-    vals = rng.normal(size=(40, 6))
-    assert np.array_equal(pca_rgb(field_from(vals)), pca_rgb(field_from(vals)))

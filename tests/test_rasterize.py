@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import onehot_label_votes, reference_rows, splat_scene
+from oracle import onehot_label_votes, reference_rows, row_entries, splat_scene
 from splatlift import rasterize
 from splatlift.model import (
     CameraView,
@@ -41,7 +41,7 @@ def axis_weights(scene, size=41, fx=100.0, cfg=None):
     A = build_weight_matrix(scene, [frontal_view(size, size, fx, cx=c, cy=c)], cfg)
 
     def weight(dx, dy):
-        idx, w = A.row_entries((c + dy) * size + c + dx)
+        idx, w = row_entries(A, (c + dy) * size + c + dx)
         return float(w[0]) if len(idx) else 0.0
     return weight, float(polarized_opacities(scene.thetas, cfg.lam)[0])
 
@@ -126,7 +126,7 @@ def test_single_splat_full_delta_row():
     scene = opaque_pixel_scene([theta], [1.0])
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     center_row = (view.height // 2) * view.width + view.width // 2
-    idx, w = A.row_entries(center_row)
+    idx, w = row_entries(A, center_row)
     assert list(idx) == [0]
     assert w[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -139,7 +139,7 @@ def test_two_layer_compositing_weights():
     scene = opaque_pixel_scene([t_front, t_back], [1.0, 2.0])
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     row = (view.height // 2) * view.width + view.width // 2
-    idx, w = A.row_entries(row)
+    idx, w = row_entries(A, row)
     assert list(idx) == [0, 1]
     assert w[0] == pytest.approx(0.6, abs=1e-6)
     assert w[1] == pytest.approx(0.32, abs=1e-6)
@@ -171,7 +171,7 @@ def test_rows_are_row_major_and_front_to_back():
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     depths = scene.positions[:, 2]  # identity pose: camera depth = z
     for row in range(A.rows):
-        idx, _ = A.row_entries(row)
+        idx, _ = row_entries(A, row)
         if len(idx) > 1:
             row_depths = depths[idx]
             order = np.lexsort((idx, row_depths))
@@ -323,7 +323,7 @@ def test_render_labels_dominant_weight_wins_everywhere():
     labels = rng.integers(0, 3, size=30)
     kappa = render_labels(A, labels)
     for row in range(A.rows):
-        idx, w = A.row_entries(row)
+        idx, w = row_entries(A, row)
         if len(idx) == 0:
             assert kappa[row] == -1
             continue
@@ -406,7 +406,7 @@ def test_mixed_kernel_scene_builds():
     view = frontal_view(width=9, height=9, fx=12.0, cx=4.0, cy=4.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     center = (9 // 2) * 9 + 9 // 2
-    idx, w = A.row_entries(center)
+    idx, w = row_entries(A, center)
     assert list(idx) == [0, 1]  # depth order: volumetric splat first
     assert w[0] == pytest.approx(0.6, abs=1e-3)
     assert w[1] == pytest.approx(0.32, abs=1e-3)
@@ -444,7 +444,7 @@ def test_matrix_matches_per_ray_oracle_on_mixed_kernels():
         if near_cutoff:  # rounding may decide these rays' entries
             near += 1
             continue
-        idx, w = A.row_entries(i)
+        idx, w = row_entries(A, i)
         assert idx.tolist() == [j for j, _ in entries], i
         assert np.allclose(w, [wj for _, wj in entries], rtol=1e-12, atol=0.0), i
     assert near < 0.01 * A.rows

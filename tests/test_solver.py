@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import splat_scene
+from oracle import row_entries, splat_scene
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix, render_labels
 from splatlift.solver import (
@@ -512,7 +512,7 @@ def test_masked_restriction_matches_full_relift():
     restricted = obs.masked(keep)
     f1 = lift_rowsum(A, restricted)
     sub = matrix_from_rows(
-        [[(c, w) for c, w in zip(*A.row_entries(i))] if keep[i] else []
+        [[(c, w) for c, w in zip(*row_entries(A, i))] if keep[i] else []
          for i in range(A.rows)], A.cols)
     f2 = lift_rowsum(sub, restricted)
     assert np.allclose(f1.values, f2.values, atol=1e-15)

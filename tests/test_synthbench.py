@@ -1,5 +1,9 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from oracle import row_entries
 
 from splatlift.model import InvalidInputError, LiftConfig
 from splatlift.rasterize import build_weight_matrix, render_labels
@@ -10,7 +14,6 @@ from splatlift.synthbench import (
     SceneSpec,
     ViewOrbit,
     alpha_sum_stats,
-    format_scene_spec,
     make_observations,
     make_scene,
     mc_background_gradient,
@@ -178,11 +181,17 @@ def test_mc_deterministic_per_seed():
     assert a == b
 
 
-# -- spec text round trip ---------------------------------------------------------
+# -- spec text ----------------------------------------------------------------------
 
-def test_spec_roundtrip():
-    spec = two_blob_spec(noise_fraction=0.2)
-    assert parse_scene_spec(format_scene_spec(spec)) == spec
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def test_bundled_scenes_equal_presets():
+    presets = {"two_blob.ini": two_blob_spec(0.0), "two_blob_noisy.ini": two_blob_spec(0.2),
+               "opaque_wall.ini": opaque_wall_spec()}
+    assert sorted(p.name for p in SCENES.glob("*.ini")) == sorted(presets)
+    for name, spec in presets.items():
+        assert parse_scene_spec((SCENES / name).read_text()) == spec, name
 
 
 def test_spec_rejects_bad_merge_pair():
@@ -206,8 +215,7 @@ def test_random_row_stochastic_rows_sum_exactly_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
         A, obs = random_row_stochastic(rng, 30, 8, 2)
-        import math
         for i in range(A.rows):
-            _, w = A.row_entries(i)
+            _, w = row_entries(A, i)
             assert math.fsum(w) == 1.0
         assert obs.rows == 30
