@@ -237,6 +237,10 @@ def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
 def _tile_entries(proj: _ViewProjection, view: CameraView):
     """Yield (rows_local, cols, weights) arrays per tile of one view.
 
+    A tile's kernel values form one (candidates, rows, columns) block.
+    Offsets are separable: dx depends on (candidate, column) and dy on
+    (candidate, row), so only the cross term dx dy is formed per pixel, and
+    the block is carried in place from the quadratic form to the weights.
     Candidates are depth-sorted and entries come out pixel-major, so each
     pixel's entries are in front-to-back order.
     """
@@ -254,29 +258,44 @@ def _tile_entries(proj: _ViewProjection, view: CameraView):
             cand = np.flatnonzero(ex * ex + ey * ey <= r2)
             if cand.size == 0:
                 continue
-            gy, gx = np.mgrid[ty0:ty1, tx0:tx1]
-            rows_local = (gy * w + gx).ravel()
-            px, py = gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
-            dx = px[:, None] - proj.mean_x[cand]
-            dy = py[:, None] - proj.mean_y[cand]
-            dxx, dxy, dyy = dx * dx, dx * dy, dy * dy
+            n, th, tw = cand.size, ty1 - ty0, tx1 - tx0
+            xs = np.arange(tx0, tx1, dtype=np.float64)
+            ys = np.arange(ty0, ty1, dtype=np.float64)
+            dx = xs - proj.mean_x[cand, None]  # (candidates, columns)
+            dy = ys - proj.mean_y[cand, None]  # (candidates, rows)
+            dxx, dyy = dx * dx, dy * dy
 
-            quad = (proj.conic_a[cand] * dxx + 2.0 * proj.conic_b[cand] * dxy
-                    + proj.conic_c[cand] * dyy)
-            delta = np.exp(-0.5 * quad)
+            # A's bytes depend on this operation order, (a dxx + 2b dx dy) +
+            # c dyy, the same as the dense per-pixel kernel's.
+            quad = dy[:, :, None] * dx[:, None, :]
+            quad *= (2.0 * proj.conic_b[cand])[:, None, None]
+            quad += (proj.conic_a[cand, None] * dxx)[:, None, :]
+            quad += (proj.conic_c[cand, None] * dyy)[:, :, None]
+            quad *= -0.5
+            sigma = np.exp(quad, out=quad)
             planar = proj.is_planar[cand]
             if np.any(planar):
-                delta[:, planar] = _planar_delta(proj, cand[planar], view, px, py)
-            sigma = proj.alpha[cand] * np.where(dxx + dyy <= r2[cand], delta, 0.0)
+                px, py = np.tile(xs, th), np.repeat(ys, tw)
+                sigma[planar] = _planar_delta(proj, cand[planar], view, px, py).T.reshape(
+                    -1, th, tw)
+            d2 = dxx[:, None, :] + dyy[:, :, None]
+            sigma[d2 > r2[cand, None, None]] = 0.0
+            sigma *= proj.alpha[cand, None, None]
 
-            t_prefix = np.ones_like(sigma)
-            np.cumprod(1.0 - sigma[:, :-1], axis=1, out=t_prefix[:, 1:])
-            omega = sigma * t_prefix
-            keep = (t_prefix >= TRANSMITTANCE_FLOOR) & (omega >= WEIGHT_EPS)
+            # Transmittance in front of each candidate, per pixel, in d2's
+            # buffer.
+            t_prefix = d2
+            t_prefix[0] = 1.0
+            np.subtract(1.0, sigma[:-1], out=t_prefix[1:])
+            np.multiply.accumulate(t_prefix[1:], axis=0, out=t_prefix[1:])
+            keep = t_prefix >= TRANSMITTANCE_FLOOR
+            omega = np.multiply(sigma, t_prefix, out=sigma)
+            keep &= omega >= WEIGHT_EPS
             if not np.any(keep):
                 continue
-            pk, ck = np.nonzero(keep)
-            yield rows_local[pk], proj.idx[cand[ck]], omega[pk, ck]
+            pk, ck = np.nonzero(keep.reshape(n, -1).T)
+            row, col = np.divmod(pk, tw)
+            yield (ty0 + row) * w + tx0 + col, proj.idx[cand[ck]], omega.reshape(n, -1)[ck, pk]
 
 
 def _build_view(scene: SplatScene, view: CameraView, alphas: np.ndarray):
@@ -346,9 +365,10 @@ def iter_view_entries(scene: SplatScene, view: CameraView, alphas: np.ndarray):
     yield from _tile_entries(_project_scene(scene, view, alphas), view)
 
 
-def render(A: WeightMatrix, values, background) -> np.ndarray:
-    """Composite per-primitive values to rays: sum_p w_p x_p + (1 - sum_p w_p) * bg."""
-    x = np.asarray(getattr(values, "values", values), dtype=np.float64)
+def render(A: WeightMatrix, values: np.ndarray, background) -> np.ndarray:
+    """Composite per-primitive values (an array with one entry or row per
+    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * bg."""
+    x = np.asarray(values, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]

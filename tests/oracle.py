@@ -1,5 +1,6 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
-sparse weight matrix, row access to it, and a dense reference for label
+sparse weight matrix, a dense per-tile reference for the rasterizer's tile
+kernel, row access to the matrix, and a dense reference for label
 compositing.
 
 The reference works one view, one splat and one ray at a time, straight from
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from splatlift import rasterize
 from splatlift.model import KernelKind, SplatScene
 
 NEAR_PLANE = 1e-3
@@ -121,6 +123,50 @@ def reference_rows(scene, views, cfg, tol=1e-9):
                     transmittance *= 1.0 - sigma
                 rows.append((entries, near))
     return rows
+
+
+def dense_tile_entries(proj, view):
+    """The tile kernel on flat (pixels x candidates) arrays: per tile of
+    rasterize.TILE_SIZE, the (rows_local, cols, weights) the rasterizer
+    yields for a projected view, pixel-major and front to back within a
+    pixel. It evaluates (a dxx + 2b dxy) + c dyy per (pixel, candidate) pair
+    and takes each pixel's transmittance with one cumprod along its row."""
+    if len(proj.idx) == 0:
+        return
+    w, h, ts = view.width, view.height, rasterize.TILE_SIZE
+    r2 = proj.radius**2
+    for ty0 in range(0, h, ts):
+        ty1 = min(ty0 + ts, h)
+        for tx0 in range(0, w, ts):
+            tx1 = min(tx0 + ts, w)
+            ex = proj.mean_x - np.clip(proj.mean_x, tx0, tx1 - 1)
+            ey = proj.mean_y - np.clip(proj.mean_y, ty0, ty1 - 1)
+            cand = np.flatnonzero(ex * ex + ey * ey <= r2)
+            if cand.size == 0:
+                continue
+            gy, gx = np.mgrid[ty0:ty1, tx0:tx1]
+            rows_local = (gy * w + gx).ravel()
+            px, py = gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
+            dx = px[:, None] - proj.mean_x[cand]
+            dy = py[:, None] - proj.mean_y[cand]
+            dxx, dxy, dyy = dx * dx, dx * dy, dy * dy
+
+            quad = (proj.conic_a[cand] * dxx + 2.0 * proj.conic_b[cand] * dxy
+                    + proj.conic_c[cand] * dyy)
+            delta = np.exp(-0.5 * quad)
+            planar = proj.is_planar[cand]
+            if np.any(planar):
+                delta[:, planar] = rasterize._planar_delta(proj, cand[planar], view, px, py)
+            sigma = proj.alpha[cand] * np.where(dxx + dyy <= r2[cand], delta, 0.0)
+
+            t_prefix = np.ones_like(sigma)
+            np.cumprod(1.0 - sigma[:, :-1], axis=1, out=t_prefix[:, 1:])
+            omega = sigma * t_prefix
+            keep = (t_prefix >= TRANSMITTANCE_FLOOR) & (omega >= WEIGHT_EPS)
+            if not np.any(keep):
+                continue
+            pk, ck = np.nonzero(keep)
+            yield rows_local[pk], proj.idx[cand[ck]], omega[pk, ck]
 
 
 def row_entries(A, i):
