@@ -20,15 +20,10 @@ from .solver import FeatureField, ObservationSet
 # nearest neighbor, floored at EPS_FLOOR so exactly-coincident rows cluster.
 EPS_PERCENTILE = 95.0
 EPS_FLOOR = 1e-6
-# Rows are clustered in an orthonormal basis of their span. Up to this rank
-# a grid of cells of side just below eps / sqrt(rank) decides DBSCAN; above
-# it the eps-graph of all pairs is listed. On 8 groups of 700 rows (spread
-# 0.02-0.1) the grid was 1.05-8x faster up to rank 6; on wider groups or at
-# higher rank it was about as fast as the listing.
-GRID_MAX_RANK = 6
-# Cells shrink by this fraction below eps / sqrt(rank), so that rounding in
-# the cell coordinates never puts two rows more than eps apart in one cell;
-# cell coordinates stay below 2**30, where their rounding is under 2**-22.
+# Grid cells have side eps / sqrt(rank), shrunk by this fraction so that
+# rounding in the cell coordinates never puts two rows more than eps apart
+# in one cell; cell coordinates stay below 2**30, where their rounding is
+# under 2**-22.
 CELL_SLACK = 2.0 ** -20
 CELL_SPAN_LIMIT = 2.0 ** 30
 
@@ -81,9 +76,9 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
     index order). Noise points and unobserved primitives map to -1.
 
     Distances are taken in an orthonormal basis of the rows' span, which
-    preserves them up to rounding. Up to GRID_MAX_RANK the components come
-    from a grid (Gan and Tao, "DBSCAN Revisited", 2015), which lists no
-    pairs inside a cluster; above it, from the eps-graph of all pairs.
+    preserves them up to rounding. At every rank the components come from a
+    grid (Gan and Tao, "DBSCAN Revisited", 2015), which lists no pairs inside
+    a dense cell; an eps below its resolution lists the eps-graph instead.
     """
     params = params or ClusterParams()
     values = field.values
@@ -139,12 +134,11 @@ def _span_coordinates(x: np.ndarray) -> np.ndarray:
 
 def _grid_cells(y: np.ndarray, eps: float) -> np.ndarray | None:
     """Each row's grid cell, of side just below eps / sqrt(rank), so that
-    every pair inside a cell is within eps even after rounding. None above
-    GRID_MAX_RANK, or when eps is too small for cell coordinates below
-    CELL_SPAN_LIMIT (below about 2e-9 * sqrt(rank) on unit rows)."""
-    rank = y.shape[1]
-    side = eps / math.sqrt(rank) * (1.0 - CELL_SLACK)
-    if rank > GRID_MAX_RANK or np.ptp(y, axis=0).max() / side >= CELL_SPAN_LIMIT:
+    every pair inside a cell is within eps even after rounding, at any rank.
+    None only for an eps below the grid's resolution, where cell coordinates
+    would reach CELL_SPAN_LIMIT: about 1.9e-9 * sqrt(rank) on unit rows."""
+    side = eps / math.sqrt(y.shape[1]) * (1.0 - CELL_SLACK)
+    if np.ptp(y, axis=0).max() / side >= CELL_SPAN_LIMIT:
         return None
     return np.floor((y - y.min(axis=0)) / side)
 
@@ -155,12 +149,13 @@ def _dbscan_graph(y: np.ndarray, tree: cKDTree, eps: float, cells: np.ndarray | 
     within eps) of the rows y, whose kd-tree is tree.
 
     cells holds each row's grid cell, of a side whose diagonal is below eps,
-    so that every pair inside a cell is within eps (None: each row is its
-    own cell). A cell holding min_points rows is dense and all core. Only
-    the rows of the other cells list their neighbors; that settles their
-    core flags, every core pair across cells that involves them, and the
-    border offers. The cores of one cell are connected, so components are
-    unions of cells; neighboring dense cells are joined by _join_dense_cells.
+    so that every pair inside a cell is within eps (None, for an eps below
+    the grid's resolution: each row is its own cell). A cell holding
+    min_points rows is dense and all core. Only the rows of the other cells
+    list their neighbors; that settles their core flags, every core pair
+    across cells that involves them, and the border offers. The cores of one
+    cell are connected, so components are unions of cells; neighboring dense
+    cells are joined by _join_dense_cells.
     """
     n = len(y)
     if cells is None:

@@ -294,12 +294,16 @@ def _scalar_phi(values: np.ndarray, norm: str, huber_delta: float) -> np.ndarray
     return np.where(a <= huber_delta, 0.5 * a * a, huber_delta * (a - 0.5 * huber_delta))
 
 
-def _as_values(x) -> np.ndarray:
-    v = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    return v[:, None] if v.ndim == 1 else v
+def _solution_values(A: WeightMatrix, obs: ObservationSet, x: np.ndarray) -> np.ndarray:
+    """x as a float64 (primitives, features) array, checked against A and obs."""
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.shape != (A.cols, obs.feature_dim):
+        raise InvalidInputError(
+            f"solution shape {xv.shape} does not match ({A.cols}, {obs.feature_dim})")
+    return xv
 
 
-def _loss_pair_rows(A: WeightMatrix, obs: ObservationSet, xv: np.ndarray,
+def _loss_pair_rows(A: WeightMatrix, obs: ObservationSet, x: np.ndarray,
                     norm: str, huber_delta: float):
     """Per-row true and surrogate losses over observed rays.
 
@@ -312,10 +316,7 @@ def _loss_pair_rows(A: WeightMatrix, obs: ObservationSet, xv: np.ndarray,
     """
     if norm not in _NORMS:
         raise InvalidInputError(f"unknown norm {norm!r} (expected l1, l2, or huber)")
-    _check_alignment(A, obs)
-    if xv.shape != (A.cols, obs.feature_dim):
-        raise InvalidInputError(
-            f"solution shape {xv.shape} does not match ({A.cols}, {obs.feature_dim})")
+    xv = _solution_values(A, obs, x)
     mask = obs.observed_mask()
     B = obs.dense_values()
     rows, cols, weights = _observed_entries(A, obs)
@@ -348,32 +349,31 @@ def _loss_pair_rows(A: WeightMatrix, obs: ObservationSet, xv: np.ndarray,
     return true_rows[mask], surr_rows[mask]
 
 
-def loss_true(A: WeightMatrix, obs: ObservationSet, x, norm: str = "l2",
+def loss_true(A: WeightMatrix, obs: ObservationSet, x: np.ndarray, norm: str = "l2",
               huber_delta: float = 1.0) -> float:
     """Composited residual loss sum_i phi((A x)_i - B_i) over observed rays.
 
     L2 is squared (Frobenius convention); L1 and Huber apply elementwise over
     feature channels and are unsquared.
     """
-    true_rows, _ = _loss_pair_rows(A, obs, _as_values(x), norm, huber_delta)
+    true_rows, _ = _loss_pair_rows(A, obs, x, norm, huber_delta)
     return float(np.sum(true_rows))
 
 
-def loss_surrogate(A: WeightMatrix, obs: ObservationSet, x, norm: str = "l2",
+def loss_surrogate(A: WeightMatrix, obs: ObservationSet, x: np.ndarray, norm: str = "l2",
                    huber_delta: float = 1.0) -> float:
     """Per-entry surrogate sum_i sum_j A_ij phi(x_j - B_i) over observed rays.
 
     For row sums equal to 1 this upper-bounds loss_true for any convex phi
     (Jensen's inequality applied per ray).
     """
-    _, surr_rows = _loss_pair_rows(A, obs, _as_values(x), norm, huber_delta)
+    _, surr_rows = _loss_pair_rows(A, obs, x, norm, huber_delta)
     return float(np.sum(surr_rows))
 
 
-def surrogate_gradient(A: WeightMatrix, obs: ObservationSet, x) -> np.ndarray:
+def surrogate_gradient(A: WeightMatrix, obs: ObservationSet, x: np.ndarray) -> np.ndarray:
     """Gradient of the L2 surrogate: grad_j = sum_i A_ij (x_j - B_i)."""
-    _check_alignment(A, obs)
-    xv = _as_values(x)
+    xv = _solution_values(A, obs, x)
     rows, cols, weights = _observed_entries(A, obs)
     grad = np.zeros_like(xv)
     B = obs.dense_values()
@@ -383,7 +383,7 @@ def surrogate_gradient(A: WeightMatrix, obs: ObservationSet, x) -> np.ndarray:
     return grad
 
 
-def beta(A: WeightMatrix, obs: ObservationSet, x_hat) -> tuple[np.ndarray, float]:
+def beta(A: WeightMatrix, obs: ObservationSet, x_hat: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-ray relative dispersion of distances to the lifted features.
 
     Rows are renormalized to sum 1 before computing the weighted mean mu_i
@@ -395,10 +395,9 @@ def beta(A: WeightMatrix, obs: ObservationSet, x_hat) -> tuple[np.ndarray, float
     return beta_rows, float(beta_rows.max(initial=0.0))
 
 
-def _row_dispersion(A: WeightMatrix, obs: ObservationSet, x_hat):
+def _row_dispersion(A: WeightMatrix, obs: ObservationSet, x_hat: np.ndarray):
     """Per-ray (mu_i, beta_i) of beta, on rows renormalized to sum 1."""
-    _check_alignment(A, obs)
-    xv = _as_values(x_hat)
+    xv = _solution_values(A, obs, x_hat)
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("x_hat must be finite")
     rows, cols, weights = _observed_entries(A, obs)
@@ -491,12 +490,10 @@ def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:
     residual: the ratio is then inf, or 1 if L(rowsum) is at that floor too.
     """
     An = A.row_normalized()
-    x_rowsum = lift_rowsum(An, obs)
-    x_opt = lsq_oracle(An, obs)
-    l_rowsum = loss_true(An, obs, x_rowsum, "l2")
-    j_rowsum = loss_surrogate(An, obs, x_rowsum, "l2")
-    j_opt = loss_surrogate(An, obs, x_opt, "l2")
-    l_opt = loss_true(An, obs, x_opt, "l2")
+    x_rowsum = lift_rowsum(An, obs).values
+    x_opt = lsq_oracle(An, obs).values
+    l_rowsum, j_rowsum = (float(np.sum(r)) for r in _loss_pair_rows(An, obs, x_rowsum, "l2", 1))
+    l_opt, j_opt = (float(np.sum(r)) for r in _loss_pair_rows(An, obs, x_opt, "l2", 1))
     mu_rows, beta_rows = _row_dispersion(An, obs, x_opt)
     fit_floor = 1e-12 * float(np.sum(obs.dense_values() ** 2))
     if l_opt <= fit_floor:

@@ -87,7 +87,7 @@ def test_criterion_2_stationarity(jensen_instances):
     worst = 0.0
     for A, obs, _x in jensen_instances:
         field = lift_rowsum(A, obs)
-        grad = surrogate_gradient(A, obs, field)
+        grad = surrogate_gradient(A, obs, field.values)
         cov = field.coverage
         seen = cov > 0
         worst = max(worst, float(np.max(np.abs(grad[seen]).max(axis=1) / cov[seen])))

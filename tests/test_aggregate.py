@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from splatlift import aggregate
 from splatlift.aggregate import (
@@ -98,8 +99,7 @@ def seed_order_dbscan(values, eps, min_points):
     if len(idx) < min_points:
         return labels_full, 0
     x = values[idx] / norms[idx, None]
-    dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
-    neighborhoods = [np.flatnonzero(row <= eps) for row in dist]
+    neighborhoods = [np.flatnonzero(row <= eps) for row in cdist(x, x)]
     core = [len(n) >= min_points for n in neighborhoods]
     labels = -np.ones(len(idx), dtype=np.int64)
     cluster_id = 0
@@ -137,13 +137,17 @@ def test_cluster_features_matches_seed_order_oracle(points, min_points, data):
     values = np.array(points, dtype=np.float64)
     x = values[np.linalg.norm(values, axis=1) > 0]
     x = x / np.linalg.norm(x, axis=1)[:, None]
-    dist = np.unique(np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)))
-    # eps halfway between two distinct pair distances, so that no pair sits
-    # on the boundary where two distance computations could round apart
-    gaps = np.flatnonzero(np.diff(dist) > 1e-9)
-    candidates = np.concatenate([(dist[gaps] + dist[gaps + 1]) / 2, [dist.max(initial=0) + 1]])
-    eps = float(data.draw(st.sampled_from(candidates.tolist())))
+    eps = float(data.draw(st.sampled_from(eps_candidates(cdist(x, x)).tolist())))
     assert_matches_oracle(values, eps, min_points, ClusterParams(min_points=min_points, eps=eps))
+
+
+def eps_candidates(pair):
+    """eps values halfway between two distinct pair distances, so that no
+    pair sits on the boundary where two distance computations could round
+    apart, and one above every distance."""
+    dist = np.unique(pair)
+    gaps = np.flatnonzero(np.diff(dist) > 1e-9)
+    return np.concatenate([(dist[gaps] + dist[gaps + 1]) / 2, [dist.max(initial=0) + 1]])
 
 
 def _arc(angles):
@@ -187,10 +191,10 @@ def test_coincident_rows_cluster_at_eps_floor():
 
 def _dense_groups(data):
     """2-6 tight groups of 10-60 rows, scattered rows and rows between two
-    groups, of rank 1-5 or one rank above GRID_MAX_RANK, mapped by a random
-    orthonormal matrix into rank..16 dimensions. Returns the rows and the
-    number of rows between groups, which come last."""
-    rank = data.draw(st.sampled_from([3, 2, 4, 5, 1, aggregate.GRID_MAX_RANK + 1]), label="rank")
+    groups, of rank 1-5, 7 or 12, mapped by a random orthonormal matrix into
+    rank..16 dimensions. Returns the rows and the number of rows between
+    groups, which come last."""
+    rank = data.draw(st.sampled_from([3, 2, 4, 5, 1, 7, 12]), label="rank")
     dim = data.draw(st.integers(rank, 16), label="dim")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     spread = data.draw(st.sampled_from([0.003, 0.02, 0.1]), label="spread")
@@ -219,11 +223,8 @@ def test_grid_clustering_matches_seed_order_oracle_on_dense_groups(data):
     values, bridges = _dense_groups(data)
     min_points = data.draw(st.integers(1, 12), label="min_points")
     x = values / np.linalg.norm(values, axis=1)[:, None]
-    pair = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
-    dist = np.unique(pair)
-    # eps halfway between two distinct pair distances
-    gaps = np.flatnonzero(np.diff(dist) > 1e-9)
-    candidates = np.concatenate([(dist[gaps] + dist[gaps + 1]) / 2, [dist.max() + 1]])
+    pair = cdist(x, x)
+    candidates = eps_candidates(pair)
     if bridges and data.draw(st.booleans(), label="eps at a bridge row"):
         # just past the k-th nearest neighbor of a row between two groups,
         # k < min_points - 1: a border row, perhaps of two clusters
@@ -243,13 +244,66 @@ def test_grid_cells_hold_only_pairs_within_eps():
     # axis: they may share a cell only if the kd-tree finds them within eps.
     rng = np.random.default_rng(0)
     for eps in np.concatenate([[aggregate.EPS_FLOOR, 0.01, 0.1, 0.5], rng.uniform(1e-6, 1, 200)]):
-        for rank in range(1, aggregate.GRID_MAX_RANK + 1):
+        for rank in [*range(1, 9), 13, 64, 512]:
             side = eps / np.sqrt(rank)
             for step in (side * (1 - 2.0 ** -50), side * (1 - 2.0 ** -52), np.nextafter(side, 0)):
                 y = np.array([np.zeros(rank), np.full(rank, step)])
                 cells = aggregate._grid_cells(y, eps)
                 if np.array_equal(cells[0], cells[1]):
                     assert cKDTree(y).query_ball_point(y[0], eps, return_length=True) == 2
+
+
+def _label_mixtures_in_r512(rng):
+    """Rows of a label-backed lift in 512-D, stored as float32: 6 groups of
+    rows that each hold one label's unit embedding, half of them mixed with
+    up to 5 % of another label's, and 40 rows mixing two labels at random.
+    Every row has its own scale, so that float32 rounding gives each row its
+    own direction and the rows span all 512 dimensions."""
+    labels = rng.normal(size=(8, 512))
+    labels /= np.linalg.norm(labels, axis=1)[:, None]
+    firsts, seconds, mixes = [], [], []
+    for group in range(6):
+        size = int(rng.integers(70, 110))
+        firsts.append(np.full(size, group))
+        seconds.append((group + 1 + rng.integers(0, 7, size)) % 8)
+        mixes.append(np.where(rng.uniform(size=size) < 0.5, 0.0, rng.uniform(0, 0.05, size)))
+    firsts.append(rng.integers(0, 8, 40))
+    seconds.append(rng.integers(0, 8, 40))
+    mixes.append(rng.uniform(0, 1, 40))
+    t = np.concatenate(mixes)[:, None]
+    rows = (1 - t) * labels[np.concatenate(firsts)] + t * labels[np.concatenate(seconds)]
+    return (rng.uniform(0.5, 2, (len(rows), 1)) * rows).astype(np.float32).astype(np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_clustering_matches_seed_order_oracle_on_float32_rows_in_r512(seed):
+    values = _label_mixtures_in_r512(np.random.default_rng(seed))
+    x = values / np.linalg.norm(values, axis=1)[:, None]
+    y = aggregate._span_coordinates(x)
+    assert y.shape[1] == 512
+    candidates = eps_candidates(cdist(x, x))
+    for position in (0.001, 0.01, 0.1):
+        eps = float(candidates[int(position * (len(candidates) - 1))])
+        for min_points in (4, 10):
+            # the grid runs, and its dense cells hold the groups' cores
+            cells = aggregate._grid_cells(y, eps)
+            assert np.unique(cells, axis=0, return_counts=True)[1].max() >= min_points
+            assert_matches_oracle(values, eps, min_points,
+                                  ClusterParams(min_points=min_points, eps=eps))
+
+
+def test_eps_below_the_grid_resolution_lists_the_eps_graph():
+    # At eps = 1e-12 cells would be 7e-13 wide, and the rows span about 2:
+    # the grid gives way to the eps-graph. Coincident rows are 0 apart, so
+    # groups of min_points or more cluster and the rest is noise.
+    params = ClusterParams(min_points=5, eps=1e-12)
+    values = np.vstack([np.repeat(_arc(np.linspace(0, 2 * np.pi, 6, endpoint=False)),
+                                  [12, 5, 4, 9, 1, 7], axis=0), _arc([1e-3])])
+    x = values / np.linalg.norm(values, axis=1)[:, None]
+    assert aggregate._grid_cells(aggregate._span_coordinates(x), params.eps) is None
+    assign = assert_matches_oracle(values, params.eps, params.min_points, params)
+    assert assign.n_clusters == 4
+    assert np.count_nonzero(assign.labels == -1) == 4 + 1 + 1
 
 
 def test_rows_in_a_subspace_of_r512_cluster_as_their_coordinates():
@@ -427,5 +481,5 @@ def test_relift_on_filtered_equals_restricted_subproblem():
     f_filtered = lift_rowsum(A, filtered)
     f_restricted = lift_rowsum(A, restricted)
     assert np.array_equal(f_filtered.values, f_restricted.values)
-    assert loss_true(A, filtered, f_filtered, "l2") == pytest.approx(
-        loss_true(A, restricted, f_restricted, "l2"), rel=1e-12)
+    assert loss_true(A, filtered, f_filtered.values, "l2") == pytest.approx(
+        loss_true(A, restricted, f_restricted.values, "l2"), rel=1e-12)

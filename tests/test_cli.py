@@ -727,6 +727,8 @@ def test_verify_suites_exit_codes(tmp_path, monkeypatch, capsys):
     # the printed summary of the loss ratio against 1 + beta
     out = capsys.readouterr().out
     assert all(key in out for key in ("median", "p90", "p99", "max 1 + beta"))
+    # the largest finite ratio names its instance and how near it is to an exact fit
+    assert "(instance " in out and "L(opt)/||B||^2 " in out
     assert "share of instances with ratio <= 1 + beta" in out
 
 

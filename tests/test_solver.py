@@ -188,7 +188,7 @@ def test_stationarity_of_rowsum_lift():
         rows, cols, feats = int(rng.integers(10, 120)), int(rng.integers(3, 30)), int(rng.integers(1, 6))
         A, obs = random_row_stochastic(rng, rows, cols, feats)
         field = lift_rowsum(A, obs)
-        grad = surrogate_gradient(A, obs, field)
+        grad = surrogate_gradient(A, obs, field.values)
         cov = field.coverage
         assert np.max(np.abs(grad[cov > 0]).max(axis=1) / cov[cov > 0]) <= 1e-8
 
@@ -251,8 +251,8 @@ def test_oracle_overdetermined_mean():
 def test_oracle_never_loses_to_rowsum():
     rng = np.random.default_rng(31)
     A, obs = random_row_stochastic(rng, 200, 40, 3)
-    l_opt = loss_true(A, obs, lsq_oracle(A, obs), "l2")
-    l_rowsum = loss_true(A, obs, lift_rowsum(A, obs), "l2")
+    l_opt = loss_true(A, obs, lsq_oracle(A, obs).values, "l2")
+    l_rowsum = loss_true(A, obs, lift_rowsum(A, obs).values, "l2")
     assert l_opt <= l_rowsum
 
 
@@ -517,5 +517,5 @@ def test_masked_restriction_matches_full_relift():
     f2 = lift_rowsum(sub, restricted)
     assert np.allclose(f1.values, f2.values, atol=1e-15)
     # loss over the retained rays is identical for both routes
-    assert loss_true(A, restricted, f1, "l2") == pytest.approx(
-        loss_true(sub, restricted, f2, "l2"), rel=1e-12)
+    assert loss_true(A, restricted, f1.values, "l2") == pytest.approx(
+        loss_true(sub, restricted, f2.values, "l2"), rel=1e-12)
