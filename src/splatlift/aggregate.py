@@ -259,8 +259,8 @@ def filter_observations(obs: ObservationSet, kappa: np.ndarray, tau: float):
     """Drop observation masks whose best-matching cluster mask overlaps < tau.
 
     kappa holds the projected cluster label of every ray (-1 for none), in
-    the row order of obs. Each (view, label) observation mask is matched to
-    the projected cluster label of maximal IoU. Returns the filtered
+    the row order of obs. Each observation mask, a table row of obs, is
+    matched to the projected cluster label of maximal IoU. Returns the filtered
     ObservationSet and one record per mask, views in order and labels
     ascending.
     """
@@ -271,20 +271,21 @@ def filter_observations(obs: ObservationSet, kappa: np.ndarray, tau: float):
         raise InvalidInputError("projected labels are not aligned with the observations")
     if not (0.0 <= tau <= 1.0):
         raise InvalidInputError(f"tau must lie in [0, 1], got {tau!r}")
-    records = []
+    records, dropped = [], []
     for vid, (start, stop) in obs.view_ranges.items():
-        o_ids, o_inv = np.unique(obs.view_label_map(vid).reshape(-1), return_inverse=True)
+        # A view's table rows are its labels in ascending order; -1 is no mask.
+        o_ids, o_inv = np.unique(obs.index[start:stop], return_inverse=True)
         p_ids, p_inv = np.unique(kappa[start:stop], return_inverse=True)
-        # confusion[a, b]: rays with observed label o_ids[a] and projected p_ids[b]
+        # confusion[a, b]: rays with observed table row o_ids[a] and projected p_ids[b]
         confusion = np.bincount(o_inv * len(p_ids) + p_inv,
                                 minlength=len(o_ids) * len(p_ids)).reshape(len(o_ids), len(p_ids))
         union = confusion.sum(axis=1)[:, None] + confusion.sum(axis=0)[None, :] - confusion
         masks = o_ids >= 0  # every mask is non-empty, so its unions are too
+        mask_rows = o_ids[masks]
         scores = confusion[masks][:, p_ids >= 0] / union[masks][:, p_ids >= 0]
         best = scores.max(axis=1, initial=0.0)
         records += [MaskFilterRecord(view_id=vid, label=int(label), iou=float(score),
                                      kept=bool(score >= tau))
-                    for label, score in zip(o_ids[masks], best)]
-    drops = [(r.view_id, r.label) for r in records if not r.kept]
-    filtered = obs.drop_view_labels(drops) if drops else obs
-    return filtered, records
+                    for label, score in zip(obs.labels[mask_rows], best)]
+        dropped.append(mask_rows[best < tau])
+    return obs.masked(~np.isin(obs.index, np.concatenate(dropped))), records

@@ -2,13 +2,12 @@
 
 Exit codes: 0 success, 1 invalid input, 2 invariant violation (verify),
 3 I/O failure. The SPLATLIFT_THREADS environment variable sets the worker
-count for per-view parallel stages; option precedence is
-flags > --config file > built-in defaults, except that lambda, kernel and
-mode fall back to the field's run report before their defaults in the
-commands that reuse a field. A command that writes a field writes the
-weight matrix it was lifted with beside it (<field>.A); the commands that
-reuse the field load that matrix when its key matches their inputs and
-build it otherwise.
+count for per-view parallel stages. The settings lambda, kernel, mode and
+tau take the flag, else the --config file's value, else (lambda, kernel and
+mode, in the commands that reuse a field) the field's run report, else the
+default. A command that writes a field writes the weight matrix it was
+lifted with beside it (<field>.A); the commands that reuse the field load
+that matrix when its key matches their inputs and build it otherwise.
 """
 
 from __future__ import annotations
@@ -52,15 +51,27 @@ EXIT_IO = 3
 LIFTS = {"rowsum": lambda A, obs: lift_rowsum(A, obs),
          "rowsum2": lambda A, obs: lift_rowsum_squared(A, obs)}
 
-# The rasterizer's constants that shape A, part of every weight-matrix key.
-MATRIX_CONSTANTS = ("NEAR_PLANE", "WEIGHT_EPS", "COV_LOWPASS", "PLANAR_RADIUS_SLACK",
-                    "TRANSMITTANCE_FLOOR", "KERNEL_CUTOFF_SIGMA")
-
 # segment's threshold when the pooled scores of a query have no valley.
 FALLBACK_THRESHOLD = 0.5
 
-# The [splatlift] keys of a --config file; any other key is refused.
-CONFIG_KEYS = ("lambda", "kernel", "mode", "tau")
+
+def _choice(table):
+    def check(value):
+        if not (isinstance(value, str) and value in table):
+            raise ValueError(value)
+        return value
+    return check
+
+
+# name: (default, requirement, check). The names are the flags and the
+# [splatlift] keys of a --config file; any other key is refused. A check
+# returns the value it accepts and raises on any other.
+SETTINGS = {
+    "lambda": (1.2, "a number >= 0.1", lambda value: LiftConfig(lam=float(value)).lam),
+    "kernel": ("gaussian3d", f"one of {sorted(KERNEL_NAMES)}", _choice(KERNEL_NAMES)),
+    "mode": ("rowsum", f"one of {sorted(LIFTS)}", _choice(LIFTS)),
+    "tau": (0.6, "a number", float),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,77 +102,70 @@ def _load_config(path) -> dict:
         return {}
     config = dict(cp["splatlift"])
     for key in config:
-        if key not in CONFIG_KEYS:
-            raise InvalidInputError(f"{path}: config key {key} must be one of {list(CONFIG_KEYS)}")
-    for key, table in (("mode", LIFTS), ("kernel", KERNEL_NAMES)):
-        if key in config and config[key] not in table:
-            raise InvalidInputError(
-                f"{path}: {key} must be one of {sorted(table)}, got {config[key]!r}")
+        if key not in SETTINGS:
+            raise InvalidInputError(f"{path}: config key {key} must be one of {list(SETTINGS)}")
     return config
 
 
-def _setting(args, config: dict, name: str, default, cast, attr: str | None = None):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, attr or name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if name in config:
+def _settings(args, report_path: Path | None = None) -> dict:
+    """The value of every SETTINGS row: the flag if given, else the --config
+    value, else the run report's value at report_path when that file exists
+    (lambda, kernel and mode, which _write_field records), else the default.
+    Every value passes its row's check, whatever its source."""
+    config = _load_config(args.config)
+    picked = {}
+    for name in SETTINGS:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            picked[name] = (f"--{name}", flag)
+        elif name in config:
+            picked[name] = (args.config, config[name])
+    reported = [name for name in ("lambda", "kernel", "mode") if name not in picked]
+    if reported and report_path is not None and report_path.exists():
+        report = formats.read_run_report(report_path)
+        if not isinstance(report, dict):
+            raise InvalidInputError(f"{report_path}: a run report must be a JSON object")
+        picked.update({name: (report_path, report[name]) for name in reported if name in report})
+    settings = {}
+    for name, (default, requirement, check) in SETTINGS.items():
+        source, value = picked.get(name, ("default", default))
         try:
-            return cast(config[name])
-        except ValueError:
+            settings[name] = check(value)
+        except (TypeError, ValueError):
             raise InvalidInputError(
-                f"config {name} must be {cast.__name__}, got {config[name]!r}") from None
-    return default
+                f"{source}: {name} must be {requirement}, got {value!r}") from None
+    return settings
 
 
-def _view_observation(view, features_dir: Path):
-    """One view's observation files, checked against the view's size.
-
-    Returns (tensor, None) from <view_id>.flt, (label map, feature table)
-    from <view_id>.lbl and .lft, or None when neither file exists.
-    """
-    flt = features_dir / f"{view.view_id}.flt"
-    lbl = features_dir / f"{view.view_id}.lbl"
-    lft = features_dir / f"{view.view_id}.lft"
-    size = f"view {view.view_id!r} is {view.height}x{view.width}"
-    if flt.exists():
-        arr = formats.read_feature_tensor(flt)
-        if arr.shape[:2] != (view.height, view.width):
-            raise InvalidInputError(f"{flt}: tensor is {arr.shape[0]}x{arr.shape[1]} but {size}")
-        return arr.astype(np.float64), None
-    if not lbl.exists():
-        return None
-    if not lft.exists():
-        raise InvalidInputError(
-            f"view {view.view_id!r}: found {lbl.name} but its feature table "
-            f"{lft.name} is missing")
-    lab = formats.read_label_map(lbl)
-    if lab.shape != (view.height, view.width):
-        raise InvalidInputError(f"{lbl}: map is {lab.shape[0]}x{lab.shape[1]} but {size}")
-    table = formats.read_label_features(lft)
-    return lab, {k: v.astype(np.float64) for k, v in table.items()}
-
-
-def _load_observations(views, features_dir) -> ObservationSet:
-    """Pair every view with <view_id>.flt (dense) or <view_id>.lbl/.lft."""
-    features_dir = Path(features_dir)
-    if not features_dir.is_dir():
-        raise formats.FormatError(f"{features_dir}: not a directory")
-    dense = {}
-    labels = {}
-    tables = {}
+def _load_observations(views, directory) -> ObservationSet:
+    """Pair every view with <view_id>.flt (dense) or <view_id>.lbl and .lft
+    (label-backed) in directory, each checked against the view's size."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise formats.FormatError(f"{directory}: not a directory")
+    dense, labels, tables = {}, {}, {}
     for view in views:
-        found = _view_observation(view, features_dir)
-        if found is None:
-            raise InvalidInputError(
-                f"view {view.view_id!r}: no observation file ({view.view_id}.flt or "
-                f"{view.view_id}.lbl) in {features_dir}")
-        values, table = found
-        if table is None:
-            dense[view.view_id] = values
+        vid = view.view_id
+        flt, lbl, lft = (directory / f"{vid}{ext}" for ext in (".flt", ".lbl", ".lft"))
+        size = f"view {vid!r} is {view.height}x{view.width}"
+        if flt.exists():
+            arr = formats.read_feature_tensor(flt)
+            if arr.shape[:2] != (view.height, view.width):
+                raise InvalidInputError(
+                    f"{flt}: tensor is {arr.shape[0]}x{arr.shape[1]} but {size}")
+            dense[vid] = arr
+        elif lbl.exists():
+            if not lft.exists():
+                raise InvalidInputError(
+                    f"view {vid!r}: found {lbl.name} but its feature table {lft.name} is missing")
+            lab = formats.read_label_map(lbl)
+            if lab.shape != (view.height, view.width):
+                raise InvalidInputError(f"{lbl}: map is {lab.shape[0]}x{lab.shape[1]} but {size}")
+            labels[vid] = lab
+            tables[vid] = formats.read_label_features(lft)
         else:
-            labels[view.view_id] = values
-            tables[view.view_id] = table
+            raise InvalidInputError(
+                f"view {vid!r}: no observation file ({vid}.flt or {vid}.lbl) in {directory}")
     if dense and labels:
         raise InvalidInputError(
             "mixed dense and label-backed observation files; use one backing for all views")
@@ -170,48 +174,25 @@ def _load_observations(views, features_dir) -> ObservationSet:
     return ObservationSet.from_labels(views, labels, tables)
 
 
+def _write_label_observations(directory: Path, obs: ObservationSet) -> None:
+    """Each view's label map and feature table as <view_id>.lbl and .lft."""
+    for vid in obs.view_ranges:
+        formats.write_label_map(directory / f"{vid}.lbl", obs.view_label_map(vid))
+        formats.write_label_features(directory / f"{vid}.lft", obs.view_label_table(vid),
+                                     feature_dim=obs.feature_dim)
+
+
 # -- lift ---------------------------------------------------------------------
 
-def _lift_setup(args, config: dict, report_path: Path | None = None):
-    """Scene, views, LiftConfig, kernel name and lift mode of lift,
-    cluster-filter and segment.
-
-    lambda, kernel and mode each take the flag, else the --config value,
-    else the value in the run report at report_path when that file exists
-    (the field's report, for the commands that reuse a field), else the
-    default.
-    """
-    lam = _setting(args, config, "lambda", None, float, attr="lam")
-    kernel = _setting(args, config, "kernel", None, str)
-    mode = _setting(args, config, "mode", None, str)
-    report = {}
-    if None in (lam, kernel, mode) and report_path is not None and report_path.exists():
-        report = formats.read_run_report(report_path)
-        if not isinstance(report, dict):
-            raise InvalidInputError(f"{report_path}: a run report must be a JSON object")
-    if lam is None:
-        value = report.get("lambda", 1.2)
-        try:
-            lam = LiftConfig(lam=float(value)).lam
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"{report_path}: lambda must be a number >= 0.1, got {value!r}") from None
-
-    def named(value, key, table, default):
-        if value is None:
-            value = report.get(key, default)
-            if not isinstance(value, str) or value not in table:
-                raise InvalidInputError(
-                    f"{report_path}: {key} must be one of {sorted(table)}, got {value!r}")
-        return value
-
-    kernel = named(kernel, "kernel", KERNEL_NAMES, "gaussian3d")
-    mode = named(mode, "mode", LIFTS, "rowsum")
-    scene = formats.read_splat_ply(args.scene, kernel=KERNEL_NAMES[kernel])
-    return scene, formats.read_cameras(args.cameras), LiftConfig(lam=lam), kernel, mode
+def _lift_setup(args, report_path: Path | None = None):
+    """Scene, views and settings of lift, cluster-filter and segment; the
+    scene is read with the settings' kernel."""
+    settings = _settings(args, report_path)
+    scene = formats.read_splat_ply(args.scene, kernel=KERNEL_NAMES[settings["kernel"]])
+    return scene, formats.read_cameras(args.cameras), settings
 
 
-def _matrix_key(args, cfg: LiftConfig, kernel: str) -> bytes:
+def _matrix_key(args, settings: dict) -> bytes:
     """SHA-256 over everything that determines A: the scene and camera file
     contents, the kernel, lambda and the rasterizer's constants."""
     digest = hashlib.sha256()
@@ -219,14 +200,14 @@ def _matrix_key(args, cfg: LiftConfig, kernel: str) -> bytes:
         data = Path(path).read_bytes()
         digest.update(len(data).to_bytes(8, "little"))
         digest.update(data)
-    settings = {name: getattr(rasterize, name) for name in MATRIX_CONSTANTS}
-    settings.update(kernel=kernel, lam=cfg.lam)
-    digest.update(json.dumps(settings, sort_keys=True).encode("ascii"))
+    shaping = {name: getattr(rasterize, name) for name in rasterize.MATRIX_CONSTANTS}
+    shaping.update(kernel=settings["kernel"], lam=settings["lambda"])
+    digest.update(json.dumps(shaping, sort_keys=True).encode("ascii"))
     return digest.digest()
 
 
-def _write_field(path: Path, field: FeatureField, cfg: LiftConfig, kernel: str, mode: str,
-                 path_kind: str, rows: int, elapsed: float, matrix=None, key=None) -> None:
+def _write_field(path: Path, field: FeatureField, settings: dict, path_kind: str, rows: int,
+                 elapsed: float, matrix=None, key=None) -> None:
     """A lifted field and its run report beside it (<path>.json), and the
     weight matrix it was lifted with (<path>.A) when there is one."""
     formats.write_feature_field(path, field)
@@ -234,8 +215,8 @@ def _write_field(path: Path, field: FeatureField, cfg: LiftConfig, kernel: str, 
         formats.write_weight_matrix(str(path) + ".A", matrix, key)
     unobserved = int(field.unobserved.sum())
     formats.write_run_report(str(path) + ".json", {
-        "lambda": cfg.lam, "mode": mode, "path": path_kind, "kernel": kernel,
-        "rows": int(rows), "primitives": int(field.count),
+        "lambda": settings["lambda"], "mode": settings["mode"], "path": path_kind,
+        "kernel": settings["kernel"], "rows": int(rows), "primitives": int(field.count),
         "feature_dim": int(field.feature_dim), "timing_s": elapsed,
         "coverage": {"observed": int(field.count - unobserved), "unobserved": unobserved,
                      "mean_coverage": float(field.coverage.mean())},
@@ -243,9 +224,10 @@ def _write_field(path: Path, field: FeatureField, cfg: LiftConfig, kernel: str, 
 
 
 def _cmd_lift(args) -> int:
-    config = _load_config(args.config)
-    scene, views, cfg, kernel, mode = _lift_setup(args, config)
+    scene, views, settings = _lift_setup(args)
     obs = _load_observations(views, args.features)
+    cfg = LiftConfig(lam=settings["lambda"])
+    mode = settings["mode"]
     threads = _threads()
     started = time.perf_counter()
     if args.streaming:
@@ -262,10 +244,10 @@ def _cmd_lift(args) -> int:
         matrix = build_weight_matrix(scene, views, cfg, threads=threads)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    key = None if matrix is None else _matrix_key(args, cfg, kernel)
-    _write_field(out, field, cfg, kernel, mode, path_kind, obs.rows, elapsed, matrix, key)
+    key = None if matrix is None else _matrix_key(args, settings)
+    _write_field(out, field, settings, path_kind, obs.rows, elapsed, matrix, key)
     if args.render_views:
-        rendered = render(matrix, field.values, np.zeros(field.feature_dim))
+        rendered = render(matrix, field.values, 0.0)
         rdir = Path(args.render_views)
         rdir.mkdir(parents=True, exist_ok=True)
         for view in views:
@@ -280,30 +262,29 @@ def _cmd_lift(args) -> int:
 
 # -- cluster-filter -------------------------------------------------------------
 
-def _field_matrix(args, config: dict, field: FeatureField):
-    """Views, weight matrix, LiftConfig, kernel name, lift mode and matrix
-    key for a command that reuses a field; the scene must have as many
-    primitives as the field. The field's <field>.A is used when its key
-    matches these inputs; otherwise A is built."""
-    scene, views, cfg, kernel, mode = _lift_setup(args, config, Path(str(args.field) + ".json"))
+def _field_matrix(args, field: FeatureField):
+    """Views, weight matrix, settings and matrix key for a command that
+    reuses a field; the scene must have as many primitives as the field.
+    The field's <field>.A is used when its key matches these inputs;
+    otherwise A is built."""
+    scene, views, settings = _lift_setup(args, Path(str(args.field) + ".json"))
     if len(scene) != field.count:
         raise InvalidInputError(
             f"field has {field.count} primitives but the scene has {len(scene)}")
-    key = _matrix_key(args, cfg, kernel)
+    key = _matrix_key(args, settings)
     stored = Path(str(args.field) + ".A")
     matrix = None
     if stored.exists():
-        matrix = formats.read_weight_matrix(stored, key, views, len(scene), cfg.lam)
+        matrix = formats.read_weight_matrix(stored, key, views, len(scene), settings["lambda"])
     if matrix is None:
-        matrix = build_weight_matrix(scene, views, cfg, threads=_threads())
-    return views, matrix, cfg, kernel, mode, key
+        matrix = build_weight_matrix(scene, views, LiftConfig(lam=settings["lambda"]),
+                                     threads=_threads())
+    return views, matrix, settings, key
 
 
 def _cmd_cluster_filter(args) -> int:
-    config = _load_config(args.config)
-    tau = float(_setting(args, config, "tau", 0.6, float))
     field = formats.read_feature_field(args.field)
-    views, matrix, cfg, kernel, mode, key = _field_matrix(args, config, field)
+    views, matrix, settings, key = _field_matrix(args, field)
     obs = _load_observations(views, args.labels)
     if not obs.label_backed:
         raise InvalidInputError(
@@ -312,17 +293,11 @@ def _cmd_cluster_filter(args) -> int:
 
     assignment = cluster_features(field)
     kappa = render_labels(matrix, assignment.labels)
-    filtered, records = filter_observations(obs, kappa, tau)
+    filtered, records = filter_observations(obs, kappa, settings["tau"])
 
     out = Path(args.out)
-    labels_dir = out / "labels"
-    labels_dir.mkdir(parents=True, exist_ok=True)
-    for view in views:
-        lab = filtered.view_label_map(view.view_id)
-        formats.write_label_map(labels_dir / f"{view.view_id}.lbl", lab)
-        table = filtered.view_label_table(view.view_id)
-        formats.write_label_features(labels_dir / f"{view.view_id}.lft", table,
-                                     feature_dim=filtered.feature_dim)
+    (out / "labels").mkdir(parents=True, exist_ok=True)
+    _write_label_observations(out / "labels", filtered)
     with open(out / "filter_report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["view_id", "label", "iou", "decision"])
@@ -330,12 +305,12 @@ def _cmd_cluster_filter(args) -> int:
             writer.writerow([rec.view_id, rec.label, f"{rec.iou:.6f}", rec.decision])
     dropped = sum(1 for r in records if not r.kept)
     print(f"cluster-filter: {assignment.n_clusters} clusters, "
-          f"{dropped}/{len(records)} masks dropped at tau={tau}")
+          f"{dropped}/{len(records)} masks dropped at tau={settings['tau']}")
     if args.relift:
         started = time.perf_counter()
-        relifted = LIFTS[mode](matrix, filtered)
+        relifted = LIFTS[settings["mode"]](matrix, filtered)
         elapsed = time.perf_counter() - started
-        _write_field(out / "field.flt", relifted, cfg, kernel, mode, "matrix", obs.rows, elapsed,
+        _write_field(out / "field.flt", relifted, settings, "matrix", obs.rows, elapsed,
                      matrix, key)
         print(f"cluster-filter: re-lifted field written to {out / 'field.flt'}")
     return EXIT_OK
@@ -344,12 +319,11 @@ def _cmd_cluster_filter(args) -> int:
 # -- segment --------------------------------------------------------------------
 
 def _cmd_segment(args) -> int:
-    config = _load_config(args.config)
     field = formats.read_feature_field(args.field)
     qarr = formats.read_feature_tensor(args.query)
     query = QueryEmbedding(vector=qarr.reshape(-1).astype(np.float64),
                            name=Path(args.query).stem)
-    views, matrix, *_ = _field_matrix(args, config, field)
+    views, matrix, *_ = _field_matrix(args, field)
 
     scores = attention_scores(field, query)
     maps = render_attention(matrix, scores, views)
@@ -442,18 +416,14 @@ def _cmd_eval(args) -> int:
         raise InvalidInputError(f"{rendered_dir}: no rendered .flt tensors found")
     for path in rendered_files:
         vid = path.stem
-        arr = formats.read_feature_tensor(path).astype(np.float64)
+        arr = formats.read_feature_tensor(path)
         h, w, f = arr.shape
-        view = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h,
-                          world_to_camera=np.eye(4), view_id=vid)
-        found = _view_observation(view, gt_dir)
-        if found is None:
+        if not any((gt_dir / f"{vid}{ext}").exists() for ext in (".flt", ".lbl")):
             print(f"eval: warning: no ground truth for view {vid}, excluded")
             continue
-        values, table = found
-        gt_obs = (ObservationSet.from_dense([view], {vid: values}) if table is None
-                  else ObservationSet.from_labels([view], {vid: values}, {vid: table}))
-        rep = eval_cosine(arr.reshape(-1, f), gt_obs)
+        view = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h,
+                          world_to_camera=np.eye(4), view_id=vid)
+        rep = eval_cosine(arr.reshape(-1, f), _load_observations([view], gt_dir))
         rows.append([vid, f"{rep.mean:.6f}", rep.rays_used, rep.rays_excluded])
         total_cos += rep.mean * rep.rays_used
         total_rays += rep.rays_used
@@ -488,11 +458,9 @@ def _cmd_synth(args) -> int:
     formats.write_splat_ply(out / "scene.ply", scene)
     formats.write_cameras(out / "cameras.txt", views)
     (out / "spec.ini").write_text(spec_text)
+    _write_label_observations(out / "features", obs)
     for view in views:
         vid = view.view_id
-        formats.write_label_map(out / "features" / f"{vid}.lbl", obs.view_label_map(vid))
-        formats.write_label_features(out / "features" / f"{vid}.lft",
-                                     obs.view_label_table(vid), feature_dim=obs.feature_dim)
         start, stop = clean_matrix.view_ranges[vid]
         clean = clean_labels[start:stop].reshape(view.height, view.width)
         for obj_index, obj in enumerate(spec.objects):
@@ -541,15 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
     lifting = argparse.ArgumentParser(add_help=False)
     lifting.add_argument("--scene", required=True)
     lifting.add_argument("--cameras", required=True)
-    lifting.add_argument("--lambda", dest="lam", type=float, default=None)
-    lifting.add_argument("--kernel", choices=sorted(KERNEL_NAMES), default=None)
+    lifting.add_argument("--lambda", default=None, help=SETTINGS["lambda"][1])
+    lifting.add_argument("--kernel", default=None, help=SETTINGS["kernel"][1])
     lifting.add_argument("--config", default=None)
     lifting.add_argument("--out", required=True)
 
     lift = sub.add_parser("lift", parents=[lifting],
                           help="lift per-view observations onto primitives")
     lift.add_argument("--features", required=True)
-    lift.add_argument("--mode", choices=sorted(LIFTS), default=None)
+    lift.add_argument("--mode", default=None, help=SETTINGS["mode"][1])
     group = lift.add_mutually_exclusive_group()
     group.add_argument("--streaming", action="store_true")
     group.add_argument("--matrix", action="store_true")
@@ -561,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cluster the field, project labels, drop inconsistent masks")
     cf.add_argument("--field", required=True)
     cf.add_argument("--labels", required=True)
-    cf.add_argument("--tau", type=float, default=None)
-    cf.add_argument("--mode", choices=sorted(LIFTS), default=None)
+    cf.add_argument("--tau", default=None, help=SETTINGS["tau"][1])
+    cf.add_argument("--mode", default=None, help=SETTINGS["mode"][1])
     cf.add_argument("--relift", action="store_true")
     cf.set_defaults(func=_cmd_cluster_filter)
 

@@ -36,6 +36,10 @@ TILE_SIZE = 16
 TRANSMITTANCE_FLOOR = 1e-4
 # Kernels are cut off at this many standard deviations of the footprint.
 KERNEL_CUTOFF_SIGMA = 3.0
+# The constants above that shape A, part of every weight-matrix key; a new
+# constant that changes A belongs here too.
+MATRIX_CONSTANTS = ("NEAR_PLANE", "WEIGHT_EPS", "COV_LOWPASS", "PLANAR_RADIUS_SLACK",
+                    "TRANSMITTANCE_FLOOR", "KERNEL_CUTOFF_SIGMA")
 
 
 class WeightMatrix:
@@ -365,9 +369,9 @@ def iter_view_entries(scene: SplatScene, view: CameraView, alphas: np.ndarray):
     yield from _tile_entries(_project_scene(scene, view, alphas), view)
 
 
-def render(A: WeightMatrix, values: np.ndarray, background) -> np.ndarray:
+def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:
     """Composite per-primitive values (an array with one entry or row per
-    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * bg."""
+    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * background."""
     x = np.asarray(values, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -375,14 +379,8 @@ def render(A: WeightMatrix, values: np.ndarray, background) -> np.ndarray:
     if x.shape[0] != A.cols:
         raise InvalidInputError(
             f"value rows ({x.shape[0]}) do not match primitive count ({A.cols})")
-    bg = np.asarray(background, dtype=np.float64).reshape(-1)
-    if bg.size == 1 and x.shape[1] != 1:
-        bg = np.full(x.shape[1], bg[0])
-    if bg.size != x.shape[1]:
-        raise InvalidInputError(
-            f"background dimension ({bg.size}) does not match feature dimension ({x.shape[1]})")
     out = A.to_csr() @ x
-    out += (1.0 - A.row_sums())[:, None] * bg[None, :]
+    out += ((1.0 - A.row_sums()) * background)[:, None]
     return out[:, 0] if squeeze else out
 
 

@@ -73,17 +73,17 @@ class ObservationSet:
     One backing serves every input: a feature table (K x F) and a per-ray
     index into it, -1 for a ray with no observation. A dense tensor is one
     table row per ray. Mask-style inputs (a per-view label map plus a
-    label -> feature table) are one row per (view, label), and row_keys
-    records each row's (view_id, label); the lifts then accumulate
+    label -> feature table) are one row per (view, label), and labels
+    holds each row's label; the lifts then accumulate
     (A_obs^T L) T without materializing the R x F value matrix.
     """
 
-    def __init__(self, ranges, shapes, table, index, row_keys=None):
+    def __init__(self, ranges, shapes, table, index, labels=None):
         self.view_ranges = dict(ranges)
         self.view_shapes = dict(shapes)
         self.table = np.asarray(table, dtype=np.float64)
         self.index = np.asarray(index, dtype=np.int64)
-        self.row_keys = row_keys
+        self.labels = None if labels is None else np.asarray(labels, dtype=np.int32)
         self.feature_dim = self.table.shape[1]
         self.rows = self.index.shape[0]
 
@@ -114,7 +114,7 @@ class ObservationSet:
         ranges = view_ranges(views)
         shapes = {v.view_id: (v.height, v.width) for v in views}
         fdim = None
-        vectors, index, keys = [], [], []
+        vectors, index, labels = [], [], []
         for v in views:
             if v.view_id not in labels_by_view or v.view_id not in features_by_view:
                 raise InvalidInputError(f"missing label map or table for view {v.view_id!r}")
@@ -135,18 +135,18 @@ class ObservationSet:
                 elif vec.shape[0] != fdim:
                     raise InvalidInputError("inconsistent feature dimension in label tables")
             ids = sorted(table)
-            index.append(np.where(lab >= 0, len(keys) + np.searchsorted(ids, lab), -1))
+            index.append(np.where(lab >= 0, len(labels) + np.searchsorted(ids, lab), -1))
             vectors += [table[k] for k in ids]
-            keys += [(v.view_id, k) for k in ids]
+            labels += ids
         if fdim is None:
             raise InvalidInputError("no labeled features present in any view")
-        return cls(ranges, shapes, np.stack(vectors), np.concatenate(index), row_keys=keys)
+        return cls(ranges, shapes, np.stack(vectors), np.concatenate(index), labels=labels)
 
     # -- accessors --------------------------------------------------------
 
     @property
     def label_backed(self) -> bool:
-        return self.row_keys is not None
+        return self.labels is not None
 
     def observed_mask(self) -> np.ndarray:
         return self.index >= 0
@@ -167,14 +167,12 @@ class ObservationSet:
     def view_label_map(self, view_id: str) -> np.ndarray:
         """The view's (H, W) label map; -1 where a ray has no observation."""
         rows = self._view_rows(view_id)
-        # index -1 picks the appended last entry, which reads -1
-        labels = np.array([label for _, label in self.row_keys] + [-1], dtype=np.int32)
-        return labels[rows].reshape(self.view_shapes[view_id])
+        return np.where(rows >= 0, self.labels[rows], -1).reshape(self.view_shapes[view_id])
 
     def view_label_table(self, view_id: str) -> dict:
         """{label: feature vector} of the labels still present in the view."""
         rows = self._view_rows(view_id)
-        return {self.row_keys[k][1]: self.table[k] for k in np.unique(rows[rows >= 0])}
+        return {int(self.labels[k]): self.table[k] for k in np.unique(rows[rows >= 0])}
 
     def masked(self, keep_rows: np.ndarray) -> "ObservationSet":
         """Copy with observations outside keep_rows removed."""
@@ -182,15 +180,7 @@ class ObservationSet:
         if keep.shape[0] != self.rows:
             raise InvalidInputError("row mask length mismatch")
         return ObservationSet(self.view_ranges, self.view_shapes, self.table,
-                              np.where(keep, self.index, -1), self.row_keys)
-
-    def drop_view_labels(self, drops) -> "ObservationSet":
-        """Copy with every (view_id, label) pair in drops removed."""
-        if not self.label_backed:
-            raise InvalidInputError("observations are not label-backed")
-        drops = set(drops)
-        dropped = np.array([key in drops for key in self.row_keys] + [False])  # [-1]: none
-        return self.masked(~dropped[self.index])
+                              np.where(keep, self.index, -1), self.labels)
 
 
 def _check_alignment(A: WeightMatrix, obs: ObservationSet) -> None:

@@ -474,10 +474,17 @@ def test_relift_on_filtered_equals_restricted_subproblem():
     obs, tags = make_observations(
         render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
-    drops = [key for key, tag in tags.items() if tag.merged]
-    filtered = obs.drop_view_labels(drops)
-    keep_rows = filtered.observed_mask()
-    restricted = obs.masked(keep_rows)
+    keep = np.ones(obs.rows, dtype=bool)
+    for (vid, label), tag in tags.items():
+        if tag.merged:
+            start, stop = obs.view_ranges[vid]
+            keep[start:stop] &= obs.view_label_map(vid).reshape(-1) != label
+    filtered = obs.masked(keep)
+    assert filtered.observed_mask().sum() < obs.observed_mask().sum()
+    # The same observations without the merged masks, built from scratch.
+    restricted = ObservationSet.from_labels(
+        views, {v.view_id: filtered.view_label_map(v.view_id) for v in views},
+        {v.view_id: filtered.view_label_table(v.view_id) for v in views})
     f_filtered = lift_rowsum(A, filtered)
     f_restricted = lift_rowsum(A, restricted)
     assert np.array_equal(f_filtered.values, f_restricted.values)

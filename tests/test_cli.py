@@ -221,7 +221,7 @@ def test_config_file_precedence(fixture_dir, tmp_path):
 
 @pytest.mark.parametrize("command", ["lift", "cluster-filter", "segment"])
 @pytest.mark.parametrize("key, value", [("kernel", "foo"), ("mode", "bogus"),
-                                        ("lambda", "abc"), ("lamda", "2.0"),
+                                        ("lambda", "abc"), ("tau", "abc"), ("lamda", "2.0"),
                                         ("bins", "64")])
 def test_config_rejects_bad_value(fixture_dir, tmp_path, capsys, command, key, value):
     field = tmp_path / "field.flt"
@@ -241,6 +241,34 @@ def test_config_rejects_bad_value(fixture_dir, tmp_path, capsys, command, key, v
     out = tmp_path / "out"
     assert main([command, *geo, *extra, "--config", str(config), "--out", str(out)]) == 1
     assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "report"])
+@pytest.mark.parametrize("name, value", [("lambda", 0.05), ("kernel", "gaussian4d"),
+                                         ("mode", "rowsum3")])
+def test_every_source_of_a_setting_is_checked(fixture_dir, tmp_path, capsys, source, name,
+                                              value):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    out = tmp_path / "out"
+    argv = ["cluster-filter", *geo, "--field", str(field),
+            "--labels", str(fixture_dir / "features"), "--relift", "--out", str(out)]
+    if source == "flag":
+        argv += [f"--{name}", str(value)]
+        where = f"--{name}"
+    elif source == "config":
+        where = tmp_path / "conf.ini"
+        where.write_text(f"[splatlift]\n{name} = {value}\n")
+        argv += ["--config", str(where)]
+    else:
+        where = Path(f"{field}.json")
+        formats.write_run_report(where, {**formats.read_run_report(where), name: value})
+    assert main(argv) == 1
+    assert f"{where}: {name} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

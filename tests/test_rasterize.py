@@ -271,7 +271,7 @@ def test_render_opaque_single_splat_returns_value():
     view = frontal_view(width=3, height=3, fx=20.0)
     scene = opaque_pixel_scene([30.0], [1.0])  # alpha = 1 within fp
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    out = render(A, np.array([[2.5, -1.0]]), np.array([9.0, 9.0]))
+    out = render(A, np.array([[2.5, -1.0]]), 9.0)
     center = 1 * 3 + 1
     assert np.allclose(out[center], [2.5, -1.0], atol=1e-9)
 
@@ -280,7 +280,7 @@ def test_render_empty_row_returns_background():
     view = frontal_view(width=31, height=31, fx=400.0)
     scene = splat_at(0, 0, 1.0, scale=0.002, theta=8.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    out = render(A, np.array([[1.0]]), np.array([7.0]))
+    out = render(A, np.array([[1.0]]), 7.0)
     assert out[0, 0] == 7.0
 
 
@@ -311,7 +311,7 @@ def test_render_rejects_mismatched_shapes():
     scene = opaque_pixel_scene([2.0], [1.0])
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     with pytest.raises(InvalidInputError):
-        render(A, np.ones((5, 2)), np.zeros(2))
+        render(A, np.ones((5, 2)), 0.0)
 
 
 # -- label rendering ---------------------------------------------------------------
