@@ -14,6 +14,7 @@ import numpy as np
 
 from .model import CameraView, InvalidInputError, KernelKind, SplatScene
 from .rasterize import WeightMatrix, view_ranges
+from .solver import FeatureField
 
 FEATURE_MAGIC = b"FLT1"
 LABEL_MAGIC = b"LBL1"
@@ -27,19 +28,10 @@ class FormatError(Exception):
     """A file does not conform to its declared format."""
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    """Read n bytes; a count past the end of the file (from an untrusted
-    header) is refused before anything is allocated."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(n) if n <= left else b""
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated while reading {what}")
-    return data
-
-
-def _read_array(fh, dtype: str, count: int, path, what: str) -> np.ndarray:
-    """Read count items straight into a new array; refused, like _read_exact,
-    before anything is allocated when the file is too short."""
+def _read_array(fh, dtype, count: int, path, what: str) -> np.ndarray:
+    """Read count items straight into a new array. A count past the end of
+    the file (from an untrusted header) is refused before anything is
+    allocated."""
     out = None
     if count * np.dtype(dtype).itemsize <= os.fstat(fh.fileno()).st_size - fh.tell():
         out = np.empty(count, dtype=dtype)
@@ -48,37 +40,65 @@ def _read_array(fh, dtype: str, count: int, path, what: str) -> np.ndarray:
     return out
 
 
+def _read_header(fh, path, magic: bytes, layout: str) -> tuple:
+    """Check a container's magic and unpack the header fields that follow
+    it as "<" + layout. Every container but LFT1 starts them with its
+    version, which must be FORMAT_VERSION."""
+    found = _read_array(fh, "u1", len(magic), path, "magic").tobytes()
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r} (expected {magic!r})")
+    size = struct.calcsize("<" + layout)
+    fields = struct.unpack("<" + layout, _read_array(fh, "u1", size, path, "header").tobytes())
+    if magic != TABLE_MAGIC and fields[0] != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {fields[0]}")
+    return fields
+
+
+def _read_end(fh, path, what: str = "payload") -> None:
+    if fh.read(1):
+        raise FormatError(f"{path}: trailing bytes after {what}")
+
+
+def _write_atomic(path, magic: bytes, layout: str, header: tuple, *arrays) -> None:
+    """Write magic, the header packed as "<" + layout and each array's bytes
+    in C order. The file appears whole or not at all: it is written beside
+    its final name and then renamed over it."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + struct.pack("<" + layout, *header))
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # -- feature tensors (FLT1) --------------------------------------------------
 
 def write_feature_tensor(path, values: np.ndarray) -> None:
     """Write an (H, W, F) float32 tensor."""
-    arr = np.asarray(values, dtype=np.float32)
+    arr = np.asarray(values, dtype="<f4")
     if arr.ndim != 3:
         raise InvalidInputError(f"feature tensor must be 3-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("feature tensor values must be finite")
-    h, w, f = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<4I", FORMAT_VERSION, h, w, f))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+    _write_atomic(path, FEATURE_MAGIC, "4I", (FORMAT_VERSION, *arr.shape), arr)
 
 
 def read_feature_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} (expected {FEATURE_MAGIC!r})")
-        version, h, w, f = struct.unpack("<4I", _read_exact(fh, 16, path, "header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        payload = _read_exact(fh, 4 * h * w * f, path, "payload")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(h, w, f)
+        _, h, w, f = _read_header(fh, path, FEATURE_MAGIC, "4I")
+        arr = _read_array(fh, "<f4", h * w * f, path, "payload")
+        _read_end(fh, path)
+    try:
+        arr = arr.reshape(h, w, f)
+    except ValueError:  # no payload, but sizes whose product NumPy cannot hold
+        raise FormatError(f"{path}: tensor size {h}x{w}x{f} is out of range") from None
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{path}: payload contains non-finite values")
-    return arr.copy()
+    return arr
 
 
 # -- label maps (LBL1) + label feature tables (LFT1) --------------------------
@@ -87,87 +107,57 @@ def write_label_map(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels, dtype="<i4")
     if arr.ndim != 2:
         raise InvalidInputError(f"label map must be 2-dimensional, got shape {arr.shape}")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(LABEL_MAGIC)
-        fh.write(struct.pack("<3I", FORMAT_VERSION, h, w))
-        fh.write(arr.tobytes(order="C"))
+    _write_atomic(path, LABEL_MAGIC, "3I", (FORMAT_VERSION, *arr.shape), arr)
 
 
 def read_label_map(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != LABEL_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} (expected {LABEL_MAGIC!r})")
-        version, h, w = struct.unpack("<3I", _read_exact(fh, 12, path, "header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        payload = _read_exact(fh, 4 * h * w, path, "payload")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<i4").reshape(h, w).copy()
+        _, h, w = _read_header(fh, path, LABEL_MAGIC, "3I")
+        arr = _read_array(fh, "<i4", h * w, path, "payload").reshape(h, w)
+        _read_end(fh, path)
+    return arr
 
 
 def write_label_features(path, table: dict, feature_dim: int | None = None) -> None:
-    """Write {label id -> float32 feature vector} records (may be empty)."""
+    """Write {label id -> float32 feature vector} records (may be empty):
+    each record is the int32 label, then its F float32 values."""
     ids = sorted(int(k) for k in table)
     vecs = [np.asarray(table[i], dtype="<f4").reshape(-1) for i in ids]
-    if not ids:
-        if feature_dim is None:
-            raise InvalidInputError("an empty label feature table needs an explicit feature_dim")
-        fdim = feature_dim
-    else:
-        fdim = len(vecs[0])
+    if not ids and feature_dim is None:
+        raise InvalidInputError("an empty label feature table needs an explicit feature_dim")
+    fdim = len(vecs[0]) if ids else feature_dim
     if any(len(v) != fdim for v in vecs):
         raise InvalidInputError("label feature vectors must share one dimension")
-    with open(path, "wb") as fh:
-        fh.write(TABLE_MAGIC)
-        fh.write(struct.pack("<2I", len(ids), fdim))
-        for label, vec in zip(ids, vecs):
-            fh.write(struct.pack("<i", label))
-            fh.write(vec.tobytes(order="C"))
+    records = np.empty((len(ids), 1 + fdim), dtype="<i4")
+    records[:, 0] = ids
+    records[:, 1:] = np.array(vecs, dtype="<f4").reshape(len(ids), fdim).view("<i4")
+    _write_atomic(path, TABLE_MAGIC, "2I", (len(ids), fdim), records)
 
 
 def read_label_features(path) -> dict:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != TABLE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} (expected {TABLE_MAGIC!r})")
-        count, fdim = struct.unpack("<2I", _read_exact(fh, 8, path, "header"))
-        table = {}
-        for _ in range(count):
-            (label,) = struct.unpack("<i", _read_exact(fh, 4, path, "record id"))
-            if label in table:
-                raise FormatError(f"{path}: duplicate record for label {label}")
-            vec = np.frombuffer(_read_exact(fh, 4 * fdim, path, "record vector"), dtype="<f4")
-            table[label] = vec.copy()
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after records")
-    return table
+        count, fdim = _read_header(fh, path, TABLE_MAGIC, "2I")
+        records = _read_array(fh, "<i4", count * (1 + fdim), path, "records")
+        _read_end(fh, path, "records")
+    records = records.reshape(count, 1 + fdim)
+    ids, counts = np.unique(records[:, 0], return_counts=True)
+    if np.any(counts > 1):
+        raise FormatError(f"{path}: duplicate record for label {ids[counts > 1][0]}")
+    return dict(zip(records[:, 0].tolist(), records[:, 1:].view("<f4")))
 
 
 # -- weight matrices (WMX1) ----------------------------------------------------
 
 def write_weight_matrix(path, matrix: WeightMatrix, key: bytes) -> None:
     """Write A's CSR arrays under a key that identifies the inputs it was
-    built from. The file appears whole or not at all: it is written beside
-    its final name and then renamed over it."""
+    built from."""
     if len(key) != MATRIX_KEY_BYTES:
         raise InvalidInputError(f"a weight-matrix key has {MATRIX_KEY_BYTES} bytes, got {len(key)}")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MATRIX_MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(key)
-            fh.write(struct.pack("<3Q", matrix.rows, matrix.cols, matrix.nnz))
-            for arr, dtype in ((matrix.indptr, "<i8"), (matrix.indices, "<i8"),
-                               (matrix.weights, "<f8")):
-                fh.write(arr.astype(dtype, copy=False).tobytes(order="C"))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_atomic(path, MATRIX_MAGIC, "I32s3Q",
+                  (FORMAT_VERSION, key, matrix.rows, matrix.cols, matrix.nnz),
+                  matrix.indptr.astype("<i8", copy=False),
+                  matrix.indices.astype("<i8", copy=False),
+                  matrix.weights.astype("<f8", copy=False))
 
 
 def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> WeightMatrix | None:
@@ -179,15 +169,9 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
     raises FormatError.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != MATRIX_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} (expected {MATRIX_MAGIC!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if _read_exact(fh, MATRIX_KEY_BYTES, path, "key") != key:
+        _, stored, rows, ncols, nnz = _read_header(fh, path, MATRIX_MAGIC, "I32s3Q")
+        if stored != key:
             return None
-        rows, ncols, nnz = struct.unpack("<3Q", _read_exact(fh, 24, path, "header"))
         ranges = view_ranges(views)
         pixels = sum(stop - start for start, stop in ranges.values())
         if rows != pixels:
@@ -197,8 +181,7 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
         indptr = _read_array(fh, "<i8", rows + 1, path, "indptr")
         indices = _read_array(fh, "<i8", nnz, path, "indices")
         weights = _read_array(fh, "<f8", nnz, path, "weights")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
+        _read_end(fh, path)
     matrix = WeightMatrix(indptr, indices, weights, cols, ranges, lam)
     try:
         matrix.validate()
@@ -299,9 +282,7 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
         missing = [r for r in required if r not in names]
         if missing:
             raise FormatError(f"{path}: missing vertex properties {missing}")
-        dtype = np.dtype(fields)
-        payload = _read_exact(fh, dtype.itemsize * vertex_count, path, "vertex data")
-    verts = np.frombuffer(payload, dtype=dtype)
+        verts = _read_array(fh, np.dtype(fields), vertex_count, path, "vertex data")
     thetas = verts["opacity"].astype(np.float64)
     if thetas.size and thetas.min() >= 0.0 and thetas.max() <= 1.0:
         warnings.warn(
@@ -393,8 +374,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens[:3])
         if maxval != 255:
             raise FormatError(f"{path}: only maxval 255 is supported")
-        payload = _read_exact(fh, w * h, path, "pixels")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+        pixels = _read_array(fh, "u1", w * h, path, "pixels")
+    return pixels.reshape(h, w)
 
 
 def read_mask_pgm(path) -> np.ndarray:
@@ -409,8 +390,6 @@ def write_feature_field(path, field) -> None:
 
 
 def read_feature_field(path):
-    from .solver import FeatureField
-
     arr = read_feature_tensor(path)
     if arr.shape[1] != 1:
         raise FormatError(f"{path}: a feature field requires W = 1, got W = {arr.shape[1]}")

@@ -74,6 +74,8 @@ class SceneSpec:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"scene seed must be >= 0, got {self.seed}")
         if not self.objects:
             raise InvalidInputError("a scene spec needs at least one object")
         names = [o.name for o in self.objects]
@@ -86,70 +88,80 @@ class SceneSpec:
 
 # -- declarative text config -------------------------------------------------
 
+def _numbers(kind, count: int | None = 1):
+    """(requirement, converter) for a key of count finite numbers of kind, or
+    of one or more if count is None; a single number converts to itself."""
+    one, many = ("an integer", "integers") if kind is int else ("a number", "numbers")
+
+    def convert(raw: str):
+        values = tuple(kind(token) for token in raw.split())
+        if not values or count not in (None, len(values)) or not all(map(math.isfinite, values)):
+            raise ValueError(raw)
+        return values[0] if count == 1 else values
+    return (one if count == 1 else f"{count or 'one or more'} {many}"), convert
+
+
+def _merge_pairs(raw: str) -> tuple:
+    pairs = tuple(tuple(p.split("+")) for p in raw.split())
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(raw)
+    return pairs
+
+
+# section -> key -> (requirement, converter); [object:*] sections share
+# "object". A converter raises on text it refuses, and an absent key takes
+# the dataclass default.
+_SPEC_KEYS = {
+    "scene": {"seed": _numbers(int),
+              "kernel": (f"one of {sorted(KERNEL_NAMES)}", lambda raw: KERNEL_NAMES[raw.lower()])},
+    "views": {**dict.fromkeys(("count", "width", "height"), _numbers(int)),
+              **dict.fromkeys(("focal", "radius", "height_offset", "span_degrees"),
+                              _numbers(float)),
+              "target": _numbers(float, 3)},
+    "noise": {"fraction": _numbers(float), "merge": ("name+name pairs", _merge_pairs)},
+    "object": {"shape": ("wall or disk", str), "count": _numbers(int),
+               "theta": _numbers(float, None), "feature": _numbers(float, None),
+               "center": _numbers(float, 3), "extent": _numbers(float),
+               "scale_factor": _numbers(float)},
+}
+
+
 def parse_scene_spec(text: str) -> SceneSpec:
     """Parse the INI-style scene description (see scenes/*.ini)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise InvalidInputError(f"malformed scene spec: {exc}") from exc
 
-    def floats(raw):
-        return tuple(float(t) for t in raw.split())
-
-    scene_sec = cp["scene"] if cp.has_section("scene") else {}
-    seed = int(scene_sec.get("seed", 0))
-    kernel_name = scene_sec.get("kernel", "gaussian3d").strip().lower()
-    kernel = KERNEL_NAMES.get(kernel_name)
-    if kernel is None:
-        raise InvalidInputError(f"unknown kernel {kernel_name!r}")
-
-    vs = cp["views"] if cp.has_section("views") else {}
-    views = ViewOrbit(
-        count=int(vs.get("count", 3)),
-        width=int(vs.get("width", 64)),
-        height=int(vs.get("height", 64)),
-        focal=float(vs.get("focal", 70.0)),
-        radius=float(vs.get("radius", 4.0)),
-        height_offset=float(vs.get("height_offset", 0.0)),
-        span_degrees=float(vs.get("span_degrees", 40.0)),
-        target=floats(vs.get("target", "0 0 4")),
-    )
-
-    merge_pairs = ()
-    fraction = 0.0
-    if cp.has_section("noise"):
-        ns = cp["noise"]
-        fraction = float(ns.get("fraction", 0.0))
-        raw = ns.get("merge", "").strip()
-        if raw:
-            merge_pairs = tuple(tuple(p.split("+")) for p in raw.split())
-            for pair in merge_pairs:
-                if len(pair) != 2:
-                    raise InvalidInputError(f"merge pairs must be name+name, got {pair!r}")
+    def read(section: str) -> dict:
+        keys, values = _SPEC_KEYS[section.split(":")[0]], {}
+        for key, raw in cp.items(section) if cp.has_section(section) else ():
+            if key not in keys:
+                raise InvalidInputError(f"[{section}] key {key} must be one of {list(keys)}")
+            requirement, convert = keys[key]
+            try:
+                values[key] = convert(raw)
+            except (KeyError, ValueError, OverflowError):
+                raise InvalidInputError(
+                    f"[{section}] {key} must be {requirement}, got {raw!r}") from None
+        return values
 
     objects = []
     for section in cp.sections():
-        if not section.startswith("object:"):
-            continue
-        name = section.split(":", 1)[1]
-        sec = cp[section]
-        try:
-            theta = floats(sec["theta"])
-            objects.append(ObjectSpec(
-                name=name,
-                shape=sec["shape"].strip(),
-                count=int(sec["count"]),
-                theta_range=(theta[0], theta[-1]),
-                feature=floats(sec["feature"]),
-                center=floats(sec["center"]),
-                extent=float(sec["extent"]),
-                scale_factor=float(sec.get("scale_factor", 1.0)),
-            ))
-        except KeyError as exc:
-            raise InvalidInputError(f"object {name!r} is missing key {exc}") from exc
-    return SceneSpec(seed=seed, kernel=kernel, objects=tuple(objects),
-                     views=views, noise=NoiseSpec(fraction=fraction, merge_pairs=merge_pairs))
+        if section.startswith("object:"):
+            values = read(section)
+            name = section.split(":", 1)[1]
+            for key in ("theta", "shape", "count", "feature", "center", "extent"):
+                if key not in values:
+                    raise InvalidInputError(f"object {name!r} is missing key {key!r}")
+            theta = values.pop("theta")
+            objects.append(ObjectSpec(name=name, theta_range=(theta[0], theta[-1]), **values))
+    noise = read("noise")
+    if "merge" in noise:
+        noise["merge_pairs"] = noise.pop("merge")
+    return SceneSpec(**read("scene"), objects=tuple(objects),
+                     views=ViewOrbit(**read("views")), noise=NoiseSpec(**noise))
 
 
 # -- scene construction ------------------------------------------------------

@@ -226,4 +226,6 @@ def run_suite(name: str, seed: int | None = None):
         return fn()
     if "seed" not in inspect.signature(fn).parameters:
         raise InvalidInputError(f"suite {name!r} takes no seed")
+    if seed < 0:
+        raise InvalidInputError(f"a suite seed must be >= 0, got {seed}")
     return fn(seed=seed)

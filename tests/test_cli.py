@@ -743,6 +743,8 @@ def test_eval_requires_exactly_one_mode(tmp_path, capsys):
 def test_verify_suites_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--suite", "jensen", "--seed", "7"]) == 0
+    assert main(["verify", "--suite", "jensen", "--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert main(["verify", "--suite", "mc"]) == 0
     assert main(["verify", "--suite", "dispersion", "--seed", "3"]) == 1
     report = tmp_path / "bounds.csv"

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracle import splat_scene
 from splatlift import formats
 from splatlift.formats import FormatError
-from splatlift.model import InvalidInputError, KernelKind, LiftConfig, SplatScene
-from splatlift.rasterize import build_weight_matrix
+from splatlift.model import CameraView, InvalidInputError, KernelKind, LiftConfig, SplatScene
+from splatlift.rasterize import WeightMatrix, build_weight_matrix
 from splatlift.solver import FeatureField
 from splatlift.synthbench import make_scene, two_blob_spec
 
@@ -68,18 +68,45 @@ def test_feature_tensor_trailing_bytes(tmp_path):
         formats.read_feature_tensor(path)
 
 
+# one 4096x4096 view: a WMX1 header for it asks for a 128 MiB indptr
+HUGE_VIEW = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4096, height=4096,
+                       world_to_camera=np.eye(4), view_id="huge")
+
+
 @pytest.mark.parametrize("header, reader", [
     (formats.FEATURE_MAGIC + struct.pack("<4I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1),
      formats.read_feature_tensor),
     (formats.LABEL_MAGIC + struct.pack("<3I", 1, 2**32 - 1, 2**32 - 1),
      formats.read_label_map),
+    (formats.TABLE_MAGIC + struct.pack("<2I", 1, 2**32 - 1), formats.read_label_features),
+    (formats.TABLE_MAGIC + struct.pack("<2I", 2**32 - 1, 0), formats.read_label_features),
+    (formats.MATRIX_MAGIC + struct.pack("<I32s3Q", 1, bytes(32), 4096 * 4096, 3, 2**40),
+     lambda path: formats.read_weight_matrix(path, bytes(32), [HUGE_VIEW], 3, 1.2)),
 ])
 def test_oversized_header_is_format_error(tmp_path, header, reader):
     # the header asks for far more payload than the file holds; nothing is allocated
     path = tmp_path / "huge.bin"
     path.write_bytes(header)
-    with pytest.raises(FormatError, match="truncated"):
-        reader(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_empty_payload_under_huge_sizes(tmp_path):
+    # no payload is asked for, so these headers are not truncated files
+    path = tmp_path / "t.lft"
+    path.write_bytes(formats.TABLE_MAGIC + struct.pack("<2I", 0, 2**32 - 1))
+    assert formats.read_label_features(path) == {}
+    # but NumPy cannot hold an empty tensor whose other sizes multiply past 2^63
+    path = tmp_path / "t.flt"
+    path.write_bytes(formats.FEATURE_MAGIC + struct.pack("<4I", 1, 2**32 - 1, 2**32 - 1, 0))
+    with pytest.raises(FormatError, match="out of range"):
+        formats.read_feature_tensor(path)
 
 
 # -- label maps and tables -----------------------------------------------------------
@@ -378,6 +405,45 @@ def test_weight_matrix_key_has_32_bytes(tmp_path, small_matrix):
     with pytest.raises(InvalidInputError, match="32 bytes"):
         formats.write_weight_matrix(tmp_path / "f.A", small_matrix[0], b"short")
     assert not list(tmp_path.iterdir())
+
+
+# -- the four containers' writers -----------------------------------------------------
+
+TINY_MATRIX = WeightMatrix([0, 2, 2, 3], [1, 0, 1], [0.25, 0.5, 1.0], 2, {"v": (0, 3)}, 1.2)
+
+# each writer on a tiny input, and the file's bytes packed by hand in the
+# README's layout
+CONTAINERS = {
+    "flt": (lambda path: formats.write_feature_tensor(path, [[[1.5, -2.0]], [[0.0, 4.0]]]),
+            b"FLT1" + struct.pack("<4I", 1, 2, 1, 2) + struct.pack("<4f", 1.5, -2.0, 0.0, 4.0)),
+    "lbl": (lambda path: formats.write_label_map(path, [[-1, 0, 3]]),
+            b"LBL1" + struct.pack("<3I", 1, 1, 3) + struct.pack("<3i", -1, 0, 3)),
+    "lft": (lambda path: formats.write_label_features(path, {7: [0.5, 1.0], 2: [-1.0, 2.5]}),
+            b"LFT1" + struct.pack("<2I", 2, 2) + struct.pack("<i2f", 2, -1.0, 2.5)
+            + struct.pack("<i2f", 7, 0.5, 1.0)),
+    "wmx": (lambda path: formats.write_weight_matrix(path, TINY_MATRIX, KEY),
+            b"WMX1" + struct.pack("<I", 1) + KEY + struct.pack("<3Q", 3, 2, 3)
+            + struct.pack("<4q", 0, 2, 2, 3) + struct.pack("<3q", 1, 0, 1)
+            + struct.pack("<3d", 0.25, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_writer_bytes_and_atomic_replacement(tmp_path, monkeypatch, kind):
+    write, expected = CONTAINERS[kind]
+    path = tmp_path / f"out.{kind}"
+    write(path)
+    assert path.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(formats.os, "replace", fail)
+    path.write_bytes(b"old")
+    with pytest.raises(OSError, match="rename refused"):
+        write(path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # -- malformed and corrupted headers ---------------------------------------------------

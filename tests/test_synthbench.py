@@ -204,11 +204,29 @@ def test_spec_rejects_bad_merge_pair():
         )
 
 
-def test_spec_rejects_malformed_text():
-    with pytest.raises(InvalidInputError):
-        parse_scene_spec("[object:x]\nshape = disk\n")  # missing required keys
-    with pytest.raises(InvalidInputError):
-        parse_scene_spec("not an ini at all [")
+OBJECT_A = "[object:a]\nshape = disk\ncount = 4\nfeature = 1 0\n"
+CENTER_A = "center = 0 0 4\nextent = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[object:x]\nshape = disk\n", "missing key 'theta'"),
+    ("not an ini at all [", "malformed scene spec"),
+    ("[scene]\nseed = abc\n", r"\[scene\] seed must be an integer, got 'abc'"),
+    ("[scene]\nseed = -3\n", "seed must be >= 0"),
+    ("[scene]\nseed = 7%\n", r"\[scene\] seed must be an integer, got '7%'"),
+    ("[views]\ncount = x\n", r"\[views\] count must be an integer, got 'x'"),
+    ("[views]\ntarget = 1 2\n", r"\[views\] target must be 3 numbers, got '1 2'"),
+    (OBJECT_A + "extent = abc\ncenter = 0 0 4\ntheta = 1\n", "extent must be a number, got 'abc'"),
+    (OBJECT_A + "center = 0 4\nextent = 1\ntheta = 1\n", "center must be 3 numbers, got '0 4'"),
+    (OBJECT_A + CENTER_A + "theta =\n",
+     r"\[object:a\] theta must be one or more numbers, got ''"),
+    (OBJECT_A + CENTER_A + "theta = nan\n", "theta must be one or more numbers, got 'nan'"),
+    ("[views]\nwidht = 8\n", r"\[views\] key widht must be one of \['count', 'width'"),
+], ids=["missing-keys", "not-ini", "seed-abc", "seed-negative", "seed-percent", "count-x",
+        "target-2", "extent-abc", "center-2", "theta-empty", "theta-nan", "unknown-key"])
+def test_spec_rejects_malformed_text(text, message):
+    with pytest.raises(InvalidInputError, match=message):
+        parse_scene_spec(text)
 
 
 def test_random_row_stochastic_rows_sum_exactly_one():
