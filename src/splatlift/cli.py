@@ -93,7 +93,7 @@ def _threads() -> int:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(Path(path).read_text())
     except (configparser.Error, UnicodeDecodeError) as exc:

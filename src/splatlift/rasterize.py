@@ -30,8 +30,15 @@ COV_LOWPASS = 0.3
 # Affine footprints under-estimate the perspective extent of tilted planar
 # disks; their bounding radius is inflated by this factor.
 PLANAR_RADIUS_SLACK = 1.25
-# Side in pixels of the square tiles that cull candidates before compositing.
-TILE_SIZE = 16
+# Sides in pixels of the square tiles that cull candidates before
+# compositing; each view takes the one of least estimated cost (_tile_side).
+TILE_SIDES = (4, 8, 16, 32)
+# Cost of visiting one tile, in (pixel, candidate) pairs of the kernel. With
+# any value from 6,000 to 10,000, _tile_side picked the fastest side of
+# TILE_SIDES for every view measured: 3 views each of the bundled scenes and
+# of both benchmark geometries (72x72, about 6,000 splats), one 256x256 view
+# of about 6,000 splats and two of about 30,000.
+TILE_COST = 8000.0
 # Compositing along a ray stops once its transmittance falls below this.
 TRANSMITTANCE_FLOOR = 1e-4
 # Kernels are cut off at this many standard deviations of the footprint.
@@ -149,6 +156,21 @@ def view_ranges(views) -> dict:
     return ranges
 
 
+class _SceneFrame:
+    """The view-independent part of every view's projection: the splats'
+    opacities, rotation matrices and 3D covariances (planar disks flat)."""
+
+    __slots__ = ("scene", "alphas", "rots", "planar", "cov3d")
+
+    def __init__(self, scene: SplatScene, alphas: np.ndarray):
+        self.scene, self.alphas = scene, alphas
+        self.rots = quaternions_to_rotations(scene.rotations)
+        s2 = np.exp(2.0 * scene.log_scales)
+        self.planar = scene.kernels == int(KernelKind.GAUSSIAN_2D)
+        s2[self.planar, 2] = 0.0  # planar disks have no thickness
+        self.cov3d = np.einsum("nij,nj,nkj->nik", self.rots, s2, self.rots)
+
+
 class _ViewProjection:
     """Depth-sorted non-culled footprints of one view, one array per field.
 
@@ -163,7 +185,8 @@ class _ViewProjection:
                  "axis_v", "plane_scales", "plane_t", "plane_u0", "plane_v0")
 
 
-def _project_scene(scene: SplatScene, view: CameraView, alphas: np.ndarray) -> _ViewProjection:
+def _project_scene(frame: _SceneFrame, view: CameraView) -> _ViewProjection:
+    scene, planar = frame.scene, frame.planar
     w2c = view.world_to_camera
     rot_w2c = w2c[:3, :3]
     xc = scene.positions @ rot_w2c.T + w2c[:3, 3]
@@ -175,12 +198,6 @@ def _project_scene(scene: SplatScene, view: CameraView, alphas: np.ndarray) -> _
         mean_x = view.fx * x / z + view.cx
         mean_y = view.fy * y / z + view.cy
 
-    rots = quaternions_to_rotations(scene.rotations)
-    s2 = np.exp(2.0 * scene.log_scales)
-    planar = scene.kernels == int(KernelKind.GAUSSIAN_2D)
-    s2[planar, 2] = 0.0  # planar disks have no thickness
-    cov3d = np.einsum("nij,nj,nkj->nik", rots, s2, rots)
-
     # Affine Jacobian of the perspective projection at the primitive center.
     zs = np.where(in_front, z, 1.0)
     jac = np.zeros((len(z), 2, 3))
@@ -189,7 +206,7 @@ def _project_scene(scene: SplatScene, view: CameraView, alphas: np.ndarray) -> _
     jac[:, 1, 1] = view.fy / zs
     jac[:, 1, 2] = -view.fy * y / zs**2
     m = jac @ rot_w2c
-    cov2d = np.einsum("nij,njk,nlk->nil", m, cov3d, m)
+    cov2d = np.einsum("nij,njk,nlk->nil", m, frame.cov3d, m)
     cov2d[:, 0, 0] += COV_LOWPASS
     cov2d[:, 1, 1] += COV_LOWPASS
 
@@ -204,7 +221,7 @@ def _project_scene(scene: SplatScene, view: CameraView, alphas: np.ndarray) -> _
 
     idx = np.flatnonzero(ok)
     idx = idx[np.lexsort((idx, z[idx]))]  # depth ascending, ties by index
-    rots = rots[idx]
+    rots = frame.rots[idx]
     rel = view.camera_center - scene.positions[idx]
 
     proj = _ViewProjection()
@@ -213,7 +230,7 @@ def _project_scene(scene: SplatScene, view: CameraView, alphas: np.ndarray) -> _
     d = det[idx]
     proj.conic_a, proj.conic_b, proj.conic_c = c[idx] / d, -b[idx] / d, a[idx] / d
     proj.radius = radius[idx]
-    proj.alpha = alphas[idx]
+    proj.alpha = frame.alphas[idx]
     proj.is_planar = planar[idx]
     proj.axis_u, proj.axis_v, proj.plane_normal = rots[:, :, 0], rots[:, :, 1], rots[:, :, 2]
     proj.plane_scales = np.exp(scene.log_scales[idx][:, :2])
@@ -238,86 +255,142 @@ def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
     return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
 
 
+def _tile_span(center: np.ndarray, radius: np.ndarray, side: int, pixels: int):
+    """First and last index along one axis of the tiles of the given side
+    that the intervals [center - radius, center + radius] reach; last < first
+    where an interval misses all of the axis' pixels."""
+    count = -(-pixels // side)
+    with np.errstate(invalid="ignore"):
+        first = np.clip(np.floor((center - radius) / side), 0, count)
+        last = np.clip(np.floor((center + radius) / side), -1, count - 1)
+    empty = ~(first <= last)  # NaN radii too
+    first[empty], last[empty] = 0, -1
+    return first.astype(np.int64), last.astype(np.int64)
+
+
+def _tile_side(proj: _ViewProjection, view: CameraView) -> int:
+    """The side in TILE_SIDES of least estimated kernel cost for this view:
+    TILE_COST per tile of the view plus the (pixel, candidate) pairs of the
+    tiles that each footprint's bounding square reaches."""
+    def cost(side):
+        spans = []  # pixels per footprint along each axis, 0 where it misses
+        for center, pixels in ((proj.mean_x, view.width), (proj.mean_y, view.height)):
+            first, last = _tile_span(center, proj.radius, side, pixels)
+            spans.append(np.minimum((last + 1) * side, pixels) - first * side)
+        tiles = -(-view.width // side) * -(-view.height // side)
+        return TILE_COST * tiles + float(np.dot(*spans))
+
+    return min(TILE_SIDES, key=cost)
+
+
+def _bin_footprints(proj: _ViewProjection, view: CameraView, side: int):
+    """The ids of the non-empty tiles of the given side (row-major,
+    ascending) and each one's candidates (indices into proj), front to back.
+
+    A footprint's bounding square lists its tiles, and the disk-rectangle test
+    keeps the pairs whose disk reaches a pixel of the tile. The pairs are
+    listed footprint by footprint, in depth order, so a stable sort by tile
+    keeps each tile's candidates in depth order.
+    """
+    w, h = view.width, view.height
+    x0, x1 = _tile_span(proj.mean_x, proj.radius, side, w)
+    y0, y1 = _tile_span(proj.mean_y, proj.radius, side, h)
+    nx = x1 - x0 + 1
+    per = nx * (y1 - y0 + 1)
+    cand = np.repeat(np.arange(len(per)), per)
+    ty, tx = np.divmod(np.arange(cand.size) - np.repeat(np.cumsum(per) - per, per), nx[cand])
+    tx += x0[cand]
+    ty += y0[cand]
+    left, top = tx * side, ty * side
+    mx, my = proj.mean_x[cand], proj.mean_y[cand]
+    ex = mx - np.clip(mx, left, np.minimum(left + side, w) - 1)
+    ey = my - np.clip(my, top, np.minimum(top + side, h) - 1)
+    near = ex * ex + ey * ey <= (proj.radius**2)[cand]
+    tile = (ty * -(-w // side) + tx)[near]
+    counts = np.bincount(tile)
+    stops = np.cumsum(counts[counts > 0])
+    return np.flatnonzero(counts).tolist(), np.split(
+        cand[near][np.argsort(tile, kind="stable")], stops[:-1])
+
+
 def _tile_entries(proj: _ViewProjection, view: CameraView):
-    """Yield (rows_local, cols, weights) arrays per tile of one view.
+    """Yield (rows_local, cols, weights) arrays per non-empty tile of one view.
 
     A tile's kernel values form one (candidates, rows, columns) block.
     Offsets are separable: dx depends on (candidate, column) and dy on
     (candidate, row), so only the cross term dx dy is formed per pixel, and
     the block is carried in place from the quadratic form to the weights.
-    Candidates are depth-sorted and entries come out pixel-major, so each
-    pixel's entries are in front-to-back order.
+    Candidates are depth-sorted and entries come out candidate-major, so
+    a stable sort of a tile's entries by row puts each pixel's entries in
+    front-to-back order.
     """
-    if len(proj.idx) == 0:
-        return
-    w, h, ts = view.width, view.height, TILE_SIZE
+    w, h = view.width, view.height
+    side = _tile_side(proj, view)
+    tiles_x = -(-w // side)
     r2 = proj.radius**2
-    for ty0 in range(0, h, ts):
-        ty1 = min(ty0 + ts, h)
-        for tx0 in range(0, w, ts):
-            tx1 = min(tx0 + ts, w)
-            # Disk-rectangle overlap against the tile's pixel coordinates.
-            ex = proj.mean_x - np.clip(proj.mean_x, tx0, tx1 - 1)
-            ey = proj.mean_y - np.clip(proj.mean_y, ty0, ty1 - 1)
-            cand = np.flatnonzero(ex * ex + ey * ey <= r2)
-            if cand.size == 0:
-                continue
-            n, th, tw = cand.size, ty1 - ty0, tx1 - tx0
-            xs = np.arange(tx0, tx1, dtype=np.float64)
-            ys = np.arange(ty0, ty1, dtype=np.float64)
-            dx = xs - proj.mean_x[cand, None]  # (candidates, columns)
-            dy = ys - proj.mean_y[cand, None]  # (candidates, rows)
-            dxx, dyy = dx * dx, dy * dy
+    for tile, cand in zip(*_bin_footprints(proj, view, side)):
+        ty0, tx0 = tile // tiles_x * side, tile % tiles_x * side
+        ty1, tx1 = min(ty0 + side, h), min(tx0 + side, w)
+        n, th, tw = cand.size, ty1 - ty0, tx1 - tx0
+        xs = np.arange(tx0, tx1, dtype=np.float64)
+        ys = np.arange(ty0, ty1, dtype=np.float64)
+        dx = xs - proj.mean_x[cand, None]  # (candidates, columns)
+        dy = ys - proj.mean_y[cand, None]  # (candidates, rows)
+        dxx, dyy = dx * dx, dy * dy
 
-            # A's bytes depend on this operation order, (a dxx + 2b dx dy) +
-            # c dyy, the same as the dense per-pixel kernel's.
-            quad = dy[:, :, None] * dx[:, None, :]
-            quad *= (2.0 * proj.conic_b[cand])[:, None, None]
-            quad += (proj.conic_a[cand, None] * dxx)[:, None, :]
-            quad += (proj.conic_c[cand, None] * dyy)[:, :, None]
-            quad *= -0.5
-            sigma = np.exp(quad, out=quad)
-            planar = proj.is_planar[cand]
-            if np.any(planar):
-                px, py = np.tile(xs, th), np.repeat(ys, tw)
-                sigma[planar] = _planar_delta(proj, cand[planar], view, px, py).T.reshape(
-                    -1, th, tw)
-            d2 = dxx[:, None, :] + dyy[:, :, None]
-            sigma[d2 > r2[cand, None, None]] = 0.0
-            sigma *= proj.alpha[cand, None, None]
+        # A's bytes depend on this operation order, (a dxx + 2b dx dy) +
+        # c dyy, the same as the dense per-pixel kernel's.
+        quad = dy[:, :, None] * dx[:, None, :]
+        quad *= (2.0 * proj.conic_b[cand])[:, None, None]
+        quad += (proj.conic_a[cand, None] * dxx)[:, None, :]
+        quad += (proj.conic_c[cand, None] * dyy)[:, :, None]
+        quad *= -0.5
+        sigma = np.exp(quad, out=quad)
+        planar = proj.is_planar[cand]
+        if np.any(planar):
+            px, py = np.tile(xs, th), np.repeat(ys, tw)
+            sigma[planar] = _planar_delta(proj, cand[planar], view, px, py).T.reshape(
+                -1, th, tw)
+        d2 = dxx[:, None, :] + dyy[:, :, None]
+        sigma[d2 > r2[cand, None, None]] = 0.0
+        sigma *= proj.alpha[cand, None, None]
 
-            # Transmittance in front of each candidate, per pixel, in d2's
-            # buffer.
-            t_prefix = d2
-            t_prefix[0] = 1.0
-            np.subtract(1.0, sigma[:-1], out=t_prefix[1:])
-            np.multiply.accumulate(t_prefix[1:], axis=0, out=t_prefix[1:])
-            keep = t_prefix >= TRANSMITTANCE_FLOOR
-            omega = np.multiply(sigma, t_prefix, out=sigma)
-            keep &= omega >= WEIGHT_EPS
-            if not np.any(keep):
-                continue
-            pk, ck = np.nonzero(keep.reshape(n, -1).T)
-            row, col = np.divmod(pk, tw)
-            yield (ty0 + row) * w + tx0 + col, proj.idx[cand[ck]], omega.reshape(n, -1)[ck, pk]
+        # Transmittance in front of each candidate, per pixel, in d2's
+        # buffer.
+        t_prefix = d2
+        t_prefix[0] = 1.0
+        np.subtract(1.0, sigma[:-1], out=t_prefix[1:])
+        np.multiply.accumulate(t_prefix[1:], axis=0, out=t_prefix[1:])
+        keep = t_prefix >= TRANSMITTANCE_FLOOR
+        omega = np.multiply(sigma, t_prefix, out=sigma)
+        keep &= omega >= WEIGHT_EPS
+        flat = np.flatnonzero(keep)
+        if flat.size == 0:
+            continue
+        ck, pk = np.divmod(flat, th * tw)
+        pixel_rows = (np.arange(ty0, ty1)[:, None] * w + np.arange(tx0, tx1)).ravel()
+        yield pixel_rows[pk], proj.idx[cand][ck], omega.ravel()[flat]
 
 
-def _build_view(scene: SplatScene, view: CameraView, alphas: np.ndarray):
+def _build_view(view: CameraView, frame: _SceneFrame):
     """Sparse weight arrays (indptr, indices, weights) for one view."""
-    tiles = list(_tile_entries(_project_scene(scene, view, alphas), view))
+    tiles = list(_tile_entries(_project_scene(frame, view), view))
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
     if not tiles:
         return indptr, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
     rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
     # A stable sort keeps each row's entries in the depth order they came in.
-    order = np.argsort(rows, kind="stable")
+    # NumPy sorts 16-bit keys stably by radix, several times faster.
+    order = np.argsort(rows.astype(np.uint16) if view.pixel_count <= 1 << 16 else rows,
+                       kind="stable")
     np.cumsum(np.bincount(rows, minlength=view.pixel_count), out=indptr[1:])
     return indptr, cols[order], weights[order]
 
 
 def _map_views(scene: SplatScene, views, cfg: LiftConfig, threads: int, view_fn,
                expected_ranges: dict | None = None):
-    """Check the inputs once, then run view_fn(view, alphas) for every view.
+    """Check the inputs once, then run view_fn(view, frame) for every view,
+    with the scene's view-independent _SceneFrame at cfg's opacities.
 
     Returns the views' row ranges and the per-view results in view order;
     with threads > 1 the views run on a thread pool. When expected_ranges is
@@ -331,11 +404,11 @@ def _map_views(scene: SplatScene, views, cfg: LiftConfig, threads: int, view_fn,
     ranges = view_ranges(views)
     if expected_ranges is not None and ranges != expected_ranges:
         raise InvalidInputError("views and observations are not aligned")
-    alphas = polarized_opacities(scene.thetas, cfg.lam)
+    frame = _SceneFrame(scene, polarized_opacities(scene.thetas, cfg.lam))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return ranges, list(pool.map(lambda view: view_fn(view, alphas), views))
-    return ranges, [view_fn(view, alphas) for view in views]
+            return ranges, list(pool.map(lambda view: view_fn(view, frame), views))
+    return ranges, [view_fn(view, frame) for view in views]
 
 
 def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
@@ -346,8 +419,7 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     are merged in fixed (view, row, depth) order regardless of thread count.
     """
     cfg = cfg or LiftConfig()
-    ranges, chunks = _map_views(scene, views, cfg, threads,
-                                lambda view, alphas: _build_view(scene, view, alphas))
+    ranges, chunks = _map_views(scene, views, cfg, threads, _build_view)
     indptrs, indices, weights = zip(*chunks)
     offsets = np.cumsum([0] + [len(part) for part in indices])
     row_ends = [p[1:] + offset for p, offset in zip(indptrs, offsets)]
@@ -363,10 +435,11 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     return matrix
 
 
-def iter_view_entries(scene: SplatScene, view: CameraView, alphas: np.ndarray):
+def iter_view_entries(frame: _SceneFrame, view: CameraView):
     """Streaming access to one view's weight entries without materializing A:
-    (rows_local, cols, weights) per tile, given the splats' opacities."""
-    yield from _tile_entries(_project_scene(scene, view, alphas), view)
+    (rows_local, cols, weights) per tile, given the frame that _map_views
+    passes to its view function."""
+    yield from _tile_entries(_project_scene(frame, view), view)
 
 
 def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:

@@ -254,10 +254,10 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
         raise InvalidInputError(f"unknown lift mode {mode!r}")
     squared = mode == "rowsum2"
 
-    def accumulate_view(view, alphas):
+    def accumulate_view(view, frame):
         start, _ = obs.view_ranges[view.view_id]
         tiles = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
-                 *iter_view_entries(scene, view, alphas)]
+                 *iter_view_entries(frame, view)]
         rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
         rows += start
         keep = obs.index[rows] >= 0

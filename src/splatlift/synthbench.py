@@ -88,17 +88,21 @@ class SceneSpec:
 
 # -- declarative text config -------------------------------------------------
 
-def _numbers(kind, count: int | None = 1):
-    """(requirement, converter) for a key of count finite numbers of kind, or
-    of one or more if count is None; a single number converts to itself."""
+def _numbers(kind, counts: tuple | None = (1,)):
+    """(requirement, converter) for a key of finite numbers of kind, as many
+    as one of counts, or one or more if counts is None; a key of exactly one
+    number converts to the number itself."""
     one, many = ("an integer", "integers") if kind is int else ("a number", "numbers")
 
     def convert(raw: str):
         values = tuple(kind(token) for token in raw.split())
-        if not values or count not in (None, len(values)) or not all(map(math.isfinite, values)):
+        if (not values or (counts is not None and len(values) not in counts)
+                or not all(map(math.isfinite, values))):
             raise ValueError(raw)
-        return values[0] if count == 1 else values
-    return (one if count == 1 else f"{count or 'one or more'} {many}"), convert
+        return values[0] if counts == (1,) else values
+    if counts == (1,):
+        return one, convert
+    return f"{' or '.join(map(str, counts)) if counts else 'one or more'} {many}", convert
 
 
 def _merge_pairs(raw: str) -> tuple:
@@ -117,11 +121,11 @@ _SPEC_KEYS = {
     "views": {**dict.fromkeys(("count", "width", "height"), _numbers(int)),
               **dict.fromkeys(("focal", "radius", "height_offset", "span_degrees"),
                               _numbers(float)),
-              "target": _numbers(float, 3)},
+              "target": _numbers(float, (3,))},
     "noise": {"fraction": _numbers(float), "merge": ("name+name pairs", _merge_pairs)},
     "object": {"shape": ("wall or disk", str), "count": _numbers(int),
-               "theta": _numbers(float, None), "feature": _numbers(float, None),
-               "center": _numbers(float, 3), "extent": _numbers(float),
+               "theta": _numbers(float, (1, 2)), "feature": _numbers(float, None),
+               "center": _numbers(float, (3,)), "extent": _numbers(float),
                "scale_factor": _numbers(float)},
 }
 

@@ -125,48 +125,59 @@ def reference_rows(scene, views, cfg, tol=1e-9):
     return rows
 
 
+def scanned_tiles(proj, view, side):
+    """Per tile of the given side, in row-major order, the footprints whose
+    disk reaches a pixel of the tile (ascending, which is depth order), by
+    testing every footprint against every tile: {tile id: candidates}."""
+    w, h = view.width, view.height
+    tiles = {}
+    for ty0 in range(0, h, side):
+        for tx0 in range(0, w, side):
+            ex = proj.mean_x - np.clip(proj.mean_x, tx0, min(tx0 + side, w) - 1)
+            ey = proj.mean_y - np.clip(proj.mean_y, ty0, min(ty0 + side, h) - 1)
+            cand = np.flatnonzero(ex * ex + ey * ey <= proj.radius**2)
+            if cand.size:
+                tiles[ty0 // side * -(-w // side) + tx0 // side] = cand
+    return tiles
+
+
 def dense_tile_entries(proj, view):
-    """The tile kernel on flat (pixels x candidates) arrays: per tile of
-    rasterize.TILE_SIZE, the (rows_local, cols, weights) the rasterizer
-    yields for a projected view, pixel-major and front to back within a
-    pixel. It evaluates (a dxx + 2b dxy) + c dyy per (pixel, candidate) pair
-    and takes each pixel's transmittance with one cumprod along its row."""
+    """The tile kernel on flat (pixels x candidates) arrays: per tile of the
+    side rasterize._tile_side picks, with the candidates of scanned_tiles,
+    the (rows_local, cols, weights) the rasterizer yields for a projected
+    view, pixel-major and front to back within a pixel. It evaluates
+    (a dxx + 2b dxy) + c dyy per (pixel, candidate) pair and takes each
+    pixel's transmittance with one cumprod along its row."""
     if len(proj.idx) == 0:
         return
-    w, h, ts = view.width, view.height, rasterize.TILE_SIZE
+    w, h, ts = view.width, view.height, rasterize._tile_side(proj, view)
     r2 = proj.radius**2
-    for ty0 in range(0, h, ts):
-        ty1 = min(ty0 + ts, h)
-        for tx0 in range(0, w, ts):
-            tx1 = min(tx0 + ts, w)
-            ex = proj.mean_x - np.clip(proj.mean_x, tx0, tx1 - 1)
-            ey = proj.mean_y - np.clip(proj.mean_y, ty0, ty1 - 1)
-            cand = np.flatnonzero(ex * ex + ey * ey <= r2)
-            if cand.size == 0:
-                continue
-            gy, gx = np.mgrid[ty0:ty1, tx0:tx1]
-            rows_local = (gy * w + gx).ravel()
-            px, py = gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
-            dx = px[:, None] - proj.mean_x[cand]
-            dy = py[:, None] - proj.mean_y[cand]
-            dxx, dxy, dyy = dx * dx, dx * dy, dy * dy
+    for tile, cand in scanned_tiles(proj, view, ts).items():
+        ty0, tx0 = tile // -(-w // ts) * ts, tile % -(-w // ts) * ts
+        ty1, tx1 = min(ty0 + ts, h), min(tx0 + ts, w)
+        gy, gx = np.mgrid[ty0:ty1, tx0:tx1]
+        rows_local = (gy * w + gx).ravel()
+        px, py = gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
+        dx = px[:, None] - proj.mean_x[cand]
+        dy = py[:, None] - proj.mean_y[cand]
+        dxx, dxy, dyy = dx * dx, dx * dy, dy * dy
 
-            quad = (proj.conic_a[cand] * dxx + 2.0 * proj.conic_b[cand] * dxy
-                    + proj.conic_c[cand] * dyy)
-            delta = np.exp(-0.5 * quad)
-            planar = proj.is_planar[cand]
-            if np.any(planar):
-                delta[:, planar] = rasterize._planar_delta(proj, cand[planar], view, px, py)
-            sigma = proj.alpha[cand] * np.where(dxx + dyy <= r2[cand], delta, 0.0)
+        quad = (proj.conic_a[cand] * dxx + 2.0 * proj.conic_b[cand] * dxy
+                + proj.conic_c[cand] * dyy)
+        delta = np.exp(-0.5 * quad)
+        planar = proj.is_planar[cand]
+        if np.any(planar):
+            delta[:, planar] = rasterize._planar_delta(proj, cand[planar], view, px, py)
+        sigma = proj.alpha[cand] * np.where(dxx + dyy <= r2[cand], delta, 0.0)
 
-            t_prefix = np.ones_like(sigma)
-            np.cumprod(1.0 - sigma[:, :-1], axis=1, out=t_prefix[:, 1:])
-            omega = sigma * t_prefix
-            keep = (t_prefix >= TRANSMITTANCE_FLOOR) & (omega >= WEIGHT_EPS)
-            if not np.any(keep):
-                continue
-            pk, ck = np.nonzero(keep)
-            yield rows_local[pk], proj.idx[cand[ck]], omega[pk, ck]
+        t_prefix = np.ones_like(sigma)
+        np.cumprod(1.0 - sigma[:, :-1], axis=1, out=t_prefix[:, 1:])
+        omega = sigma * t_prefix
+        keep = (t_prefix >= TRANSMITTANCE_FLOOR) & (omega >= WEIGHT_EPS)
+        if not np.any(keep):
+            continue
+        pk, ck = np.nonzero(keep)
+        yield rows_local[pk], proj.idx[cand[ck]], omega[pk, ck]
 
 
 def row_entries(A, i):

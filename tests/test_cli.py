@@ -221,8 +221,8 @@ def test_config_file_precedence(fixture_dir, tmp_path):
 
 @pytest.mark.parametrize("command", ["lift", "cluster-filter", "segment"])
 @pytest.mark.parametrize("key, value", [("kernel", "foo"), ("mode", "bogus"),
-                                        ("lambda", "abc"), ("tau", "abc"), ("lamda", "2.0"),
-                                        ("bins", "64")])
+                                        ("lambda", "abc"), ("lambda", "1%"), ("tau", "abc"),
+                                        ("lamda", "2.0"), ("bins", "64")])
 def test_config_rejects_bad_value(fixture_dir, tmp_path, capsys, command, key, value):
     field = tmp_path / "field.flt"
     geo = ["--scene", str(fixture_dir / "scene.ply"),

@@ -9,6 +9,7 @@ from oracle import (
     onehot_label_votes,
     reference_rows,
     row_entries,
+    scanned_tiles,
     splat_scene,
 )
 from splatlift import rasterize
@@ -217,13 +218,14 @@ def test_tile_culling_matches_single_tile_build(monkeypatch):
     # One tile spanning the whole view is the no-tile-culling reference. A
     # pixel's non-zero sigma sequence is the same for every tile side (each
     # zero multiplies the transmittance by exactly 1), so volumetric kernels
-    # give the same bytes at every side.
+    # give the same bytes at every side. A single allowed side fixes the
+    # side that the chooser picks.
     rng = np.random.default_rng(9)
     scene = splat_scene(rng.uniform([-0.8, -0.8, 2], [0.8, 0.8, 4], size=(50, 3)), 0.15, 2.0)
     view = frontal_view(width=33, height=33, fx=45.0)
     builds = {}
     for tile_size in (1, 5, 8, 16, 64):
-        monkeypatch.setattr(rasterize, "TILE_SIZE", tile_size)
+        monkeypatch.setattr(rasterize, "TILE_SIDES", (tile_size,))
         builds[tile_size] = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     whole = builds.pop(64)
     for tiled in builds.values():
@@ -242,7 +244,7 @@ def test_tile_culling_matches_single_tile_build_on_mixed_kernels(monkeypatch):
                        width=33, height=33, view_id="a")
     builds = {}
     for tile_size in (1, 5, 8, 16, 64):
-        monkeypatch.setattr(rasterize, "TILE_SIZE", tile_size)
+        monkeypatch.setattr(rasterize, "TILE_SIDES", (tile_size,))
         builds[tile_size] = build_weight_matrix(scene, [view], LiftConfig(lam=1.2))
     whole = builds.pop(64)
     assert whole.nnz > 5 * whole.rows
@@ -484,16 +486,24 @@ def test_matrix_matches_per_ray_oracle_on_mixed_kernels():
     assert A.nnz > 5 * A.rows  # the rays overlap many splats
 
 
+def project(scene, view, lam):
+    frame = rasterize._SceneFrame(scene, polarized_opacities(scene.thetas, lam))
+    return rasterize._project_scene(frame, view)
+
+
 def tiles_matching_dense_reference(scene, view, lam):
     """The projection and the tile kernel's yields, after checking that each
-    tile's (rows, cols, weights) have the dense kernel's dtypes and bytes."""
-    proj = rasterize._project_scene(scene, view, polarized_opacities(scene.thetas, lam))
+    tile's (rows, cols, weights) have the dense kernel's dtypes and bytes.
+    The kernel yields a tile's entries candidate-major, the dense kernel
+    pixel-major; both are compared in (row, depth) order."""
+    proj = project(scene, view, lam)
     tiles = list(rasterize._tile_entries(proj, view))
     reference = list(dense_tile_entries(proj, view))
     assert len(tiles) == len(reference) > 0
     for got, want in zip(tiles, reference):
+        order = np.argsort(got[0], kind="stable")
         for g, r in zip(got, want):
-            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+            assert g.dtype == r.dtype and g[order].tobytes() == r.tobytes()
     return proj, tiles
 
 
@@ -515,6 +525,47 @@ def test_tile_kernel_matches_dense_reference_bytewise(side, lam):
     lone = SplatScene([[0.3, -0.2, 3.0]], np.log([[0.2, 0.1, 0.15]]), [[0.9, 0.2, -0.3, 0.1]],
                       [3.0], [KernelKind.GAUSSIAN_2D])
     tiles_matching_dense_reference(lone, view, lam)
+
+
+@pytest.mark.parametrize("side", [1, 3, 8, 16, 40])
+def test_binned_tiles_match_a_scan_of_every_footprint(side):
+    # Centres on and off the view, three footprints larger than the view and
+    # splats whose disks miss it; each tile's candidates must be the scan's,
+    # in depth order (the scan lists them by ascending depth rank).
+    rng = np.random.default_rng(side)
+    n = 300
+    log_scales = np.log(rng.uniform(0.04, 0.3, size=(n, 3)))
+    log_scales[:3] = np.log(3.0)
+    scene = SplatScene(rng.uniform([-2.5, -2.5, 2.5], [2.5, 2.5, 4.0], size=(n, 3)), log_scales,
+                       rng.normal(size=(n, 4)), rng.uniform(-2.0, 6.0, n), rng.integers(0, 2, n))
+    view = turned_view(0.2, [0, 0, 3.2], 3.2, fx=30.0, fy=28.0, cx=14.6, cy=12.3,
+                       width=29, height=25, view_id="a")
+    proj = project(scene, view, 1.2)
+    ids, cands = rasterize._bin_footprints(proj, view, side)
+    assert len(ids) == len(cands)
+    scanned = scanned_tiles(proj, view, side)
+    assert ids == list(scanned)
+    for got, want in zip(cands, scanned.values()):
+        assert got.tolist() == want.tolist()
+
+    listed = np.unique(np.concatenate(cands))
+    inside = ((proj.mean_x >= 0) & (proj.mean_x <= view.width - 1)
+              & (proj.mean_y >= 0) & (proj.mean_y <= view.height - 1))
+    assert np.count_nonzero(proj.radius > view.width) >= 3
+    assert np.isin(np.flatnonzero(~inside), listed).any()  # off-screen centres reach in
+    assert len(listed) < len(proj.idx)  # and some footprints miss the view
+
+
+def test_tile_side_weighs_tiles_against_pixel_pairs(monkeypatch):
+    # Without a per-tile cost the smallest side evaluates the fewest pairs;
+    # a lone small footprint makes the tile count decide.
+    view = frontal_view(width=64, height=64, fx=60.0)
+    dense = project(splat_scene(np.random.default_rng(2).uniform(
+        [-0.5, -0.5, 2], [0.5, 0.5, 3], size=(200, 3)), 0.02, 2.0), view, 1.0)
+    lone = project(splat_at(0.0, 0.0, 2.0, scale=0.02), view, 1.0)
+    assert rasterize._tile_side(lone, view) == max(rasterize.TILE_SIDES)
+    monkeypatch.setattr(rasterize, "TILE_COST", 0.0)
+    assert rasterize._tile_side(dense, view) == min(rasterize.TILE_SIDES)
 
 
 def matrix(indptr, indices, weights, cols):

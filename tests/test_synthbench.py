@@ -218,15 +218,23 @@ CENTER_A = "center = 0 0 4\nextent = 1\n"
     ("[views]\ntarget = 1 2\n", r"\[views\] target must be 3 numbers, got '1 2'"),
     (OBJECT_A + "extent = abc\ncenter = 0 0 4\ntheta = 1\n", "extent must be a number, got 'abc'"),
     (OBJECT_A + "center = 0 4\nextent = 1\ntheta = 1\n", "center must be 3 numbers, got '0 4'"),
-    (OBJECT_A + CENTER_A + "theta =\n",
-     r"\[object:a\] theta must be one or more numbers, got ''"),
-    (OBJECT_A + CENTER_A + "theta = nan\n", "theta must be one or more numbers, got 'nan'"),
+    (OBJECT_A + CENTER_A + "theta =\n", r"\[object:a\] theta must be 1 or 2 numbers, got ''"),
+    (OBJECT_A + CENTER_A + "theta = nan\n", "theta must be 1 or 2 numbers, got 'nan'"),
+    (OBJECT_A + CENTER_A + "theta = 9 100 11\n", "theta must be 1 or 2 numbers, got '9 100 11'"),
+    ("[object:a]\nfeature =\n", r"\[object:a\] feature must be one or more numbers, got ''"),
     ("[views]\nwidht = 8\n", r"\[views\] key widht must be one of \['count', 'width'"),
 ], ids=["missing-keys", "not-ini", "seed-abc", "seed-negative", "seed-percent", "count-x",
-        "target-2", "extent-abc", "center-2", "theta-empty", "theta-nan", "unknown-key"])
+        "target-2", "extent-abc", "center-2", "theta-empty", "theta-nan", "theta-3",
+        "feature-empty", "unknown-key"])
 def test_spec_rejects_malformed_text(text, message):
     with pytest.raises(InvalidInputError, match=message):
         parse_scene_spec(text)
+
+
+@pytest.mark.parametrize("theta, theta_range", [("9", (9.0, 9.0)), ("9 11", (9.0, 11.0))])
+def test_spec_theta_is_one_number_or_a_range(theta, theta_range):
+    spec = parse_scene_spec(OBJECT_A + CENTER_A + f"theta = {theta}\n")
+    assert spec.objects[0].theta_range == theta_range
 
 
 def test_random_row_stochastic_rows_sum_exactly_one():
