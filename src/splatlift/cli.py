@@ -223,6 +223,17 @@ def _write_field(path: Path, field: FeatureField, settings: dict, path_kind: str
     })
 
 
+def _render_field(matrix, field: FeatureField, obs: ObservationSet) -> np.ndarray:
+    """The lifted field composited to every ray of matrix, with background
+    0. A x costs nnz(A) F products; with the lift's table weights
+    G (x = G T, T the K x F feature table), (A G) T costs nnz(A) K + R K F,
+    the second term a dense product. The table route is taken when K < F.
+    """
+    if len(obs.table) < obs.feature_dim:
+        return render(matrix, field.table_weights.toarray(), 0.0, table=obs.table)
+    return render(matrix, field.values, 0.0)
+
+
 def _cmd_lift(args) -> int:
     scene, views, settings = _lift_setup(args)
     obs = _load_observations(views, args.features)
@@ -247,7 +258,7 @@ def _cmd_lift(args) -> int:
     key = None if matrix is None else _matrix_key(args, settings)
     _write_field(out, field, settings, path_kind, obs.rows, elapsed, matrix, key)
     if args.render_views:
-        rendered = render(matrix, field.values, 0.0)
+        rendered = _render_field(matrix, field, obs)
         rdir = Path(args.render_views)
         rdir.mkdir(parents=True, exist_ok=True)
         for view in views:

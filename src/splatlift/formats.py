@@ -230,7 +230,8 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
 
     Assumes the opacity property stores raw logits (pre-sigmoid). If every
     value lies inside [0, 1] the file likely stores activated opacities and
-    a loud warning is emitted.
+    a loud warning is emitted. Values that SplatScene refuses raise
+    InvalidInputError; a malformed file raises FormatError.
     """
     with open(path, "rb") as fh:
         line = fh.readline().strip()
@@ -297,7 +298,9 @@ def read_splat_ply(path, kernel: KernelKind = KernelKind.GAUSSIAN_3D) -> SplatSc
             kernels=kernel,
         )
     except InvalidInputError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        # A well-formed file that describes no valid scene is invalid
+        # input, not a format error.
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 # -- camera lists (text) -------------------------------------------------------

@@ -97,6 +97,11 @@ class SplatScene:
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(log_scales))
                 and np.all(np.isfinite(rotations)) and np.all(np.isfinite(thetas))):
             raise InvalidInputError("scene arrays must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.exp(2.0 * log_scales))):
+                raise InvalidInputError(
+                    "log-scales must keep the variance exp(2 s) finite in float64 "
+                    f"(s up to about 354.89), got {log_scales.max()!r}")
         norms = np.linalg.norm(rotations, axis=1, keepdims=True)
         if np.any(norms < 1e-12):
             raise InvalidInputError("zero-norm quaternion cannot be normalized")

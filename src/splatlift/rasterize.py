@@ -65,6 +65,7 @@ class WeightMatrix:
         self.view_ranges = dict(view_ranges)
         self.lambda_used = float(lambda_used)
         self._csr = None
+        self._row_sums = None
 
     @property
     def rows(self) -> int:
@@ -79,7 +80,12 @@ class WeightMatrix:
         return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
 
     def row_sums(self) -> np.ndarray:
-        return np.bincount(self.entry_rows(), weights=self.weights, minlength=self.rows)
+        """Each row's weight sum, computed once (read-only)."""
+        if self._row_sums is None:
+            self._row_sums = np.bincount(self.entry_rows(), weights=self.weights,
+                                         minlength=self.rows)
+            self._row_sums.setflags(write=False)
+        return self._row_sums
 
     def covered_rows(self) -> np.ndarray:
         return np.diff(self.indptr) > 0
@@ -102,12 +108,14 @@ class WeightMatrix:
             raise InvalidInputError("weights must be finite")
         if self.nnz and (self.weights.min() <= 0.0 or self.weights.max() > 1.0):
             raise InvalidInputError("weights must lie in (0, 1]")
-        # One entry-sized temporary: the row of each entry, then its key.
-        keys = self.entry_rows()
-        sums = np.bincount(keys, weights=self.weights, minlength=self.rows)
+        sums = self.row_sums()
         if sums.size and sums.max() > 1.0 + 1e-6:
             raise InvalidInputError(f"row sum exceeds 1: {sums.max()}")
-        keys *= self.cols
+        # Keys row * cols + index, all below rows * cols: int32 when that
+        # fits, which halves the bytes that the sort moves.
+        key_type = np.int32 if self.rows * self.cols <= np.iinfo(np.int32).max else np.int64
+        keys = np.repeat(np.arange(self.rows, dtype=key_type) * key_type(self.cols),
+                         np.diff(ptr))
         keys += self.indices
         keys.sort()
         dup = np.flatnonzero(keys[1:] == keys[:-1])
@@ -442,9 +450,15 @@ def iter_view_entries(frame: _SceneFrame, view: CameraView):
     yield from _tile_entries(_project_scene(frame, view), view)
 
 
-def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:
+def render(A: WeightMatrix, values: np.ndarray, background: float,
+           table: np.ndarray | None = None) -> np.ndarray:
     """Composite per-primitive values (an array with one entry or row per
-    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * background."""
+    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * background.
+
+    With a table (K x F), values are per-primitive weights over its rows
+    (P x K) that stand for x = values @ table, and the composite is formed
+    as (A values) table.
+    """
     x = np.asarray(values, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -452,7 +466,14 @@ def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray
     if x.shape[0] != A.cols:
         raise InvalidInputError(
             f"value rows ({x.shape[0]}) do not match primitive count ({A.cols})")
+    if table is not None:
+        table = np.asarray(table, dtype=np.float64)
+        if squeeze or table.ndim != 2 or table.shape[0] != x.shape[1]:
+            raise InvalidInputError(
+                f"a table needs one row per column of the values ({x.shape[1]})")
     out = A.to_csr() @ x
+    if table is not None:
+        out = out @ table
     out += ((1.0 - A.row_sums()) * background)[:, None]
     return out[:, 0] if squeeze else out
 

@@ -33,11 +33,14 @@ class FeatureField:
 
     Primitives whose accumulated weight (coverage) falls below EPS_COVERAGE
     are flagged unobserved and zero-filled rather than NaN so that
-    downstream clustering can treat them as noise.
+    downstream clustering can treat them as noise. A lift also keeps its
+    table weights: values = table_weights @ T for the observations' feature
+    table T, one sparse row per primitive, empty where values are zero-filled.
     """
 
     values: np.ndarray
     coverage: np.ndarray | None = None
+    table_weights: sp.csr_matrix | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -51,6 +54,8 @@ class FeatureField:
             if c.shape[0] != v.shape[0]:
                 raise InvalidInputError("coverage length must match primitive count")
             object.__setattr__(self, "coverage", c)
+        if self.table_weights is not None and self.table_weights.shape[0] != v.shape[0]:
+            raise InvalidInputError("table weights need one row per primitive")
 
     @property
     def count(self) -> int:
@@ -197,35 +202,39 @@ def _observed_entries(A: WeightMatrix, obs: ObservationSet):
 
 
 def _accumulate(rows, cols, weights, obs: ObservationSet, P, squared):
-    """Lift sums over weight entries: num = W^T B, den = W^T 1, cov = A^T 1.
+    """Lift sums over weight entries, in table space: M = W^T L, den = W^T 1
+    and cov = A^T 1.
 
-    W holds the entries' weights (squared for rowsum2). B = L T, with L the
-    ray-to-table-row indicator of obs.index, so num = (W^T L) T: the entries
-    are laid out as a sparse P x K matrix over the table rows, and num is
-    one sparse-dense product over all channels.
+    W holds the entries' weights (squared for rowsum2) and L is the
+    ray-to-table-row indicator of obs.index, so the lift's numerator W^T B
+    is M T for B = L T. M is a sparse P x K matrix; sums of M over views
+    stay K wide, and _finish applies T once.
     """
     w_eff = weights * weights if squared else weights
     cov = np.bincount(cols, weights=weights, minlength=P)
     den = np.bincount(cols, weights=w_eff, minlength=P)
-    num = sp.csr_matrix((w_eff, (cols, obs.index[rows])), shape=(P, len(obs.table))) @ obs.table
-    return num, den, cov
+    M = sp.csr_matrix((w_eff, (cols, obs.index[rows])), shape=(P, len(obs.table)))
+    return M, den, cov
 
 
-def _finish(num, den, cov) -> FeatureField:
-    """Divide the lift sums; primitives below EPS_COVERAGE are zero-filled."""
+def _finish(M, den, cov, table) -> FeatureField:
+    """values = (M T) / den and table weights diag(1/den) M; primitives with
+    den = 0 or coverage below EPS_COVERAGE get zero rows in both."""
     solvable = den > 0
     if not np.any(solvable):
         raise InvalidInputError("no observations: every observed ray has an empty weight row")
-    values = np.zeros_like(num)
-    values[solvable] = num[solvable] / den[solvable, None]
-    values[cov < EPS_COVERAGE] = 0.0
-    return FeatureField(values=values, coverage=cov)
+    kept = solvable & (cov >= EPS_COVERAGE)
+    values = M @ table
+    np.divide(values, den[:, None], out=values, where=kept[:, None])
+    values[~kept] = 0.0
+    scale = np.divide(1.0, den, out=np.zeros_like(den), where=kept)
+    return FeatureField(values=values, coverage=cov, table_weights=sp.diags(scale) @ M)
 
 
 def lift_rowsum(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     """Closed-form lift x_j = sum_i A_ij B_i / sum_i A_ij over observed rays."""
     sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=False)
-    return _finish(*sums)
+    return _finish(*sums, obs.table)
 
 
 def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
@@ -236,7 +245,7 @@ def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
     built with the polarized activation.
     """
     sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=True)
-    return _finish(*sums)
+    return _finish(*sums, obs.table)
 
 
 def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
@@ -245,9 +254,10 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     """Accumulate the row-sum lift during rasterization without storing A.
 
     Each view's observed entries are gathered from its tiles and accumulated
-    at once, and the per-view sums are added in view order, so the result
-    does not depend on the thread count. Matches the matrix path within
-    accumulation-order tolerance (1e-5 relative at desk scale).
+    at once, and the per-view sums (K wide, see _accumulate) are added in
+    view order, so the result does not depend on the thread count. Matches
+    the matrix path within accumulation-order tolerance (1e-5 relative at
+    desk scale).
     """
     cfg = cfg or LiftConfig()
     if mode not in ("rowsum", "rowsum2"):
@@ -266,8 +276,8 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
 
     _, parts = _map_views(scene, views, cfg, threads, accumulate_view,
                           expected_ranges=obs.view_ranges)
-    num, den, cov = (sum(view_sums) for view_sums in zip(*parts))
-    return _finish(num, den, cov)
+    M, den, cov = (sum(view_sums) for view_sums in zip(*parts))
+    return _finish(M, den, cov, obs.table)
 
 
 # -- convex losses ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
-kernel, row access to the matrix, and a dense reference for label
-compositing.
+kernel, row access to the matrix, a dense reference for label compositing
+and a table-space reference for the row-sum lifts.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -13,6 +13,7 @@ are the method's, restated here rather than read from the library.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from splatlift import rasterize
 from splatlift.model import KernelKind, SplatScene
@@ -23,6 +24,7 @@ COV_LOWPASS = 0.3
 PLANAR_RADIUS_SLACK = 1.25
 KERNEL_CUTOFF_SIGMA = 3.0
 TRANSMITTANCE_FLOOR = 1e-4
+EPS_COVERAGE = 1e-8
 
 
 def splat_scene(positions, scales, thetas, kernels=None):
@@ -196,3 +198,24 @@ def onehot_label_votes(A, labels, min_weight=0.0):
     mass = A.to_csr().toarray() @ onehot
     best = np.argmax(mass, axis=1)
     return np.where(mass[np.arange(len(best)), best] > min_weight, best - 1, -1)
+
+
+def table_lift(A, obs, squared=False):
+    """The row-sum lift (rowsum2 with squared) as (M T) / den. Over the
+    entries of observed rays, with w their weights (squared for rowsum2),
+    M[p, k] sums w over primitive p's entries on rays observing table row
+    k, den[p] sums w and the coverage sums the plain weights. A primitive
+    with den = 0 or coverage below EPS_COVERAGE gets a zero row."""
+    rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
+    table_row = obs.index[rows]
+    seen = table_row >= 0
+    cols, w = A.indices[seen], A.weights[seen]
+    w_eff = w * w if squared else w
+    M = sp.csr_matrix((w_eff, (cols, table_row[seen])), shape=(A.cols, len(obs.table)))
+    num = M @ obs.table
+    den = np.bincount(cols, weights=w_eff, minlength=A.cols)
+    coverage = np.bincount(cols, weights=w, minlength=A.cols)
+    kept = (den > 0) & (coverage >= EPS_COVERAGE)
+    x = np.zeros_like(num)
+    x[kept] = num[kept] / den[kept, None]
+    return x

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 import splatlift
 from splatlift import cli, formats, rasterize
 from splatlift.cli import main
-from splatlift.model import LiftConfig
-from splatlift.rasterize import WeightMatrix, build_weight_matrix, render_labels
-from splatlift.solver import lift_rowsum
+from splatlift.model import LiftConfig, SplatScene
+from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
+from splatlift.solver import ObservationSet, lift_rowsum
 from splatlift.synthbench import (
     SILHOUETTE_DOMINANCE,
     make_observations,
@@ -348,6 +349,52 @@ def test_lift_rejects_infinite_focal_length(fixture_dir, tmp_path, capsys):
                  "--features", str(fixture_dir / "features"), "--out", str(out)]) == 3
     assert "focal lengths must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lift_refuses_overflowing_log_scale(fixture_dir, tmp_path, capsys):
+    # two splats in view, one with log-scale 400: exp(2 s) overflows float64
+    scene = SplatScene(positions=[[0.0, 0.0, 4.0], [0.3, 0.0, 4.0]],
+                       log_scales=np.full((2, 3), -1.0), rotations=[[1.0, 0, 0, 0]] * 2,
+                       thetas=[9.0, 9.0])
+    path = tmp_path / "scene.ply"
+    formats.write_splat_ply(path, scene)
+    blob = path.read_bytes()
+    data = np.frombuffer(blob, dtype="<f4", offset=blob.index(b"end_header\n") + 11).copy()
+    data.reshape(2, -1)[1, 10] = 400.0  # scale_0 of the second splat
+    path.write_bytes(blob[:blob.index(b"end_header\n") + 11] + data.tobytes())
+    out = tmp_path / "field.flt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lift", "--scene", str(path), "--cameras", str(fixture_dir / "cameras.txt"),
+                     "--features", str(fixture_dir / "features"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "scene.ply: log-scales must keep the variance exp(2 s) finite" in err
+    assert not out.exists()
+
+
+def test_render_field_takes_the_table_route_only_when_k_below_f(fixture_dir):
+    views = formats.read_cameras(fixture_dir / "cameras.txt")
+    masks = cli._load_observations(views, fixture_dir / "features")
+    scene = formats.read_splat_ply(fixture_dir / "scene.ply")
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    rng = np.random.default_rng(4)
+    labels = {vid: masks.view_label_map(vid) for vid in masks.view_ranges}
+    wide = ObservationSet.from_labels(views, labels, {
+        vid: {k: rng.normal(size=64) for k in masks.view_label_table(vid)}
+        for vid in masks.view_ranges})
+    dense = ObservationSet.from_dense(views, {
+        v.view_id: rng.normal(size=(v.pixel_count, 4)) for v in views})
+    assert len(wide.table) < wide.feature_dim
+    assert len(masks.table) >= masks.feature_dim and len(dense.table) >= dense.feature_dim
+    for obs in (wide, masks, dense):
+        field = lift_rowsum(A, obs)
+        rendered = cli._render_field(A, field, obs)
+        if obs is wide:
+            expected = render(A, field.table_weights.toarray(), 0.0, table=obs.table)
+        else:
+            expected = render(A, field.values, 0.0)
+        assert rendered.tobytes() == expected.tobytes()
 
 
 def test_cluster_filter_requires_masks(fixture_dir, tmp_path, capsys):

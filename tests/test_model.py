@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ def test_primitive_rejects_non_finite():
                       ("thetas", [0.0, -np.inf])):
         with pytest.raises(InvalidInputError):
             scene_of(**{name: bad})
+
+
+def test_scene_rejects_overflowing_log_scales():
+    # exp(2 s) is a splat's variance; past float64's range the splat would
+    # drop out of every view with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (400.0, 354.9):
+            with pytest.raises(InvalidInputError, match="log-scales"):
+                scene_of(log_scales=[[0, 0, 0], [s, 0, 0]])
+        scene = scene_of(log_scales=[[0, 0, 0], [0, 354.8, 0]])
+    assert np.all(np.isfinite(np.exp(2.0 * scene.log_scales)))
 
 
 def test_scene_requires_primitives():

@@ -314,6 +314,26 @@ def test_render_rejects_mismatched_shapes():
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     with pytest.raises(InvalidInputError):
         render(A, np.ones((5, 2)), 0.0)
+    for table in (np.ones((3, 4)), np.ones(2)):
+        with pytest.raises(InvalidInputError, match="a table needs one row per column"):
+            render(A, np.ones((1, 2)), 0.0, table=table)
+    with pytest.raises(InvalidInputError, match="a table needs one row per column"):
+        render(A, np.ones(1), 0.0, table=np.ones((1, 4)))
+
+
+def test_render_with_table_composites_weights_then_table():
+    # row [(0, 0.6), (1, 0.32)]: (A G) T plus the background's 0.08 share
+    view = frontal_view(width=5, height=5, fx=50.0)
+    scene = opaque_pixel_scene([math.log(0.6 / 0.4), math.log(0.8 / 0.2)], [1.0, 2.0])
+    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
+    weights = np.array([[1.0, 0.0], [0.25, 0.75]])
+    table = np.array([[1.0, 2.0, 4.0], [-2.0, 0.0, 8.0]])
+    out = render(A, weights, 0.5, table=table)
+    assert out.shape == (25, 3)
+    assert np.allclose(out, render(A, weights @ table, 0.5), rtol=0, atol=1e-14)
+    row = 2 * 5 + 2
+    assert out[row] == pytest.approx(0.6 * table[0] + 0.32 * (weights[1] @ table) + 0.04,
+                                     abs=1e-6)
 
 
 # -- label rendering ---------------------------------------------------------------
@@ -644,6 +664,26 @@ def test_validate_duplicate_check_matches_row_loop(A):
 @given(sparse_rows(duplicates=False))
 def test_row_normalized_matches_row_loop(A):
     assert A.row_normalized().weights.tobytes() == row_normalized_oracle(A).tobytes()
+
+
+def test_validate_keys_past_int32():
+    # rows * cols > 2**31: keys row * cols + index are int64. In int32, the
+    # key of (row 2, index 7) would wrap onto that of (row 0, index 7).
+    cols = 2**31
+    A = matrix([0, 1, 2, 3], [7, cols - 1, 7], [0.5, 0.5, 0.5], cols)
+    A.validate()
+    dup = matrix([0, 1, 3, 4], [7, cols - 1, cols - 1, 7], [0.5, 0.25, 0.25, 0.5], cols)
+    with pytest.raises(InvalidInputError, match="duplicate primitive index in row 1$"):
+        dup.validate()
+
+
+def test_row_sums_computed_once():
+    A = matrix([0, 2, 2, 3], [0, 1, 1], [0.2, 0.3, 0.6], 2)
+    sums = A.row_sums()
+    assert sums is A.row_sums()
+    assert sums.tolist() == [0.5, 0.0, 0.6]
+    with pytest.raises(ValueError):
+        sums[0] = 1.0
 
 
 def test_row_normalized_sums_to_one():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import row_entries, splat_scene
+from oracle import row_entries, splat_scene, table_lift
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
-from splatlift.rasterize import WeightMatrix, build_weight_matrix, render_labels
+from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
 from splatlift.solver import (
     EPS_COVERAGE,
     InvariantViolation,
@@ -519,3 +519,88 @@ def test_masked_restriction_matches_full_relift():
     # loss over the retained rays is identical for both routes
     assert loss_true(A, restricted, f1.values, "l2") == pytest.approx(
         loss_true(sub, restricted, f2.values, "l2"), rel=1e-12)
+
+
+# -- table space: the lift's table weights and the K-wide render ------------------------
+
+def wide_label_scene(feature_dim=64, views=3, seed=5):
+    """Scene, views and label-backed observations of a few views whose masks
+    carry random unit features of feature_dim dimensions (K < F)."""
+    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=views)
+    scene, views, ids = make_scene(spec)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    masks, _ = make_observations(
+        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.normal(size=feature_dim)
+        return v / np.linalg.norm(v)
+
+    tables = {vid: {k: unit() for k in masks.view_label_table(vid)} for vid in masks.view_ranges}
+    labels = {vid: masks.view_label_map(vid) for vid in masks.view_ranges}
+    obs = ObservationSet.from_labels(views, labels, tables)
+    assert len(obs.table) < obs.feature_dim
+    return scene, views, obs
+
+
+def faint_label_case():
+    """A hand-made matrix over 4 primitives: primitive 2 is seen only with a
+    weight below EPS_COVERAGE, primitive 3 not at all; three table rows of
+    random 8-D features, one ray unobserved."""
+    A = matrix_from_rows([[(0, 0.5), (1, 0.25)], [(1, 0.75), (2, 1e-9)], [(0, 1.0)],
+                          [(2, 0.5)], [(1, 0.5), (0, 0.5)]], cols=4)
+    rng = np.random.default_rng(3)
+    labels = np.array([4, 7, 9, -1, 7])
+    obs = ObservationSet.from_labels([tiny_view(5)], {"instance": labels},
+                                     {"instance": {k: rng.normal(size=8) for k in (4, 7, 9)}})
+    return A, obs
+
+
+@pytest.mark.parametrize("lift", [lift_rowsum, lift_rowsum_squared])
+def test_matrix_lift_is_bitwise_the_table_space_oracle(lift):
+    squared = lift is lift_rowsum_squared
+    scene, views, obs = wide_label_scene()
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    faint_A, faint_obs = faint_label_case()
+    for matrix, observations in ((A, obs), (faint_A, faint_obs)):
+        field = lift(matrix, observations)
+        assert np.array_equal(field.values, table_lift(matrix, observations, squared))
+        assert np.count_nonzero(~field.unobserved) > 0
+    # the faint primitive has den > 0 but is zeroed, as is the unseen one
+    assert 0.0 < field.coverage[2] < EPS_COVERAGE
+    assert np.array_equal(field.unobserved, [False, False, True, True])
+    assert not np.any(field.values[2:])
+
+
+@pytest.mark.parametrize("path", ["matrix", "streaming"])
+@pytest.mark.parametrize("mode", ["rowsum", "rowsum2"])
+def test_table_weights_render_as_the_values(mode, path):
+    # (A G) T composites the same rays as A x, x = G T, to rounding, and as
+    # the table-space oracle's field
+    scene, views, obs = wide_label_scene()
+    cfg = LiftConfig(lam=1.2)
+    A = build_weight_matrix(scene, views, cfg)
+    lift = lift_rowsum_squared if mode == "rowsum2" else lift_rowsum
+    if path == "streaming":
+        # the streamed sums stay K wide until one product, as the matrix path's
+        field = lift_streaming(scene, views, obs, cfg, mode=mode)
+        direct = lift(A, obs).values
+        assert np.max(np.abs(field.values - direct)) <= 1e-12 * np.max(np.abs(direct))
+        cases = [(A, field, obs)]
+    else:
+        faint_A, faint_obs = faint_label_case()
+        cases = [(A, lift(A, obs), obs), (faint_A, lift(faint_A, faint_obs), faint_obs)]
+    for matrix, field, observations in cases:
+        G = field.table_weights
+        assert G.shape == (matrix.cols, len(observations.table))
+        assert np.max(np.abs(G @ observations.table - field.values)) \
+            <= 1e-12 * np.max(np.abs(field.values))
+        assert G[np.flatnonzero(field.unobserved)].nnz == 0
+        got = render(matrix, G.toarray(), 0.0, table=observations.table)
+        oracle = table_lift(matrix, observations, squared=mode == "rowsum2")
+        for values in (field.values, oracle):
+            expected = render(matrix, values, 0.0)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
