@@ -28,6 +28,7 @@ from . import formats, rasterize
 from .aggregate import cluster_features, filter_observations, iou
 from .model import KERNEL_NAMES, CameraView, InvalidInputError, LiftConfig
 from .query import (
+    ROW_BLOCK_VALUES,
     QueryEmbedding,
     ValleyNotFoundError,
     attention_scores,
@@ -36,7 +37,7 @@ from .query import (
     render_attention,
     segment,
 )
-from .rasterize import build_weight_matrix, render, render_labels
+from .rasterize import build_weight_matrix, render_labels
 from .solver import FeatureField, ObservationSet, lift_rowsum, lift_rowsum_squared, lift_streaming
 from .synthbench import SILHOUETTE_DOMINANCE, make_observations, make_scene, parse_scene_spec
 from .verify import SUITES, VerificationError, run_suite
@@ -223,15 +224,23 @@ def _write_field(path: Path, field: FeatureField, settings: dict, path_kind: str
     })
 
 
-def _render_field(matrix, field: FeatureField, obs: ObservationSet) -> np.ndarray:
-    """The lifted field composited to every ray of matrix, with background
-    0. A x costs nnz(A) F products; with the lift's table weights
-    G (x = G T, T the K x F feature table), (A G) T costs nnz(A) K + R K F,
-    the second term a dense product. The table route is taken when K < F.
-    """
-    if len(obs.table) < obs.feature_dim:
-        return render(matrix, field.table_weights.toarray(), 0.0, table=obs.table)
-    return render(matrix, field.values, 0.0)
+def _render_field(matrix, field: FeatureField, obs: ObservationSet, views):
+    """Each view's composite of the lifted field, background 0, as a float32
+    (H, W, F) tensor. A x costs nnz(A) F products; with the lift's table
+    weights G (x = G T, T the K x F feature table), (A G) T costs
+    nnz(A) K + R K F, the second term a dense product. The table route is
+    taken when K < F, and its F-wide float64 rows are formed a block at a
+    time."""
+    table_route = len(obs.table) < obs.feature_dim
+    composite = matrix.to_csr() @ (field.table_weights.toarray() if table_route else field.values)
+    step = max(1, ROW_BLOCK_VALUES // field.feature_dim)
+    for view in views:
+        start, stop = matrix.view_ranges[view.view_id]
+        tensor = np.empty((stop - start, field.feature_dim), dtype=np.float32)
+        for lo in range(start, stop, step):
+            rows = composite[lo:min(lo + step, stop)]
+            tensor[lo - start:lo - start + step] = rows @ obs.table if table_route else rows
+        yield view, tensor.reshape(view.height, view.width, field.feature_dim)
 
 
 def _cmd_lift(args) -> int:
@@ -258,14 +267,10 @@ def _cmd_lift(args) -> int:
     key = None if matrix is None else _matrix_key(args, settings)
     _write_field(out, field, settings, path_kind, obs.rows, elapsed, matrix, key)
     if args.render_views:
-        rendered = _render_field(matrix, field, obs)
         rdir = Path(args.render_views)
         rdir.mkdir(parents=True, exist_ok=True)
-        for view in views:
-            start, stop = matrix.view_ranges[view.view_id]
-            formats.write_feature_tensor(
-                rdir / f"{view.view_id}.flt",
-                rendered[start:stop].reshape(view.height, view.width, field.feature_dim))
+        for view, tensor in _render_field(matrix, field, obs, views):
+            formats.write_feature_tensor(rdir / f"{view.view_id}.flt", tensor)
     print(f"lift: wrote {out} ({field.count} primitives, F={field.feature_dim}, "
           f"lambda={cfg.lam}, mode={mode}, {path_kind} path, {elapsed:.2f}s)")
     return EXIT_OK

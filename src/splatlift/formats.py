@@ -316,6 +316,9 @@ def write_cameras(path, views) -> None:
 
 
 def read_cameras(path) -> list:
+    """Parse a camera list, one view per line. Values that CameraView
+    refuses raise InvalidInputError; a malformed file raises FormatError.
+    Both name the path and line."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
@@ -329,16 +332,16 @@ def read_cameras(path) -> list:
         if len(parts) != 23:
             raise FormatError(f"{path}:{lineno}: expected 23 fields, got {len(parts)}")
         try:
-            view = CameraView(
-                view_id=parts[0],
-                width=int(parts[1]), height=int(parts[2]),
-                fx=float(parts[3]), fy=float(parts[4]),
-                cx=float(parts[5]), cy=float(parts[6]),
-                world_to_camera=np.array([float(x) for x in parts[7:]]).reshape(4, 4),
-            )
-        except (ValueError, InvalidInputError) as exc:
+            sizes = [int(x) for x in parts[1:3]]
+            numbers = [float(x) for x in parts[3:]]
+        except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        views.append(view)
+        try:
+            views.append(CameraView(view_id=parts[0], width=sizes[0], height=sizes[1],
+                                    fx=numbers[0], fy=numbers[1], cx=numbers[2], cy=numbers[3],
+                                    world_to_camera=np.reshape(numbers[4:], (4, 4))))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
     if not views:
         raise FormatError(f"{path}: no views found")
     return views

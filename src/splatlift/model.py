@@ -102,6 +102,10 @@ class SplatScene:
                 raise InvalidInputError(
                     "log-scales must keep the variance exp(2 s) finite in float64 "
                     f"(s up to about 354.89), got {log_scales.max()!r}")
+            if not np.all(np.exp(log_scales) > 0.0):
+                raise InvalidInputError(
+                    "log-scales must keep the scale exp(s) above 0 in float64 "
+                    f"(s down to about -745.13), got {log_scales.min()!r}")
         norms = np.linalg.norm(rotations, axis=1, keepdims=True)
         if np.any(norms < 1e-12):
             raise InvalidInputError("zero-norm quaternion cannot be normalized")

@@ -14,6 +14,9 @@ from .solver import FeatureField, ObservationSet
 
 BACKGROUND_SCORE = -1.0
 
+# F-wide float64 rows are formed in blocks of this many values (1 MB) that stay in cache.
+ROW_BLOCK_VALUES = 1 << 17
+
 
 class ValleyNotFoundError(RuntimeError):
     """The score histogram has no interior valley; fall back to a fixed threshold."""
@@ -70,10 +73,11 @@ def attention_scores(field: FeatureField, query: QueryEmbedding) -> np.ndarray:
     if values.shape[1] != query.vector.shape[0]:
         raise InvalidInputError(
             f"feature dim {values.shape[1]} does not match query dim {query.vector.shape[0]}")
-    norms = np.linalg.norm(values, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", values, values))
     valid = (norms > 0) & ~field.unobserved
-    scores = np.full(field.count, BACKGROUND_SCORE)
-    scores[valid] = (values[valid] @ query.vector) / norms[valid]
+    scores = values @ query.vector
+    np.divide(scores, norms, out=scores, where=valid)
+    scores[~valid] = BACKGROUND_SCORE
     return scores
 
 
@@ -195,20 +199,24 @@ def eval_cosine(rendered: np.ndarray, obs: ObservationSet) -> CosineReport:
     """Mean per-ray cosine similarity between rendered features and observations.
 
     Rays without an observation, or with a zero-norm vector on either side,
-    are excluded and counted.
+    are excluded and counted. Each ray is compared with its own table row.
     """
-    rendered = np.asarray(rendered, dtype=np.float64)
+    rendered = np.asarray(rendered)
     if rendered.shape != (obs.rows, obs.feature_dim):
         raise InvalidInputError(
             f"rendered shape {rendered.shape} does not match ({obs.rows}, {obs.feature_dim})")
-    gt = obs.dense_values()
+    squares, dots = np.empty(obs.rows), np.empty(obs.rows)
+    step = max(1, ROW_BLOCK_VALUES // obs.feature_dim)
+    for lo in range(0, obs.rows, step):
+        block = np.asarray(rendered[lo:lo + step], dtype=np.float64)
+        squares[lo:lo + step] = np.einsum("ij,ij->i", block, block)
+        dots[lo:lo + step] = np.einsum("ij,ij->i", block, obs.table[obs.index[lo:lo + step]])
     mask = obs.observed_mask()
-    rn = np.linalg.norm(rendered, axis=1)
-    gn = np.linalg.norm(gt, axis=1)
-    usable = mask & (rn > 0) & (gn > 0)
+    gn = np.sqrt(np.einsum("ij,ij->i", obs.table, obs.table))[obs.index]
+    usable = mask & (squares > 0) & (gn > 0)
     excluded = int(np.count_nonzero(mask) - np.count_nonzero(usable))
     if not np.any(usable):
         raise InvalidInputError("no usable rays for cosine evaluation")
-    cos = np.sum(rendered[usable] * gt[usable], axis=1) / (rn[usable] * gn[usable])
+    cos = dots[usable] / (np.sqrt(squares[usable]) * gn[usable])
     return CosineReport(mean=float(cos.mean()), rays_used=int(np.count_nonzero(usable)),
                         rays_excluded=excluded)

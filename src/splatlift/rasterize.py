@@ -257,10 +257,13 @@ def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
     denom = dirs @ proj.plane_normal[sub].T
     with np.errstate(divide="ignore", invalid="ignore"):
         t = proj.plane_t[sub] / denom
-    uu = (proj.plane_u0[sub] + t * (dirs @ proj.axis_u[sub].T)) / proj.plane_scales[sub, 0]
-    vv = (proj.plane_v0[sub] + t * (dirs @ proj.axis_v[sub].T)) / proj.plane_scales[sub, 1]
     valid = np.isfinite(t) & (t > NEAR_PLANE) & (np.abs(denom) > 1e-12)
-    return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
+    # On a disk some 1e-154 times narrower than the hit's offset, uu * uu
+    # overflows to inf, and the kernel value is the right 0.
+    with np.errstate(over="ignore"):
+        uu = (proj.plane_u0[sub] + t * (dirs @ proj.axis_u[sub].T)) / proj.plane_scales[sub, 0]
+        vv = (proj.plane_v0[sub] + t * (dirs @ proj.axis_v[sub].T)) / proj.plane_scales[sub, 1]
+        return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
 
 
 def _tile_span(center: np.ndarray, radius: np.ndarray, side: int, pixels: int):
@@ -450,15 +453,9 @@ def iter_view_entries(frame: _SceneFrame, view: CameraView):
     yield from _tile_entries(_project_scene(frame, view), view)
 
 
-def render(A: WeightMatrix, values: np.ndarray, background: float,
-           table: np.ndarray | None = None) -> np.ndarray:
+def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:
     """Composite per-primitive values (an array with one entry or row per
-    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * background.
-
-    With a table (K x F), values are per-primitive weights over its rows
-    (P x K) that stand for x = values @ table, and the composite is formed
-    as (A values) table.
-    """
+    primitive) to rays: sum_p w_p x_p + (1 - sum_p w_p) * background."""
     x = np.asarray(values, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -466,14 +463,7 @@ def render(A: WeightMatrix, values: np.ndarray, background: float,
     if x.shape[0] != A.cols:
         raise InvalidInputError(
             f"value rows ({x.shape[0]}) do not match primitive count ({A.cols})")
-    if table is not None:
-        table = np.asarray(table, dtype=np.float64)
-        if squeeze or table.ndim != 2 or table.shape[0] != x.shape[1]:
-            raise InvalidInputError(
-                f"a table needs one row per column of the values ({x.shape[1]})")
     out = A.to_csr() @ x
-    if table is not None:
-        out = out @ table
     out += ((1.0 - A.row_sums()) * background)[:, None]
     return out[:, 0] if squeeze else out
 

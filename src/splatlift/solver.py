@@ -69,7 +69,7 @@ class FeatureField:
     def unobserved(self) -> np.ndarray:
         if self.coverage is not None:
             return self.coverage < EPS_COVERAGE
-        return np.linalg.norm(self.values, axis=1) == 0.0
+        return np.einsum("ij,ij->i", self.values, self.values) == 0.0
 
 
 class ObservationSet:

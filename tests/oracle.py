@@ -1,7 +1,8 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
-kernel, row access to the matrix, a dense reference for label compositing
-and a table-space reference for the row-sum lifts.
+kernel, row access to the matrix, a dense reference for label compositing,
+a table-space reference for the row-sum lifts and dense references for the
+attention scores and the cosine metric.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -219,3 +220,28 @@ def table_lift(A, obs, squared=False):
     x = np.zeros_like(num)
     x[kept] = num[kept] / den[kept, None]
     return x
+
+
+def attention_reference(values, unobserved, query):
+    """Per-primitive cosine against the unit query over the rows that are
+    observed and nonzero, -1 for the others."""
+    norms = np.linalg.norm(values, axis=1)
+    valid = (norms > 0) & ~unobserved
+    scores = np.full(len(values), -1.0)
+    scores[valid] = (values[valid] @ query) / norms[valid]
+    return scores
+
+
+def cosine_reference(rendered, obs):
+    """(mean cosine, rays used, rays excluded) of rendered rows against the
+    dense ground truth: observed rays whose rendered and true vectors are both
+    nonzero are used, the other observed rays are excluded."""
+    rendered = np.asarray(rendered, dtype=np.float64)
+    gt = obs.dense_values()
+    observed = obs.observed_mask()
+    rn = np.linalg.norm(rendered, axis=1)
+    gn = np.linalg.norm(gt, axis=1)
+    usable = observed & (rn > 0) & (gn > 0)
+    cos = np.sum(rendered[usable] * gt[usable], axis=1) / (rn[usable] * gn[usable])
+    return (float(cos.mean()), int(np.count_nonzero(usable)),
+            int(np.count_nonzero(observed) - np.count_nonzero(usable)))

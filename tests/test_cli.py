@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import splatlift
 from splatlift import cli, formats, rasterize
 from splatlift.cli import main
-from splatlift.model import LiftConfig, SplatScene
+from splatlift.model import CameraView, LiftConfig, SplatScene
 from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
-from splatlift.solver import ObservationSet, lift_rowsum
+from splatlift.solver import FeatureField, ObservationSet, lift_rowsum
 from splatlift.synthbench import (
     SILHOUETTE_DOMINANCE,
     make_observations,
@@ -339,6 +341,8 @@ def test_field_commands_take_the_kernel_from_the_report(fixture_dir, tmp_path):
 
 
 def test_lift_rejects_infinite_focal_length(fixture_dir, tmp_path, capsys):
+    # a well-formed camera line whose values describe no camera is invalid
+    # input, as a scene's values are
     header, first, *rest = (fixture_dir / "cameras.txt").read_text().splitlines()
     fields = first.split()
     fields[3:5] = ["inf", "inf"]  # fx, fy of the first view
@@ -346,13 +350,14 @@ def test_lift_rejects_infinite_focal_length(fixture_dir, tmp_path, capsys):
     cameras.write_text("\n".join([header, " ".join(fields), *rest]) + "\n")
     out = tmp_path / "field.flt"
     assert main(["lift", "--scene", str(fixture_dir / "scene.ply"), "--cameras", str(cameras),
-                 "--features", str(fixture_dir / "features"), "--out", str(out)]) == 3
-    assert "focal lengths must be positive and finite" in capsys.readouterr().err
+                 "--features", str(fixture_dir / "features"), "--out", str(out)]) == 1
+    assert "cameras.txt:2: focal lengths must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_lift_refuses_overflowing_log_scale(fixture_dir, tmp_path, capsys):
-    # two splats in view, one with log-scale 400: exp(2 s) overflows float64
+def lift_scene_with_scale(fixture_dir, tmp_path, log_scale, *flags):
+    """lift's exit code, with warnings as errors, on two splats in view whose
+    second has the given scale_0 log-scale, stored in the PLY's float32."""
     scene = SplatScene(positions=[[0.0, 0.0, 4.0], [0.3, 0.0, 4.0]],
                        log_scales=np.full((2, 3), -1.0), rotations=[[1.0, 0, 0, 0]] * 2,
                        thetas=[9.0, 9.0])
@@ -360,20 +365,36 @@ def test_lift_refuses_overflowing_log_scale(fixture_dir, tmp_path, capsys):
     formats.write_splat_ply(path, scene)
     blob = path.read_bytes()
     data = np.frombuffer(blob, dtype="<f4", offset=blob.index(b"end_header\n") + 11).copy()
-    data.reshape(2, -1)[1, 10] = 400.0  # scale_0 of the second splat
+    data.reshape(2, -1)[1, 10] = log_scale  # scale_0 of the second splat
     path.write_bytes(blob[:blob.index(b"end_header\n") + 11] + data.tobytes())
-    out = tmp_path / "field.flt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["lift", "--scene", str(path), "--cameras", str(fixture_dir / "cameras.txt"),
-                     "--features", str(fixture_dir / "features"), "--out", str(out)])
-    assert code == 1
+        return main(["lift", "--scene", str(path), "--cameras", str(fixture_dir / "cameras.txt"),
+                     "--features", str(fixture_dir / "features"), *flags,
+                     "--out", str(tmp_path / "field.flt")])
+
+
+def test_lift_refuses_overflowing_log_scale(fixture_dir, tmp_path, capsys):
+    # log-scale 400: exp(2 s) overflows float64
+    assert lift_scene_with_scale(fixture_dir, tmp_path, 400.0) == 1
     err = capsys.readouterr().err
     assert "scene.ply: log-scales must keep the variance exp(2 s) finite" in err
-    assert not out.exists()
+    assert not (tmp_path / "field.flt").exists()
 
 
-def test_render_field_takes_the_table_route_only_when_k_below_f(fixture_dir):
+def test_lift_refuses_underflowing_log_scale(fixture_dir, tmp_path, capsys):
+    # log-scale -800: a planar disk's scale exp(s) is 0, which the kernel
+    # would divide by
+    assert lift_scene_with_scale(fixture_dir, tmp_path, -800.0, "--kernel", "gaussian2d") == 1
+    err = capsys.readouterr().err
+    assert "scene.ply: log-scales must keep the scale exp(s) above 0" in err
+    assert not (tmp_path / "field.flt").exists()
+
+
+def test_render_field_takes_the_table_route_only_when_k_below_f(fixture_dir, monkeypatch):
+    # one float32 tensor per view, in the views' order: (A G) T when K < F,
+    # A x otherwise, each as the all-view float64 composite would cast,
+    # whatever the blocks of rows
     views = formats.read_cameras(fixture_dir / "cameras.txt")
     masks = cli._load_observations(views, fixture_dir / "features")
     scene = formats.read_splat_ply(fixture_dir / "scene.ply")
@@ -387,14 +408,46 @@ def test_render_field_takes_the_table_route_only_when_k_below_f(fixture_dir):
         v.view_id: rng.normal(size=(v.pixel_count, 4)) for v in views})
     assert len(wide.table) < wide.feature_dim
     assert len(masks.table) >= masks.feature_dim and len(dense.table) >= dense.feature_dim
-    for obs in (wide, masks, dense):
+    for obs, block in [(obs, block) for obs in (wide, masks, dense)
+                       for block in (cli.ROW_BLOCK_VALUES, 7 * 64)]:
+        monkeypatch.setattr(cli, "ROW_BLOCK_VALUES", block)
         field = lift_rowsum(A, obs)
-        rendered = cli._render_field(A, field, obs)
+        tensors = list(cli._render_field(A, field, obs, views))
+        assert [view for view, _ in tensors] == views
+        direct = render(A, field.values, 0.0)
         if obs is wide:
-            expected = render(A, field.table_weights.toarray(), 0.0, table=obs.table)
+            expected = render(A, field.table_weights.toarray(), 0.0) @ obs.table
         else:
-            expected = render(A, field.values, 0.0)
-        assert rendered.tobytes() == expected.tobytes()
+            expected = direct
+        for view, tensor in tensors:
+            start, stop = A.view_ranges[view.view_id]
+            assert tensor.dtype == np.float32
+            assert tensor.shape == (view.height, view.width, obs.feature_dim)
+            assert tensor.tobytes() == expected[start:stop].astype(np.float32).tobytes()
+            assert tensor.tobytes() == direct[start:stop].astype(np.float32).tobytes()
+
+
+def test_render_field_composites_table_weights_then_table():
+    # row [(0, 0.6), (1, 0.32)] of a hand matrix: (A G) T, with no share of
+    # a background
+    view = CameraView(fx=50.0, fy=50.0, cx=2.5, cy=2.5, width=5, height=5,
+                      world_to_camera=np.eye(4), view_id="v0")
+    scene = SplatScene(positions=[[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]],
+                       log_scales=np.full((2, 3), math.log(50.0)),
+                       rotations=[[1.0, 0, 0, 0]] * 2,
+                       thetas=[math.log(0.6 / 0.4), math.log(0.8 / 0.2)])
+    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
+    weights = np.array([[1.0, 0.0], [0.25, 0.75]])
+    table = np.array([[1.0, 2.0, 4.0], [-2.0, 0.0, 8.0]])
+    field = FeatureField(values=weights @ table, coverage=np.ones(2),
+                         table_weights=sp.csr_matrix(weights))
+    obs = ObservationSet(A.view_ranges, {"v0": (5, 5)}, table, np.zeros(25, dtype=np.int64))
+    [(got_view, tensor)] = cli._render_field(A, field, obs, [view])
+    assert got_view == view and tensor.shape == (5, 5, 3)
+    assert np.allclose(tensor.reshape(25, 3), render(A, weights @ table, 0.0),
+                       rtol=0, atol=1e-6)
+    assert tensor[2, 2] == pytest.approx(0.6 * table[0] + 0.32 * (weights[1] @ table),
+                                         abs=1e-6)
 
 
 def test_cluster_filter_requires_masks(fixture_dir, tmp_path, capsys):

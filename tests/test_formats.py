@@ -245,10 +245,15 @@ def test_cameras_rejects_bad_line(tmp_path):
 
 
 def test_cameras_validates_view_invariants(tmp_path):
+    # values that parse but describe no camera are invalid input, not a
+    # malformed file; a field that does not parse is a malformed file
     path = tmp_path / "cams.txt"
     nums = "4 4 -1.0 1.0 2.0 2.0 " + " ".join(str(float(x)) for x in np.eye(4).ravel())
-    path.write_text("v0 " + nums + "\n")
-    with pytest.raises(FormatError, match="focal"):
+    path.write_text("# views\nv0 " + nums + "\n")
+    with pytest.raises(InvalidInputError, match="cams.txt:2: focal"):
+        formats.read_cameras(path)
+    path.write_text("v0 " + nums.replace("-1.0", "one") + "\n")
+    with pytest.raises(FormatError, match="cams.txt:1: could not convert"):
         formats.read_cameras(path)
 
 
@@ -257,7 +262,7 @@ def test_cameras_rejects_non_finite_focal(tmp_path, focal):
     path = tmp_path / "cams.txt"
     nums = f"4 4 {focal} 2.0 2.0 " + " ".join(str(float(x)) for x in np.eye(4).ravel())
     path.write_text("v0 " + nums + "\n")
-    with pytest.raises(FormatError, match="focal"):
+    with pytest.raises(InvalidInputError, match="cams.txt:1: focal"):
         formats.read_cameras(path)
 
 
@@ -534,3 +539,8 @@ def test_corrupted_files_raise_only_format_error(tmp_path_factory, sample_files,
             reader(path)
         except FormatError:
             pass
+        except InvalidInputError as exc:
+            # a camera line whose edited values still parse but describe no
+            # camera is invalid input, named by its line
+            if kind != "cameras" or f"fuzz_{kind}:" not in str(exc):
+                raise

@@ -174,6 +174,18 @@ def test_scene_rejects_overflowing_log_scales():
     assert np.all(np.isfinite(np.exp(2.0 * scene.log_scales)))
 
 
+def test_scene_rejects_underflowing_log_scales():
+    # exp(s) is a planar splat's scale; at 0 the disk divides by zero and
+    # drops out of every view with a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-800.0, -745.2):
+            with pytest.raises(InvalidInputError, match="exp\\(s\\) above 0"):
+                scene_of(log_scales=[[0, 0, 0], [0, 0, s]])
+        scene = scene_of(log_scales=[[0, 0, 0], [-745.1, 0, 0]])
+    assert np.all(np.exp(scene.log_scales) > 0.0)
+
+
 def test_scene_requires_primitives():
     with pytest.raises(InvalidInputError):
         SplatScene(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0))

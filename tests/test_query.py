@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from oracle import splat_scene
-from splatlift import rasterize
+from oracle import attention_reference, cosine_reference, splat_scene
+from splatlift import query, rasterize
 from splatlift.cli import main
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.query import (
@@ -67,6 +67,26 @@ def test_attention_scale_invariance():
     s1 = attention_scores(field_from(vals), q)
     s2 = attention_scores(field_from(vals * 37.5), q)
     assert np.allclose(s1, s2, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_coverage", [True, False], ids=["coverage", "zero_rows"])
+def test_attention_matches_the_dense_reference(with_coverage):
+    # 64-D rows over six decades, every seventh row zero and, with a
+    # coverage, every fifth primitive unobserved
+    rng = np.random.default_rng(31)
+    vals = rng.normal(size=(300, 64)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))
+    vals[::7] = 0.0
+    coverage = None
+    if with_coverage:
+        coverage = rng.uniform(0.1, 1.0, 300)
+        coverage[::5] = 0.0
+    field = FeatureField(values=vals, coverage=coverage)
+    q = QueryEmbedding(rng.normal(size=64), "q")
+    got = attention_scores(field, q)
+    want = attention_reference(field.values, field.unobserved, q.vector)
+    assert np.array_equal(got == -1.0, want == -1.0)
+    assert np.count_nonzero(got == -1.0) == (94 if with_coverage else 43)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_positive_scaling_leaves_threshold_and_masks_unchanged():
@@ -322,3 +342,38 @@ def test_cosine_excludes_zero_norm_and_unlabeled():
     assert rep.rays_excluded == 1
     assert rep.mean == pytest.approx(1.0)
 
+
+
+def cosine_case(backing):
+    """Two views of 48-D observations with unobserved rays and zero ground
+    truth, and rendered rows near the truth, some zero, in float32."""
+    rng = np.random.default_rng(12)
+    views = [CameraView(fx=1, fy=1, cx=0, cy=0, width=w, height=h,
+                        world_to_camera=np.eye(4), view_id=vid)
+             for vid, w, h in (("a", 9, 7), ("b", 6, 5))]
+    if backing == "dense":
+        dense = {v.view_id: rng.normal(size=(v.pixel_count, 48)) for v in views}
+        dense["a"][::6] = 0.0
+        obs = ObservationSet.from_dense(views, dense)
+        obs = obs.masked(rng.uniform(size=obs.rows) > 0.2)
+    else:
+        labels = {v.view_id: rng.integers(-1, 4, size=v.pixel_count) for v in views}
+        tables = {v.view_id: {k: rng.normal(size=48) for k in range(4)} for v in views}
+        tables["b"][2] = np.zeros(48)
+        obs = ObservationSet.from_labels(views, labels, tables)
+    rendered = obs.dense_values() + rng.normal(scale=0.5, size=(obs.rows, 48))
+    rendered[::11] = 0.0
+    return rendered.astype(np.float32), obs
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 10])
+@pytest.mark.parametrize("backing", ["dense", "labels"])
+def test_cosine_matches_the_dense_reference(backing, block_rows, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(query, "ROW_BLOCK_VALUES", block_rows * 48)
+    rendered, obs = cosine_case(backing)
+    mean, used, excluded = cosine_reference(rendered, obs)
+    assert used > 40 and excluded > 10
+    rep = eval_cosine(rendered, obs)
+    assert (rep.rays_used, rep.rays_excluded) == (used, excluded)
+    assert abs(rep.mean - mean) <= 1e-12

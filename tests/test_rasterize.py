@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,26 +315,6 @@ def test_render_rejects_mismatched_shapes():
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     with pytest.raises(InvalidInputError):
         render(A, np.ones((5, 2)), 0.0)
-    for table in (np.ones((3, 4)), np.ones(2)):
-        with pytest.raises(InvalidInputError, match="a table needs one row per column"):
-            render(A, np.ones((1, 2)), 0.0, table=table)
-    with pytest.raises(InvalidInputError, match="a table needs one row per column"):
-        render(A, np.ones(1), 0.0, table=np.ones((1, 4)))
-
-
-def test_render_with_table_composites_weights_then_table():
-    # row [(0, 0.6), (1, 0.32)]: (A G) T plus the background's 0.08 share
-    view = frontal_view(width=5, height=5, fx=50.0)
-    scene = opaque_pixel_scene([math.log(0.6 / 0.4), math.log(0.8 / 0.2)], [1.0, 2.0])
-    A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    weights = np.array([[1.0, 0.0], [0.25, 0.75]])
-    table = np.array([[1.0, 2.0, 4.0], [-2.0, 0.0, 8.0]])
-    out = render(A, weights, 0.5, table=table)
-    assert out.shape == (25, 3)
-    assert np.allclose(out, render(A, weights @ table, 0.5), rtol=0, atol=1e-14)
-    row = 2 * 5 + 2
-    assert out[row] == pytest.approx(0.6 * table[0] + 0.32 * (weights[1] @ table) + 0.04,
-                                     abs=1e-6)
 
 
 # -- label rendering ---------------------------------------------------------------
@@ -424,6 +405,22 @@ def test_render_labels_rejects_bad_labels(labels, message):
     A = WeightMatrix([0, 2], [0, 1], [0.25, 0.25], 2, {"v": (0, 1)}, 1.0)
     with pytest.raises(InvalidInputError, match=message):
         render_labels(A, labels)
+
+
+def test_planar_disk_narrower_than_float64_resolves_gets_no_entries():
+    # from a log-scale of about -355 down, a disk's scaled offset squared
+    # overflows: its kernel value is 0, with no warning, and the splat
+    # beside it keeps its entries
+    view = frontal_view(width=9, height=9, fx=9.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-400.0, -745.0):
+            log_scales = np.full((2, 3), -1.0)
+            log_scales[1] = s
+            scene = SplatScene([[0.0, 0.0, 4.0], [0.2, 0.0, 4.0]], log_scales,
+                               [[1.0, 0, 0, 0]] * 2, [3.0, 3.0], KernelKind.GAUSSIAN_2D)
+            A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
+            assert A.nnz > 0 and set(A.indices.tolist()) == {0}
 
 
 def test_planar_wall_composites_and_lifts():

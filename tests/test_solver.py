@@ -597,7 +597,7 @@ def test_table_weights_render_as_the_values(mode, path):
         assert np.max(np.abs(G @ observations.table - field.values)) \
             <= 1e-12 * np.max(np.abs(field.values))
         assert G[np.flatnonzero(field.unobserved)].nnz == 0
-        got = render(matrix, G.toarray(), 0.0, table=observations.table)
+        got = render(matrix, G.toarray(), 0.0) @ observations.table
         oracle = table_lift(matrix, observations, squared=mode == "rowsum2")
         for values in (field.values, oracle):
             expected = render(matrix, values, 0.0)
