@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import CameraView, InvalidInputError, KernelKind, SplatScene
-from .rasterize import WeightMatrix, view_ranges
+from .rasterize import INDEX_LIMIT, WeightMatrix, view_ranges
 from .solver import FeatureField
 
 FEATURE_MAGIC = b"FLT1"
@@ -21,6 +21,7 @@ LABEL_MAGIC = b"LBL1"
 TABLE_MAGIC = b"LFT1"
 MATRIX_MAGIC = b"WMX1"
 FORMAT_VERSION = 1
+MATRIX_VERSION = 2  # int32 indptr and indices; version 1 stored int64
 MATRIX_KEY_BYTES = 32
 
 
@@ -42,14 +43,14 @@ def _read_array(fh, dtype, count: int, path, what: str) -> np.ndarray:
 
 def _read_header(fh, path, magic: bytes, layout: str) -> tuple:
     """Check a container's magic and unpack the header fields that follow
-    it as "<" + layout. Every container but LFT1 starts them with its
-    version, which must be FORMAT_VERSION."""
+    it as "<" + layout. FLT1 and LBL1 start them with their version, which
+    must be FORMAT_VERSION; WMX1's reader checks its own."""
     found = _read_array(fh, "u1", len(magic), path, "magic").tobytes()
     if found != magic:
         raise FormatError(f"{path}: bad magic {found!r} (expected {magic!r})")
     size = struct.calcsize("<" + layout)
     fields = struct.unpack("<" + layout, _read_array(fh, "u1", size, path, "header").tobytes())
-    if magic != TABLE_MAGIC and fields[0] != FORMAT_VERSION:
+    if magic in (FEATURE_MAGIC, LABEL_MAGIC) and fields[0] != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {fields[0]}")
     return fields
 
@@ -154,9 +155,9 @@ def write_weight_matrix(path, matrix: WeightMatrix, key: bytes) -> None:
     if len(key) != MATRIX_KEY_BYTES:
         raise InvalidInputError(f"a weight-matrix key has {MATRIX_KEY_BYTES} bytes, got {len(key)}")
     _write_atomic(path, MATRIX_MAGIC, "I32s3Q",
-                  (FORMAT_VERSION, key, matrix.rows, matrix.cols, matrix.nnz),
-                  matrix.indptr.astype("<i8", copy=False),
-                  matrix.indices.astype("<i8", copy=False),
+                  (MATRIX_VERSION, key, matrix.rows, matrix.cols, matrix.nnz),
+                  matrix.indptr.astype("<i4", copy=False),
+                  matrix.indices.astype("<i4", copy=False),
                   matrix.weights.astype("<f8", copy=False))
 
 
@@ -164,13 +165,13 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
     """The matrix stored under key for these views and primitive count.
 
     Returns None, without reading the payload, when the file was written
-    under another key. A matching file whose sizes disagree with the views
-    or the primitive count, or whose payload is not a valid weight matrix,
-    raises FormatError.
+    under another version or key. A matching file whose sizes disagree with
+    the views or the primitive count, or whose payload is not a valid
+    weight matrix, raises FormatError.
     """
     with open(path, "rb") as fh:
-        _, stored, rows, ncols, nnz = _read_header(fh, path, MATRIX_MAGIC, "I32s3Q")
-        if stored != key:
+        version, stored, rows, ncols, nnz = _read_header(fh, path, MATRIX_MAGIC, "I32s3Q")
+        if version != MATRIX_VERSION or stored != key:
             return None
         ranges = view_ranges(views)
         pixels = sum(stop - start for start, stop in ranges.values())
@@ -178,8 +179,10 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
             raise FormatError(f"{path}: {rows} rows but the views have {pixels} pixels")
         if ncols != cols:
             raise FormatError(f"{path}: {ncols} columns but the scene has {cols} primitives")
-        indptr = _read_array(fh, "<i8", rows + 1, path, "indptr")
-        indices = _read_array(fh, "<i8", nnz, path, "indices")
+        if nnz >= INDEX_LIMIT:
+            raise FormatError(f"{path}: {nnz} entries exceed the int32 indices")
+        indptr = _read_array(fh, "<i4", rows + 1, path, "indptr")
+        indices = _read_array(fh, "<i4", nnz, path, "indices")
         weights = _read_array(fh, "<f8", nnz, path, "weights")
         _read_end(fh, path)
     matrix = WeightMatrix(indptr, indices, weights, cols, ranges, lam)

@@ -47,6 +47,17 @@ KERNEL_CUTOFF_SIGMA = 3.0
 # constant that changes A belongs here too.
 MATRIX_CONSTANTS = ("NEAR_PLANE", "WEIGHT_EPS", "COV_LOWPASS", "PLANAR_RADIUS_SLACK",
                     "TRANSMITTANCE_FLOOR", "KERNEL_CUTOFF_SIGMA")
+# A's indptr and indices and the primitive ids are int32, and they stay below this.
+INDEX_LIMIT = 2**31
+
+
+def _int32(values, what: str) -> np.ndarray:
+    """values as int32, refused rather than wrapped outside its range."""
+    arr = np.asarray(values)
+    if arr.dtype != np.int32 and arr.size and not (
+            -INDEX_LIMIT <= arr.min() and arr.max() < INDEX_LIMIT):
+        raise InvalidInputError(f"{what} must lie in the int32 range")
+    return arr.astype(np.int32, copy=False)
 
 
 class WeightMatrix:
@@ -58,8 +69,8 @@ class WeightMatrix:
     """
 
     def __init__(self, indptr, indices, weights, cols, view_ranges, lambda_used):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = _int32(indptr, "indptr")
+        self.indices = _int32(indices, "primitive indices")
         self.weights = np.asarray(weights, dtype=np.float64)
         self.cols = int(cols)
         self.view_ranges = dict(view_ranges)
@@ -82,8 +93,10 @@ class WeightMatrix:
     def row_sums(self) -> np.ndarray:
         """Each row's weight sum, computed once (read-only)."""
         if self._row_sums is None:
-            self._row_sums = np.bincount(self.entry_rows(), weights=self.weights,
-                                         minlength=self.rows)
+            # One column of zero indices: bincount's storage-order sums, no per-column array.
+            column = sp.csr_matrix((self.weights, np.zeros(self.nnz, np.int32), self.indptr),
+                                   shape=(self.rows, 1))
+            self._row_sums = column @ np.ones(1)
             self._row_sums.setflags(write=False)
         return self._row_sums
 
@@ -97,25 +110,24 @@ class WeightMatrix:
         return self._csr
 
     def validate(self) -> None:
-        ptr = self.indptr
+        ptr, w = self.indptr, self.weights
+        counts = np.diff(ptr)
         if (ptr.size == 0 or ptr[0] != 0 or ptr[-1] != self.nnz
-                or len(self.indices) != self.nnz or np.any(np.diff(ptr) < 0)):
+                or len(self.indices) != self.nnz or np.any(counts < 0)):
             raise InvalidInputError(
                 "indptr must start at 0, never decrease and end at the entry count")
         if self.nnz and (self.indices.min() < 0 or self.indices.max() >= self.cols):
             raise InvalidInputError(f"primitive indices must lie in [0, {self.cols})")
-        if not np.all(np.isfinite(self.weights)):
-            raise InvalidInputError("weights must be finite")
-        if self.nnz and (self.weights.min() <= 0.0 or self.weights.max() > 1.0):
-            raise InvalidInputError("weights must lie in (0, 1]")
+        if self.nnz and not (w.min() > 0.0 and w.max() <= 1.0):  # NaN fails both
+            raise InvalidInputError("weights must lie in (0, 1]" if np.all(np.isfinite(w))
+                                    else "weights must be finite")
         sums = self.row_sums()
         if sums.size and sums.max() > 1.0 + 1e-6:
             raise InvalidInputError(f"row sum exceeds 1: {sums.max()}")
         # Keys row * cols + index, all below rows * cols: int32 when that
         # fits, which halves the bytes that the sort moves.
-        key_type = np.int32 if self.rows * self.cols <= np.iinfo(np.int32).max else np.int64
-        keys = np.repeat(np.arange(self.rows, dtype=key_type) * key_type(self.cols),
-                         np.diff(ptr))
+        key_type = np.int32 if self.rows * self.cols < INDEX_LIMIT else np.int64
+        keys = np.repeat(np.arange(self.rows, dtype=key_type) * key_type(self.cols), counts)
         keys += self.indices
         keys.sort()
         dup = np.flatnonzero(keys[1:] == keys[:-1])
@@ -227,7 +239,7 @@ def _project_scene(frame: _SceneFrame, view: CameraView) -> _ViewProjection:
     radius = KERNEL_CUTOFF_SIGMA * np.sqrt(np.maximum(lam_max, 0.0))
     radius = np.where(planar, radius * PLANAR_RADIUS_SLACK, radius)
 
-    idx = np.flatnonzero(ok)
+    idx = np.flatnonzero(ok).astype(np.int32)  # _map_views caps the scene below INDEX_LIMIT
     idx = idx[np.lexsort((idx, z[idx]))]  # depth ascending, ties by index
     rots = frame.rots[idx]
     rel = view.camera_center - scene.positions[idx]
@@ -388,7 +400,7 @@ def _build_view(view: CameraView, frame: _SceneFrame):
     tiles = list(_tile_entries(_project_scene(frame, view), view))
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
     if not tiles:
-        return indptr, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+        return indptr, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64)
     rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
     # A stable sort keeps each row's entries in the depth order they came in.
     # NumPy sorts 16-bit keys stably by radix, several times faster.
@@ -410,6 +422,8 @@ def _map_views(scene: SplatScene, views, cfg: LiftConfig, threads: int, view_fn,
     views = list(views)
     if scene is None or len(scene) == 0:
         raise InvalidInputError("scene must contain at least one primitive")
+    if len(scene) >= INDEX_LIMIT:
+        raise InvalidInputError(f"{len(scene)} primitives exceed the int32 primitive ids")
     if not views:
         raise InvalidInputError("at least one view is required")
     ranges = view_ranges(views)
@@ -433,15 +447,13 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     ranges, chunks = _map_views(scene, views, cfg, threads, _build_view)
     indptrs, indices, weights = zip(*chunks)
     offsets = np.cumsum([0] + [len(part) for part in indices])
+    if offsets[-1] >= INDEX_LIMIT:
+        raise InvalidInputError(f"A would hold {offsets[-1]} entries, past its int32 indices; "
+                                "lift --streaming lifts without storing A")
     row_ends = [p[1:] + offset for p, offset in zip(indptrs, offsets)]
-    matrix = WeightMatrix(
-        indptr=np.concatenate([np.zeros(1, np.int64)] + row_ends),
-        indices=np.concatenate(indices),
-        weights=np.concatenate(weights),
-        cols=len(scene),
-        view_ranges=ranges,
-        lambda_used=cfg.lam,
-    )
+    matrix = WeightMatrix(np.concatenate([np.zeros(1, np.int64)] + row_ends),
+                          np.concatenate(indices), np.concatenate(weights), len(scene), ranges,
+                          cfg.lam)
     matrix.validate()
     return matrix
 

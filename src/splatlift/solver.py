@@ -266,7 +266,7 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
 
     def accumulate_view(view, frame):
         start, _ = obs.view_ranges[view.view_id]
-        tiles = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)),
+        tiles = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
                  *iter_view_entries(frame, view)]
         rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
         rows += start

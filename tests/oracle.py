@@ -1,8 +1,8 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
-kernel, row access to the matrix, a dense reference for label compositing,
-a table-space reference for the row-sum lifts and dense references for the
-attention scores and the cosine metric.
+kernel, row access to the matrix and its row sums by bincount, a dense
+reference for label compositing, a table-space reference for the row-sum
+lifts and dense references for the attention scores and the cosine metric.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -187,6 +187,13 @@ def row_entries(A, i):
     """Primitive indices and weights of row i of a WeightMatrix, in storage order."""
     lo, hi = A.indptr[i], A.indptr[i + 1]
     return A.indices[lo:hi], A.weights[lo:hi]
+
+
+def row_sums_reference(A):
+    """Each row's weight sum by bincount over the entries' rows, which adds
+    a row's weights in storage order starting from 0.0."""
+    return np.bincount(np.repeat(np.arange(A.rows), np.diff(A.indptr)), weights=A.weights,
+                       minlength=A.rows)
 
 
 def onehot_label_votes(A, labels, min_weight=0.0):

@@ -68,7 +68,7 @@ def test_feature_tensor_trailing_bytes(tmp_path):
         formats.read_feature_tensor(path)
 
 
-# one 4096x4096 view: a WMX1 header for it asks for a 128 MiB indptr
+# one 4096x4096 view: a WMX1 header for it asks for a 64 MiB indptr
 HUGE_VIEW = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4096, height=4096,
                        world_to_camera=np.eye(4), view_id="huge")
 
@@ -80,7 +80,7 @@ HUGE_VIEW = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4096, height=4096,
      formats.read_label_map),
     (formats.TABLE_MAGIC + struct.pack("<2I", 1, 2**32 - 1), formats.read_label_features),
     (formats.TABLE_MAGIC + struct.pack("<2I", 2**32 - 1, 0), formats.read_label_features),
-    (formats.MATRIX_MAGIC + struct.pack("<I32s3Q", 1, bytes(32), 4096 * 4096, 3, 2**40),
+    (formats.MATRIX_MAGIC + struct.pack("<I32s3Q", 2, bytes(32), 4096 * 4096, 3, 2**31 - 1),
      lambda path: formats.read_weight_matrix(path, bytes(32), [HUGE_VIEW], 3, 1.2)),
 ])
 def test_oversized_header_is_format_error(tmp_path, header, reader):
@@ -350,10 +350,11 @@ def test_weight_matrix_roundtrip_bit_exact(tmp_path, small_matrix):
     path = tmp_path / "field.flt.A"
     formats.write_weight_matrix(path, A, KEY)
     assert [p.name for p in tmp_path.iterdir()] == ["field.flt.A"]  # no temporary left
-    assert path.stat().st_size == WMX_HEADER + 8 * (A.rows + 1) + 16 * A.nnz
+    assert path.stat().st_size == WMX_HEADER + 4 * (A.rows + 1) + 12 * A.nnz
     back = formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
     for name in ("indptr", "indices", "weights"):
         assert getattr(back, name).tobytes() == getattr(A, name).tobytes()
+    assert back.indptr.dtype == back.indices.dtype == np.int32
     assert back.cols == A.cols and back.view_ranges == A.view_ranges
 
 
@@ -365,6 +366,13 @@ def test_weight_matrix_key_mismatch_reads_no_payload(tmp_path, small_matrix):
     assert formats.read_weight_matrix(path, bytes(32), views, A.cols, 1.2) is None
     with pytest.raises(FormatError, match="truncated"):
         formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+    # a file of another version is stale too, and rebuilt rather than an
+    # error: version 1 (int64 indices) and any other
+    blob = bytearray(path.read_bytes())
+    for version in (0, 1, 3, 2**32 - 1):
+        blob[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(blob))
+        assert formats.read_weight_matrix(path, KEY, views, A.cols, 1.2) is None
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -394,7 +402,7 @@ def test_weight_matrix_oversized_nnz_allocates_nothing(tmp_path, small_matrix):
     path = tmp_path / "field.flt.A"
     formats.write_weight_matrix(path, A, KEY)
     blob = bytearray(path.read_bytes())
-    blob[56:64] = struct.pack("<Q", 2**60)
+    blob[56:64] = struct.pack("<Q", 2**31 - 1)
     path.write_bytes(bytes(blob))
     tracemalloc.start()
     try:
@@ -404,6 +412,35 @@ def test_weight_matrix_oversized_nnz_allocates_nothing(tmp_path, small_matrix):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("nnz", [2**31, 2**32 + 5, 2**60])
+def test_weight_matrix_nnz_past_int32_is_refused_before_any_read(tmp_path, nnz):
+    # a file that held these entries would pass the truncation check; the
+    # header alone is refused
+    path = tmp_path / "huge.A"
+    path.write_bytes(formats.MATRIX_MAGIC + struct.pack("<I32s3Q", 2, KEY, 4096 * 4096, 3, nnz))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"{nnz} entries exceed the int32 indices"):
+            formats.read_weight_matrix(path, KEY, [HUGE_VIEW], 3, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("blob, reader", [
+    (formats.FEATURE_MAGIC + struct.pack("<4I", 2, 1, 1, 1) + bytes(4),
+     formats.read_feature_tensor),
+    (formats.LABEL_MAGIC + struct.pack("<3I", 2, 1, 1) + bytes(4), formats.read_label_map),
+], ids=["flt", "lbl"])
+def test_other_containers_refuse_another_version(tmp_path, blob, reader):
+    # unlike a stale weight matrix, these files are inputs and outputs
+    path = tmp_path / "f.bin"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="unsupported version 2"):
+        reader(path)
 
 
 def test_weight_matrix_key_has_32_bytes(tmp_path, small_matrix):
@@ -427,8 +464,8 @@ CONTAINERS = {
             b"LFT1" + struct.pack("<2I", 2, 2) + struct.pack("<i2f", 2, -1.0, 2.5)
             + struct.pack("<i2f", 7, 0.5, 1.0)),
     "wmx": (lambda path: formats.write_weight_matrix(path, TINY_MATRIX, KEY),
-            b"WMX1" + struct.pack("<I", 1) + KEY + struct.pack("<3Q", 3, 2, 3)
-            + struct.pack("<4q", 0, 2, 2, 3) + struct.pack("<3q", 1, 0, 1)
+            b"WMX1" + struct.pack("<I", 2) + KEY + struct.pack("<3Q", 3, 2, 3)
+            + struct.pack("<4i", 0, 2, 2, 3) + struct.pack("<3i", 1, 0, 1)
             + struct.pack("<3d", 0.25, 0.5, 1.0)),
 }
 
@@ -536,7 +573,10 @@ def test_corrupted_files_raise_only_format_error(tmp_path_factory, sample_files,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            reader(path)
+            if reader(path) is None:
+                # a weight matrix of another version or key is stale and
+                # rebuilt, so only those header bytes may make it so
+                assert kind == "wmx" and blob[4:40] != original[4:40]
         except FormatError:
             pass
         except InvalidInputError as exc:

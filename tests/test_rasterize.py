@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oracle import (
     onehot_label_votes,
     reference_rows,
     row_entries,
+    row_sums_reference,
     scanned_tiles,
     splat_scene,
 )
@@ -28,6 +31,9 @@ from splatlift.rasterize import (
     render,
     render_labels,
 )
+from splatlift.synthbench import make_scene, parse_scene_spec
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def frontal_view(width=9, height=9, fx=100.0, view_id="v0", cx=None, cy=None):
@@ -665,13 +671,70 @@ def test_row_normalized_matches_row_loop(A):
 
 def test_validate_keys_past_int32():
     # rows * cols > 2**31: keys row * cols + index are int64. In int32, the
-    # key of (row 2, index 7) would wrap onto that of (row 0, index 7).
-    cols = 2**31
+    # key of (row 2, index 7) would wrap onto that of (row 0, index 7). No
+    # per-column array is allocated: one of float64 would take 16 GiB.
+    cols = 2**31 - 1
     A = matrix([0, 1, 2, 3], [7, cols - 1, 7], [0.5, 0.5, 0.5], cols)
-    A.validate()
     dup = matrix([0, 1, 3, 4], [7, cols - 1, cols - 1, 7], [0.5, 0.25, 0.25, 0.5], cols)
-    with pytest.raises(InvalidInputError, match="duplicate primitive index in row 1$"):
-        dup.validate()
+    tracemalloc.start()
+    try:
+        A.validate()
+        with pytest.raises(InvalidInputError, match="duplicate primitive index in row 1$"):
+            dup.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(duplicates=True))
+def test_row_sums_match_bincount_bitwise(A):
+    assert A.row_sums().tobytes() == row_sums_reference(A).tobytes()
+
+
+@pytest.mark.parametrize("name", ["opaque_wall.ini", "two_blob.ini", "two_blob_noisy.ini"])
+def test_row_sums_match_bincount_bitwise_on_bundled_scenes(name):
+    # rows of up to dozens of entries, where a pairwise sum would round
+    # differently
+    scene, views, _ = make_scene(parse_scene_spec((SCENES / name).read_text()))
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    assert A.row_sums().tobytes() == row_sums_reference(A).tobytes()
+
+
+def test_index_arrays_past_int32_are_refused_not_wrapped():
+    # int32 wraps 2**32 + 5 to 5, which would make both matrices valid
+    big = np.int64(2**32 + 5)
+    matrix([0, 5], [0, 1, 2, 3, 5], [0.1] * 5, 8).validate()
+    with pytest.raises(InvalidInputError, match="primitive indices must lie in the int32 range"):
+        matrix([0, 5], [0, 1, 2, 3, big], [0.1] * 5, 8)
+    with pytest.raises(InvalidInputError, match="indptr must lie in the int32 range"):
+        matrix([0, big], [0, 1, 2, 3, 4], [0.1] * 5, 8)
+
+
+def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies():
+    scene = splat_scene([[0.0, 0.0, 2.0], [0.05, 0.0, 2.5]], 0.1, 3.0)
+    view = frontal_view(17, 17, view_id="a")
+    assert all(cols.dtype == np.int32
+               for _, cols, _ in rasterize._tile_entries(project(scene, view, 1.0), view))
+    A = build_weight_matrix(scene, [view])
+    assert A.indptr.dtype == A.indices.dtype == np.int32
+    csr = A.to_csr()
+    assert np.shares_memory(csr.indptr, A.indptr) and np.shares_memory(csr.indices, A.indices)
+
+
+def test_build_refuses_entries_and_primitives_past_int32(monkeypatch):
+    class HugeScene:  # only its length is read before the refusal
+        def __len__(self):
+            return 2**31
+
+    view = frontal_view(17, 17, view_id="a")
+    with pytest.raises(InvalidInputError, match="2147483648 primitives"):
+        build_weight_matrix(HugeScene(), [view])
+    scene = splat_scene([[0.0, 0.0, 2.0], [0.05, 0.0, 2.5]], 0.1, 3.0)
+    monkeypatch.setattr(rasterize, "INDEX_LIMIT", build_weight_matrix(scene, [view]).nnz)
+    with pytest.raises(InvalidInputError, match="entries.*lift --streaming"):
+        build_weight_matrix(scene, [view])
 
 
 def test_row_sums_computed_once():
