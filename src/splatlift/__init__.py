@@ -21,7 +21,6 @@ from .solver import (
     beta,
     bound_report,
     lift_rowsum,
-    lift_rowsum_squared,
     lift_streaming,
     loss_surrogate,
     loss_true,

@@ -38,7 +38,7 @@ from .query import (
     segment,
 )
 from .rasterize import build_weight_matrix, render_labels
-from .solver import FeatureField, ObservationSet, lift_rowsum, lift_rowsum_squared, lift_streaming
+from .solver import LIFT_MODES, FeatureField, ObservationSet, lift_rowsum, lift_streaming
 from .synthbench import SILHOUETTE_DOMINANCE, make_observations, make_scene, parse_scene_spec
 from .verify import SUITES, VerificationError, run_suite
 
@@ -46,11 +46,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
-
-# The lifts are looked up by name on each call, so that rebinding the
-# module's names (as perfbench/tracing.py does to time them) reaches them.
-LIFTS = {"rowsum": lambda A, obs: lift_rowsum(A, obs),
-         "rowsum2": lambda A, obs: lift_rowsum_squared(A, obs)}
 
 # segment's threshold when the pooled scores of a query have no valley.
 FALLBACK_THRESHOLD = 0.5
@@ -70,7 +65,7 @@ def _choice(table):
 SETTINGS = {
     "lambda": (1.2, "a number >= 0.1", lambda value: LiftConfig(lam=float(value)).lam),
     "kernel": ("gaussian3d", f"one of {sorted(KERNEL_NAMES)}", _choice(KERNEL_NAMES)),
-    "mode": ("rowsum", f"one of {sorted(LIFTS)}", _choice(LIFTS)),
+    "mode": ("rowsum", f"one of {sorted(LIFT_MODES)}", _choice(LIFT_MODES)),
     "tau": (0.6, "a number", float),
 }
 
@@ -256,7 +251,7 @@ def _cmd_lift(args) -> int:
         matrix = None
     else:
         matrix = build_weight_matrix(scene, views, cfg, threads=threads)
-        field = LIFTS[mode](matrix, obs)
+        field = lift_rowsum(matrix, obs, mode)
         path_kind = "matrix"
     elapsed = time.perf_counter() - started
 
@@ -324,7 +319,7 @@ def _cmd_cluster_filter(args) -> int:
           f"{dropped}/{len(records)} masks dropped at tau={settings['tau']}")
     if args.relift:
         started = time.perf_counter()
-        relifted = LIFTS[settings["mode"]](matrix, filtered)
+        relifted = lift_rowsum(matrix, filtered, settings["mode"])
         elapsed = time.perf_counter() - started
         _write_field(out / "field.flt", relifted, settings, "matrix", obs.rows, elapsed,
                      matrix, key)

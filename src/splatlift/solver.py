@@ -21,6 +21,7 @@ from .rasterize import WeightMatrix, _map_views, iter_view_entries, view_ranges
 EPS_COVERAGE = 1e-8
 ORACLE_MAX_PRIMITIVES = 5000
 ORACLE_DAMPING = 1e-10
+LIFT_MODES = ("rowsum", "rowsum2")
 
 
 class InvariantViolation(RuntimeError):
@@ -205,14 +206,14 @@ def _accumulate(rows, cols, weights, obs: ObservationSet, P, squared):
     """Lift sums over weight entries, in table space: M = W^T L, den = W^T 1
     and cov = A^T 1.
 
-    W holds the entries' weights (squared for rowsum2) and L is the
-    ray-to-table-row indicator of obs.index, so the lift's numerator W^T B
-    is M T for B = L T. M is a sparse P x K matrix; sums of M over views
-    stay K wide, and _finish applies T once.
+    W holds the entries' weights (squared for rowsum2; den is cov otherwise)
+    and L is the ray-to-table-row indicator of obs.index, so the lift's
+    numerator W^T B is M T for B = L T. M is a sparse P x K matrix; sums of
+    M over views stay K wide, and _finish applies T once.
     """
-    w_eff = weights * weights if squared else weights
     cov = np.bincount(cols, weights=weights, minlength=P)
-    den = np.bincount(cols, weights=w_eff, minlength=P)
+    w_eff = weights * weights if squared else weights
+    den = np.bincount(cols, weights=w_eff, minlength=P) if squared else cov
     M = sp.csr_matrix((w_eff, (cols, obs.index[rows])), shape=(P, len(obs.table)))
     return M, den, cov
 
@@ -231,20 +232,22 @@ def _finish(M, den, cov, table) -> FeatureField:
     return FeatureField(values=values, coverage=cov, table_weights=sp.diags(scale) @ M)
 
 
-def lift_rowsum(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
-    """Closed-form lift x_j = sum_i A_ij B_i / sum_i A_ij over observed rays."""
-    sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=False)
-    return _finish(*sums, obs.table)
+def _squared(mode: str) -> bool:
+    """Whether a lift mode weights entries by A_ij^2 (rowsum2), not A_ij (rowsum)."""
+    if mode not in LIFT_MODES:
+        raise InvalidInputError(
+            f"unknown lift mode {mode!r} (expected one of {', '.join(LIFT_MODES)})")
+    return mode == "rowsum2"
 
 
-def lift_rowsum_squared(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
-    """Squared-weight variant x_j = sum_i A_ij^2 B_i / sum_i A_ij^2.
+def lift_rowsum(A: WeightMatrix, obs: ObservationSet, mode: str = "rowsum") -> FeatureField:
+    """Closed-form lift x_j = sum_i W_ij B_i / sum_i W_ij over observed rays.
 
-    Identical to lift_rowsum whenever every nonzero weight equals 1; sharper
-    otherwise (front-loaded weights dominate). A is expected to have been
-    built with the polarized activation.
+    W_ij = A_ij for mode rowsum and A_ij^2 for rowsum2, which is the same
+    where every weight is 1 and sharper otherwise (front-loaded weights
+    dominate) on an A built with the polarized activation.
     """
-    sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=True)
+    sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, _squared(mode))
     return _finish(*sums, obs.table)
 
 
@@ -259,10 +262,8 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     the matrix path within accumulation-order tolerance (1e-5 relative at
     desk scale).
     """
+    squared = _squared(mode)
     cfg = cfg or LiftConfig()
-    if mode not in ("rowsum", "rowsum2"):
-        raise InvalidInputError(f"unknown lift mode {mode!r}")
-    squared = mode == "rowsum2"
 
     def accumulate_view(view, frame):
         start, _ = obs.view_ranges[view.view_id]
@@ -318,17 +319,18 @@ def _loss_pair_rows(A: WeightMatrix, obs: ObservationSet, x: np.ndarray,
         raise InvalidInputError(f"unknown norm {norm!r} (expected l1, l2, or huber)")
     xv = _solution_values(A, obs, x)
     mask = obs.observed_mask()
-    B = obs.dense_values()
     rows, cols, weights = _observed_entries(A, obs)
+    entry_rows, ray_rows = obs.index[rows], obs.index[mask]
+    sums = A.row_sums()[mask]
     n_rows = A.rows
-    sums = np.bincount(rows, weights=weights, minlength=n_rows)
-    true_rows = np.zeros(n_rows)
+    true_rows = np.zeros(len(ray_rows))
     surr_rows = np.zeros(n_rows)
     for c in range(obs.feature_dim):
-        v = xv[cols, c] - B[rows, c]
+        B_c = obs.table[:, c]
+        v = xv[cols, c] - B_c[entry_rows]
         t = weights * v
-        resid_c = np.bincount(rows, weights=t, minlength=n_rows)
-        resid_c += (sums - 1.0) * B[:, c]
+        resid_c = np.bincount(rows, weights=t, minlength=n_rows)[mask]
+        resid_c += (sums - 1.0) * B_c[ray_rows]
         true_rows += _scalar_phi(resid_c, norm, huber_delta)
         if norm == "l1":
             surr_rows += np.bincount(rows, weights=np.abs(t), minlength=n_rows)
@@ -346,7 +348,7 @@ def _loss_pair_rows(A: WeightMatrix, obs: ObservationSet, x: np.ndarray,
             s_lin = np.bincount(rows, weights=np.where(lin, weights, 0.0),
                                 minlength=n_rows)
             surr_rows += quad + huber_delta * (sv_lin - (0.5 * huber_delta) * s_lin)
-    return true_rows[mask], surr_rows[mask]
+    return true_rows, surr_rows[mask]
 
 
 def loss_true(A: WeightMatrix, obs: ObservationSet, x: np.ndarray, norm: str = "l2",
@@ -372,15 +374,11 @@ def loss_surrogate(A: WeightMatrix, obs: ObservationSet, x: np.ndarray, norm: st
 
 
 def surrogate_gradient(A: WeightMatrix, obs: ObservationSet, x: np.ndarray) -> np.ndarray:
-    """Gradient of the L2 surrogate: grad_j = sum_i A_ij (x_j - B_i)."""
+    """Gradient of the L2 surrogate: grad_j = sum_i A_ij (x_j - B_i) =
+    cov_j x_j - (M T)_j, from the row-sum lift's own sums (see _accumulate)."""
     xv = _solution_values(A, obs, x)
-    rows, cols, weights = _observed_entries(A, obs)
-    grad = np.zeros_like(xv)
-    B = obs.dense_values()
-    for f in range(xv.shape[1]):
-        grad[:, f] = np.bincount(cols, weights=weights * (xv[cols, f] - B[rows, f]),
-                                 minlength=A.cols)
-    return grad
+    M, _, cov = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=False)
+    return cov[:, None] * xv - M @ obs.table
 
 
 def beta(A: WeightMatrix, obs: ObservationSet, x_hat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -401,9 +399,8 @@ def _row_dispersion(A: WeightMatrix, obs: ObservationSet, x_hat: np.ndarray):
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("x_hat must be finite")
     rows, cols, weights = _observed_entries(A, obs)
-    sums = np.bincount(rows, weights=weights, minlength=A.rows)
-    norm_w = weights / sums[rows]
-    delta = np.linalg.norm(xv[cols] - obs.dense_values()[rows], axis=1)
+    norm_w = weights / A.row_sums()[rows]
+    delta = np.linalg.norm(xv[cols] - obs.table[obs.index[rows]], axis=1)
     mu = np.bincount(rows, weights=norm_w * delta, minlength=A.rows)
     m2 = np.bincount(rows, weights=norm_w * delta * delta, minlength=A.rows)
     var = np.maximum(m2 - mu * mu, 0.0)
@@ -428,7 +425,7 @@ def lsq_oracle(A: WeightMatrix, obs: ObservationSet) -> FeatureField:
             "sub-sample rays or primitives first")
     mask = obs.observed_mask()
     csr = A.to_csr()[np.flatnonzero(mask)]
-    B = obs.dense_values()[mask]
+    B = obs.table[obs.index[mask]]
     gram = (csr.T @ csr).toarray()
     rhs = csr.T @ B
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -486,16 +483,21 @@ class BoundReport:
 def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:
     """Compare the row-sum lift with the least-squares optimum under L2.
 
+    The report is taken over the covered observed rays: a ray with no
+    entries composites to 0 for every x, so its -B_i residual enters L and
+    no term of J, and the chain holds only for rows that sum to 1.
     L(opt) <= 1e-12 ||B_obs||_F^2 is an exact fit, the oracle's rounding
     residual: the ratio is then inf, or 1 if L(rowsum) is at that floor too.
     """
+    _check_alignment(A, obs)
+    obs = obs.masked(A.covered_rows())
     An = A.row_normalized()
     x_rowsum = lift_rowsum(An, obs).values
     x_opt = lsq_oracle(An, obs).values
     l_rowsum, j_rowsum = (float(np.sum(r)) for r in _loss_pair_rows(An, obs, x_rowsum, "l2", 1))
     l_opt, j_opt = (float(np.sum(r)) for r in _loss_pair_rows(An, obs, x_opt, "l2", 1))
     mu_rows, beta_rows = _row_dispersion(An, obs, x_opt)
-    fit_floor = 1e-12 * float(np.sum(obs.dense_values() ** 2))
+    fit_floor = 1e-12 * float(np.sum(obs.table[obs.index[obs.observed_mask()]] ** 2))
     if l_opt <= fit_floor:
         ratio = 1.0 if l_rowsum <= fit_floor else math.inf
     else:

@@ -2,7 +2,8 @@
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
 kernel, row access to the matrix and its row sums by bincount, a dense
 reference for label compositing, a table-space reference for the row-sum
-lifts and dense references for the attention scores and the cosine metric.
+lifts, a per-entry reference for the surrogate gradient and dense
+references for the attention scores and the cosine metric.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -227,6 +228,17 @@ def table_lift(A, obs, squared=False):
     x = np.zeros_like(num)
     x[kept] = num[kept] / den[kept, None]
     return x
+
+
+def surrogate_gradient_reference(A, obs, x):
+    """grad_j = sum_i A_ij (x_j - B_i) over the observed rays, one entry at
+    a time, with B the dense values."""
+    B = obs.dense_values()
+    grad = np.zeros_like(x)
+    for i in np.flatnonzero(obs.observed_mask()):
+        for j, w in zip(*row_entries(A, i)):
+            grad[j] += w * (x[j] - B[i])
+    return grad
 
 
 def attention_reference(values, unobserved, query):

@@ -18,9 +18,9 @@ from splatlift.model import LiftConfig
 from splatlift.query import ValleyNotFoundError, auto_threshold
 from splatlift.rasterize import build_weight_matrix, render_labels
 from splatlift.solver import (
+    LIFT_MODES,
     bound_report,
     lift_rowsum,
-    lift_rowsum_squared,
     lift_streaming,
     loss_surrogate,
     loss_true,
@@ -203,8 +203,8 @@ def test_criterion_7_streaming_equivalence(blob_fixtures):
     cases.append(("layered_sheet", sheet_scene, sheet_views, sheet_obs, LiftConfig(lam=1.0)))
     for name, scene_c, views_c, obs_c, cfg in cases:
         A = build_weight_matrix(scene_c, views_c, cfg)
-        for mode, fn in (("rowsum", lift_rowsum), ("rowsum2", lift_rowsum_squared)):
-            direct = fn(A, obs_c).values
+        for mode in LIFT_MODES:
+            direct = lift_rowsum(A, obs_c, mode).values
             streamed = lift_streaming(scene_c, views_c, obs_c, cfg, mode=mode).values
             denom = np.maximum(np.abs(direct), 1e-12)
             rel = float(np.max(np.abs(streamed - direct) / denom))

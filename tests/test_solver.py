@@ -1,18 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import row_entries, splat_scene, table_lift
+from oracle import row_entries, splat_scene, surrogate_gradient_reference, table_lift
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
 from splatlift.solver import (
     EPS_COVERAGE,
+    LIFT_MODES,
+    BoundReport,
     InvariantViolation,
     ObservationSet,
     beta,
     bound_report,
     lift_rowsum,
-    lift_rowsum_squared,
     lift_streaming,
     loss_surrogate,
     loss_true,
@@ -53,6 +56,16 @@ def obs_from_values(values):
     if values.ndim == 1:
         values = values[:, None]
     return ObservationSet.from_dense([tiny_view(len(values))], {"instance": values})
+
+
+def random_labels(rng, rows, feature_dim):
+    """Label-backed observations of rows rays of one view: labels 2, 5, 9
+    and unlabeled rays at random, the first ray labeled 2."""
+    labels = rng.choice([-1, 2, 5, 9], size=rows)
+    labels[0] = 2
+    table = {k: rng.normal(size=feature_dim) for k in (2, 5, 9)}
+    return ObservationSet.from_labels([tiny_view(rows)], {"instance": labels},
+                                      {"instance": table})
 
 
 # -- lift_rowsum ----------------------------------------------------------------
@@ -110,24 +123,24 @@ def test_lift_checks_alignment():
         lift_rowsum(A, other)
 
 
-# -- lift_rowsum_squared -----------------------------------------------------------
+# -- lift_rowsum, mode rowsum2 -----------------------------------------------------
 
 def test_squared_equals_plain_for_unit_weights():
     A = matrix_from_rows([[(0, 1.0)], [(1, 1.0)], [(0, 1.0)]], 2)
     obs = obs_from_values([1.0, 2.0, 5.0])
-    assert np.array_equal(lift_rowsum_squared(A, obs).values, lift_rowsum(A, obs).values)
+    assert np.array_equal(lift_rowsum(A, obs, "rowsum2").values, lift_rowsum(A, obs).values)
 
 
 def test_squared_weighting_hand_value():
     # weights 0.5 and 1.0 with observations 0 and 1: 1 / (0.25 + 1) = 0.8
     A = matrix_from_rows([[(0, 0.5)], [(0, 1.0)]], 1)
-    field = lift_rowsum_squared(A, obs_from_values([0.0, 1.0]))
+    field = lift_rowsum(A, obs_from_values([0.0, 1.0]), "rowsum2")
     assert field.values[0, 0] == pytest.approx(0.8)
 
 
 def test_squared_single_ray_recovers_observation():
     A = matrix_from_rows([[(0, 0.37)]], 1)
-    field = lift_rowsum_squared(A, obs_from_values([4.0]))
+    field = lift_rowsum(A, obs_from_values([4.0]), "rowsum2")
     assert field.values[0, 0] == pytest.approx(4.0)
 
 
@@ -191,6 +204,20 @@ def test_stationarity_of_rowsum_lift():
         grad = surrogate_gradient(A, obs, field.values)
         cov = field.coverage
         assert np.max(np.abs(grad[cov > 0]).max(axis=1) / cov[cov > 0]) <= 1e-8
+
+
+def test_surrogate_gradient_matches_per_entry_sums_away_from_the_lift():
+    # cov * x - M T against sum_i A_ij (x_j - B_i) at random x, dense and
+    # label-backed: a gradient without cov * x or with squared weights fails
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        A, dense = random_row_stochastic(rng, int(rng.integers(10, 80)),
+                                         int(rng.integers(3, 20)), int(rng.integers(1, 5)))
+        for obs in (dense, random_labels(rng, A.rows, dense.feature_dim)):
+            x = rng.normal(size=(A.cols, obs.feature_dim))
+            expected = surrogate_gradient_reference(A, obs, x)
+            got = surrogate_gradient(A, obs, x)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1.0)
 
 
 # -- beta dispersion --------------------------------------------------------------
@@ -336,9 +363,21 @@ def test_bound_report_exact_fit_gives_infinite_ratio():
     assert rep.ratio == np.inf
 
 
+def test_bound_report_over_covered_observed_rays():
+    # an observed ray with no entries composites to 0 for every x, so it
+    # would add B_i^2 to L and nothing to J; the report leaves it out
+    rows = [[(0, 0.5), (1, 0.5)], [(1, 1.0)]]
+    rep = bound_report(matrix_from_rows(rows + [[]], 2), obs_from_values([1.0, 2.0, 3.0]))
+    two = bound_report(matrix_from_rows(rows, 2), obs_from_values([1.0, 2.0]))
+    for name in ("loss_true_rowsum", "loss_surrogate_rowsum", "loss_surrogate_opt",
+                 "loss_true_opt", "beta", "ratio"):
+        assert getattr(rep, name) == getattr(two, name), name
+    assert np.array_equal(rep.beta_per_row, np.append(two.beta_per_row, 0.0))
+    assert np.array_equal(rep.mu_per_row, np.append(two.mu_per_row, 0.0))
+
+
 def test_bound_report_invariant_violation_raises():
     with pytest.raises(InvariantViolation):
-        from splatlift.solver import BoundReport
         BoundReport(loss_true_rowsum=2.0, loss_surrogate_rowsum=1.0,
                     loss_surrogate_opt=3.0, loss_true_opt=0.5,
                     beta=0.0, beta_per_row=np.zeros(1), mu_per_row=np.zeros(1), ratio=4.0)
@@ -365,8 +404,8 @@ def test_streaming_matches_matrix_path():
         render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     cfg = LiftConfig(lam=1.2)
     A = build_weight_matrix(scene, views, cfg)
-    for mode, fn in (("rowsum", lift_rowsum), ("rowsum2", lift_rowsum_squared)):
-        direct = fn(A, obs)
+    for mode in LIFT_MODES:
+        direct = lift_rowsum(A, obs, mode)
         streamed = lift_streaming(scene, views, obs, cfg, mode=mode)
         assert np.allclose(streamed.values, direct.values, rtol=1e-5, atol=1e-12)
         assert np.allclose(streamed.coverage, direct.coverage, rtol=1e-5, atol=1e-12)
@@ -399,7 +438,7 @@ def test_label_backed_wide_lift_matches_sparse_reference(squared):
     labels = {vid: masks.view_label_map(vid) for vid in masks.view_ranges}
     obs = ObservationSet.from_labels(views, labels, tables)
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
-    field = (lift_rowsum_squared if squared else lift_rowsum)(A, obs)
+    field = lift_rowsum(A, obs, "rowsum2" if squared else "rowsum")
 
     observed = obs.observed_mask()
     a_obs = A.to_csr()[np.flatnonzero(observed)]
@@ -416,9 +455,28 @@ def test_label_backed_wide_lift_matches_sparse_reference(squared):
     assert np.max(np.abs(field.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("path", ["rowsum", "rowsum2", "streaming"])
+@pytest.mark.parametrize("path", ["rowsum", "rowsum2", "streaming", "sums"])
 def test_label_backed_lifts_never_materialize_dense_values(path, monkeypatch):
-    # mask-style observations lift as (A_obs^T L) T over the label table
+    # mask-style observations lift as (A_obs^T L) T over the label table; the
+    # losses, gradient, beta, oracle and bound read the observed rays' table
+    # rows, dense or label-backed
+    def refuse(self):
+        raise AssertionError("the solver materialized the dense value matrix")
+
+    if path == "sums":
+        rng = np.random.default_rng(8)
+        A, dense = random_row_stochastic(rng, 60, 12, 3)
+        instances = [dense, random_labels(rng, A.rows, 3)]
+        monkeypatch.setattr(ObservationSet, "dense_values", refuse)
+        for obs in instances:
+            x = rng.normal(size=(A.cols, obs.feature_dim))
+            for norm in ("l1", "l2", "huber"):
+                assert loss_true(A, obs, x, norm) <= loss_surrogate(A, obs, x, norm)
+            assert surrogate_gradient(A, obs, x).shape == x.shape
+            assert beta(A, obs, x)[0].shape == (A.rows,)
+            assert lsq_oracle(A, obs).values.shape == x.shape
+            assert bound_report(A, obs).ratio >= 1.0
+        return
     spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=2)
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
@@ -426,15 +484,11 @@ def test_label_backed_lifts_never_materialize_dense_values(path, monkeypatch):
         render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
     cfg = LiftConfig(lam=1.2)
     A = build_weight_matrix(scene, views, cfg)
-
-    def refuse(self):
-        raise AssertionError("the lift materialized the dense value matrix")
-
     monkeypatch.setattr(ObservationSet, "dense_values", refuse)
     if path == "streaming":
         field = lift_streaming(scene, views, obs, cfg)
     else:
-        field = (lift_rowsum_squared if path == "rowsum2" else lift_rowsum)(A, obs)
+        field = lift_rowsum(A, obs, path)
     assert np.count_nonzero(~field.unobserved) > 0
 
 
@@ -446,19 +500,15 @@ def test_label_backed_lift_matches_its_dense_values(seed):
     rng = np.random.default_rng(seed)
     rows = 40
     A, _ = random_row_stochastic(rng, rows, 12, 1)
-    view = tiny_view(rows)
-    labels = rng.choice([-1, 2, 5, 9], size=rows)
-    labels[0] = 2  # at least one observed ray
-    table = {k: rng.normal(size=3) for k in (2, 5, 9)}
-    by_label = ObservationSet.from_labels([view], {"instance": labels}, {"instance": table})
+    by_label = random_labels(rng, rows, 3)
     dense = ObservationSet.from_dense(
-        [view], {"instance": by_label.dense_values()}).masked(by_label.observed_mask())
+        [tiny_view(rows)], {"instance": by_label.dense_values()}).masked(by_label.observed_mask())
     keep = rng.uniform(size=rows) > 0.4
     keep[0] = True
     for a, b in ((by_label, dense), (by_label.masked(keep), dense.masked(keep))):
         assert np.array_equal(a.observed_mask(), b.observed_mask())
-        for lift in (lift_rowsum, lift_rowsum_squared):
-            fa, fb = lift(A, a), lift(A, b)
+        for mode in LIFT_MODES:
+            fa, fb = lift_rowsum(A, a, mode), lift_rowsum(A, b, mode)
             assert np.array_equal(fa.coverage, fb.coverage)
             assert np.max(np.abs(fa.values - fb.values)) <= 1e-12 * np.max(np.abs(fb.values))
 
@@ -557,15 +607,14 @@ def faint_label_case():
     return A, obs
 
 
-@pytest.mark.parametrize("lift", [lift_rowsum, lift_rowsum_squared])
-def test_matrix_lift_is_bitwise_the_table_space_oracle(lift):
-    squared = lift is lift_rowsum_squared
+@pytest.mark.parametrize("mode", LIFT_MODES)
+def test_matrix_lift_is_bitwise_the_table_space_oracle(mode):
     scene, views, obs = wide_label_scene()
     A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
     faint_A, faint_obs = faint_label_case()
     for matrix, observations in ((A, obs), (faint_A, faint_obs)):
-        field = lift(matrix, observations)
-        assert np.array_equal(field.values, table_lift(matrix, observations, squared))
+        field = lift_rowsum(matrix, observations, mode)
+        assert np.array_equal(field.values, table_lift(matrix, observations, mode == "rowsum2"))
         assert np.count_nonzero(~field.unobserved) > 0
     # the faint primitive has den > 0 but is zeroed, as is the unseen one
     assert 0.0 < field.coverage[2] < EPS_COVERAGE
@@ -574,23 +623,32 @@ def test_matrix_lift_is_bitwise_the_table_space_oracle(lift):
 
 
 @pytest.mark.parametrize("path", ["matrix", "streaming"])
-@pytest.mark.parametrize("mode", ["rowsum", "rowsum2"])
+@pytest.mark.parametrize("mode", ["rowsum", "rowsum2", "rowsum3"])
 def test_table_weights_render_as_the_values(mode, path):
     # (A G) T composites the same rays as A x, x = G T, to rounding, and as
-    # the table-space oracle's field
+    # the table-space oracle's field; both paths refuse a mode that is not
+    # one of LIFT_MODES with the same message
     scene, views, obs = wide_label_scene()
     cfg = LiftConfig(lam=1.2)
     A = build_weight_matrix(scene, views, cfg)
-    lift = lift_rowsum_squared if mode == "rowsum2" else lift_rowsum
+    if mode not in LIFT_MODES:
+        message = re.escape("unknown lift mode 'rowsum3' (expected one of rowsum, rowsum2)")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            if path == "streaming":
+                lift_streaming(scene, views, obs, cfg, mode=mode)
+            else:
+                lift_rowsum(A, obs, mode)
+        return
     if path == "streaming":
         # the streamed sums stay K wide until one product, as the matrix path's
         field = lift_streaming(scene, views, obs, cfg, mode=mode)
-        direct = lift(A, obs).values
+        direct = lift_rowsum(A, obs, mode).values
         assert np.max(np.abs(field.values - direct)) <= 1e-12 * np.max(np.abs(direct))
         cases = [(A, field, obs)]
     else:
         faint_A, faint_obs = faint_label_case()
-        cases = [(A, lift(A, obs), obs), (faint_A, lift(faint_A, faint_obs), faint_obs)]
+        cases = [(A, lift_rowsum(A, obs, mode), obs),
+                 (faint_A, lift_rowsum(faint_A, faint_obs, mode), faint_obs)]
     for matrix, field, observations in cases:
         G = field.table_weights
         assert G.shape == (matrix.cols, len(observations.table))
