@@ -78,7 +78,9 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
     Distances are taken in an orthonormal basis of the rows' span, which
     preserves them up to rounding. At every rank the components come from a
     grid (Gan and Tao, "DBSCAN Revisited", 2015), which lists no pairs inside
-    a dense cell; an eps below its resolution lists the eps-graph instead.
+    a dense cell. An explicit eps below the grid's resolution (_grid_cells)
+    raises InvalidInputError; the data-derived eps, floored at EPS_FLOOR,
+    is above it at every rank below about 288,000.
     """
     params = params or ClusterParams()
     values = field.values
@@ -132,25 +134,23 @@ def _span_coordinates(x: np.ndarray) -> np.ndarray:
     return x @ vt[:rank].T
 
 
-def _grid_cells(y: np.ndarray, eps: float) -> np.ndarray | None:
+def _grid_cells(y: np.ndarray, eps: float) -> np.ndarray:
     """Each row's grid cell, of side just below eps / sqrt(rank), so that
     every pair inside a cell is within eps even after rounding, at any rank.
-    None only for an eps below the grid's resolution, where cell coordinates
-    would reach CELL_SPAN_LIMIT: about 1.9e-9 * sqrt(rank) on unit rows."""
+    An eps below the grid's resolution, where cell coordinates would reach
+    CELL_SPAN_LIMIT (about 1.9e-9 * sqrt(rank) on unit rows), is refused."""
     side = eps / math.sqrt(y.shape[1]) * (1.0 - CELL_SLACK)
     if np.ptp(y, axis=0).max() / side >= CELL_SPAN_LIMIT:
-        return None
+        raise InvalidInputError(f"eps {eps!r} is below the clustering grid's resolution")
     return np.floor((y - y.min(axis=0)) / side)
 
 
-def _dbscan_graph(y: np.ndarray, tree: cKDTree, eps: float, cells: np.ndarray | None,
-                  min_points: int):
+def _dbscan_graph(y: np.ndarray, tree: cKDTree, eps: float, cells: np.ndarray, min_points: int):
     """Core flags, component ids and border offers (non-core row, core row
     within eps) of the rows y, whose kd-tree is tree.
 
     cells holds each row's grid cell, of a side whose diagonal is below eps,
-    so that every pair inside a cell is within eps (None, for an eps below
-    the grid's resolution: each row is its own cell). A cell holding
+    so that every pair inside a cell is within eps. A cell holding
     min_points rows is dense and all core. Only the rows of the other cells
     list their neighbors; that settles their core flags, every core pair
     across cells that involves them, and the border offers. The cores of one
@@ -158,18 +158,13 @@ def _dbscan_graph(y: np.ndarray, tree: cKDTree, eps: float, cells: np.ndarray | 
     cells are joined by _join_dense_cells.
     """
     n = len(y)
-    if cells is None:
-        order = cell_of = np.arange(n)
-        sizes = np.ones(n, dtype=np.int64)
-        core = np.zeros(n, dtype=bool)
-    else:
-        order = np.lexsort(cells.T[::-1])
-        new = np.ones(n, dtype=bool)
-        new[1:] = np.any(cells[order[1:]] != cells[order[:-1]], axis=1)
-        cell_of = np.empty(n, dtype=np.int64)
-        cell_of[order] = np.cumsum(new) - 1
-        sizes = np.bincount(cell_of)
-        core = sizes[cell_of] >= min_points
+    order = np.lexsort(cells.T[::-1])
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(cells[order[1:]] != cells[order[:-1]], axis=1)
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[order] = np.cumsum(new) - 1
+    sizes = np.bincount(cell_of)
+    core = sizes[cell_of] >= min_points
     sparse, dense = np.flatnonzero(~core), np.flatnonzero(core)
 
     sub = tree if len(sparse) == n else cKDTree(y[sparse])

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, rasterize
+from . import formats, rasterize, synthbench
 from .aggregate import cluster_features, filter_observations, iou
 from .model import KERNEL_NAMES, CameraView, InvalidInputError, LiftConfig
 from .query import (
@@ -277,7 +277,8 @@ def _field_matrix(args, field: FeatureField):
     """Views, weight matrix, settings and matrix key for a command that
     reuses a field; the scene must have as many primitives as the field.
     The field's <field>.A is used when its key matches these inputs;
-    otherwise A is built."""
+    otherwise A is built. A <field>.A that an older version wrote under
+    this key is rewritten with the rebuilt A, when the directory allows."""
     scene, views, settings = _lift_setup(args, Path(str(args.field) + ".json"))
     if len(scene) != field.count:
         raise InvalidInputError(
@@ -290,6 +291,11 @@ def _field_matrix(args, field: FeatureField):
     if matrix is None:
         matrix = build_weight_matrix(scene, views, LiftConfig(lam=settings["lambda"]),
                                      threads=_threads())
+        if stored.exists() and formats.older_weight_matrix(stored, key):
+            try:
+                formats.write_weight_matrix(stored, matrix, key)
+            except OSError as exc:
+                print(f"warning: could not rewrite {stored}: {exc}", file=sys.stderr)
     return views, matrix, settings, key
 
 
@@ -476,9 +482,7 @@ def _cmd_synth(args) -> int:
         clean = clean_labels[start:stop].reshape(view.height, view.width)
         for obj_index, obj in enumerate(spec.objects):
             formats.write_pgm(out / "gt" / f"{obj.name}__{vid}_mask.pgm", clean == obj_index)
-    feats = np.array([o.feature for o in spec.objects], dtype=np.float64)
-    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    for obj, vec in zip(spec.objects, feats):
+    for obj, vec in zip(spec.objects, synthbench._unit_features(spec)):
         formats.write_feature_tensor(out / "queries" / f"{obj.name}.flt",
                                      vec.reshape(1, 1, -1).astype(np.float32))
     with open(out / "tags.csv", "w", newline="") as fh:

@@ -129,9 +129,12 @@ def write_label_features(path, table: dict, feature_dim: int | None = None) -> N
     fdim = len(vecs[0]) if ids else feature_dim
     if any(len(v) != fdim for v in vecs):
         raise InvalidInputError("label feature vectors must share one dimension")
+    values = np.array(vecs, dtype="<f4").reshape(len(ids), fdim)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("label feature values must be finite")
     records = np.empty((len(ids), 1 + fdim), dtype="<i4")
     records[:, 0] = ids
-    records[:, 1:] = np.array(vecs, dtype="<f4").reshape(len(ids), fdim).view("<i4")
+    records[:, 1:] = values.view("<i4")
     _write_atomic(path, TABLE_MAGIC, "2I", (len(ids), fdim), records)
 
 
@@ -144,7 +147,10 @@ def read_label_features(path) -> dict:
     ids, counts = np.unique(records[:, 0], return_counts=True)
     if np.any(counts > 1):
         raise FormatError(f"{path}: duplicate record for label {ids[counts > 1][0]}")
-    return dict(zip(records[:, 0].tolist(), records[:, 1:].view("<f4")))
+    values = records[:, 1:].view("<f4")
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: payload contains non-finite values")
+    return dict(zip(records[:, 0].tolist(), values))
 
 
 # -- weight matrices (WMX1) ----------------------------------------------------
@@ -191,6 +197,14 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
     except InvalidInputError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return matrix
+
+
+def older_weight_matrix(path, key: bytes) -> bool:
+    """Whether the weight-matrix file was written under key by an older
+    version, whose payload read_weight_matrix does not read."""
+    with open(path, "rb") as fh:
+        version, stored, *_ = _read_header(fh, path, MATRIX_MAGIC, "I32s3Q")
+    return version < MATRIX_VERSION and stored == key
 
 
 # -- splat scenes (binary PLY) -------------------------------------------------

@@ -338,29 +338,6 @@ def opaque_wall_spec(seed: int = 3, views: int = 3) -> SceneSpec:
     )
 
 
-def two_blob_spec(noise_fraction: float = 0.0, seed: int = 7,
-                  resolution: int = 80, views: int = 10) -> SceneSpec:
-    """Two opaque sharp-edged blobs before a backing wall; optional merged masks."""
-    return SceneSpec(
-        seed=seed,
-        objects=(
-            ObjectSpec(name="blob_a", shape="disk", count=3000,
-                       theta_range=(9.0, 11.0), feature=(1.0, 0.0, 0.0, 0.0),
-                       center=(-1.12, 0.0, 4.0), extent=1.0, scale_factor=0.65),
-            ObjectSpec(name="blob_b", shape="disk", count=3000,
-                       theta_range=(9.0, 11.0), feature=(0.0, 1.0, 0.0, 0.0),
-                       center=(1.12, 0.0, 4.0), extent=1.0, scale_factor=0.65),
-            ObjectSpec(name="wall", shape="wall", count=1600,
-                       theta_range=(9.0, 11.0), feature=(0.0, 0.0, 1.0, 0.0),
-                       center=(0.0, 0.0, 6.0), extent=6.5, scale_factor=1.4),
-        ),
-        views=ViewOrbit(count=views, width=resolution, height=resolution,
-                        focal=1.05 * resolution, radius=4.0, span_degrees=24.0,
-                        target=(0.0, 0.0, 4.0)),
-        noise=NoiseSpec(fraction=noise_fraction, merge_pairs=(("blob_a", "blob_b"),)),
-    )
-
-
 def layered_sheet_scene(focal: float = 64.0, resolution: int = 64):
     """Two coaxial near-flat giant splats covering every pixel of one view.
 

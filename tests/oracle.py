@@ -2,8 +2,9 @@
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
 kernel, row access to the matrix and its row sums by bincount, a dense
 reference for label compositing, a table-space reference for the row-sum
-lifts, a per-entry reference for the surrogate gradient and dense
-references for the attention scores and the cosine metric.
+lifts, a per-entry reference for the surrogate gradient, dense
+references for the attention scores and the cosine metric, and the bundled
+two-blob scene at test sizes.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -13,12 +14,17 @@ are the method's, restated here rather than read from the library.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from splatlift import rasterize
 from splatlift.model import KernelKind, SplatScene
+from splatlift.synthbench import parse_scene_spec
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 NEAR_PLANE = 1e-3
 WEIGHT_EPS = 1e-8
@@ -264,3 +270,12 @@ def cosine_reference(rendered, obs):
     cos = np.sum(rendered[usable] * gt[usable], axis=1) / (rn[usable] * gn[usable])
     return (float(cos.mean()), int(np.count_nonzero(usable)),
             int(np.count_nonzero(observed) - np.count_nonzero(usable)))
+
+
+def two_blob_spec(noise_fraction=0.0, seed=7, resolution=80, views=10):
+    """scenes/two_blob.ini with this merged-mask fraction and seed, and this
+    many square views of resolution pixels at focal 1.05 * resolution."""
+    spec = parse_scene_spec((SCENES / "two_blob.ini").read_text())
+    orbit = replace(spec.views, count=views, width=resolution, height=resolution,
+                    focal=1.05 * resolution)
+    return replace(spec, seed=seed, views=orbit, noise=replace(spec.noise, fraction=noise_fraction))

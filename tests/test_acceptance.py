@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import two_blob_spec
 
 from splatlift import formats
 from splatlift.aggregate import cluster_features, filter_observations
@@ -36,7 +37,6 @@ from splatlift.synthbench import (
     mc_background_gradient,
     opaque_wall_spec,
     random_row_stochastic,
-    two_blob_spec,
 )
 
 PASS = "PASS criterion {n}: {msg}"

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import two_blob_spec
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -21,7 +22,6 @@ from splatlift.synthbench import (
     SILHOUETTE_DOMINANCE,
     make_observations,
     make_scene,
-    two_blob_spec,
 )
 
 
@@ -292,18 +292,13 @@ def test_grid_clustering_matches_seed_order_oracle_on_float32_rows_in_r512(seed)
                                   ClusterParams(min_points=min_points, eps=eps))
 
 
-def test_eps_below_the_grid_resolution_lists_the_eps_graph():
+def test_eps_below_the_grid_resolution_is_refused():
     # At eps = 1e-12 cells would be 7e-13 wide, and the rows span about 2:
-    # the grid gives way to the eps-graph. Coincident rows are 0 apart, so
-    # groups of min_points or more cluster and the rest is noise.
-    params = ClusterParams(min_points=5, eps=1e-12)
+    # cell coordinates would reach CELL_SPAN_LIMIT, and no grid is formed.
     values = np.vstack([np.repeat(_arc(np.linspace(0, 2 * np.pi, 6, endpoint=False)),
                                   [12, 5, 4, 9, 1, 7], axis=0), _arc([1e-3])])
-    x = values / np.linalg.norm(values, axis=1)[:, None]
-    assert aggregate._grid_cells(aggregate._span_coordinates(x), params.eps) is None
-    assign = assert_matches_oracle(values, params.eps, params.min_points, params)
-    assert assign.n_clusters == 4
-    assert np.count_nonzero(assign.labels == -1) == 4 + 1 + 1
+    with pytest.raises(InvalidInputError, match="resolution"):
+        cluster_features(field_from(values), ClusterParams(min_points=5, eps=1e-12))
 
 
 def test_rows_in_a_subspace_of_r512_cluster_as_their_coordinates():

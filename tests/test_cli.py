@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from oracle import two_blob_spec
 
 import splatlift
 from splatlift import cli, formats, rasterize
@@ -23,7 +25,6 @@ from splatlift.synthbench import (
     make_observations,
     make_scene,
     parse_scene_spec,
-    two_blob_spec,
 )
 
 # scenes/two_blob.ini at 32 x 32 pixels and 3 views.
@@ -353,6 +354,29 @@ def test_lift_rejects_infinite_focal_length(fixture_dir, tmp_path, capsys):
                  "--features", str(fixture_dir / "features"), "--out", str(out)]) == 1
     assert "cameras.txt:2: focal lengths must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_label_feature_table_is_format_error(fixture_dir, tmp_path, capsys, value):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--render-views", str(tmp_path / "rendered"), "--out", str(field)]) == 0
+    bad = tmp_path / "features"
+    shutil.copytree(fixture_dir / "features", bad)
+    blob = bytearray((bad / "view_000.lft").read_bytes())
+    blob[16:20] = np.float32(value).tobytes()  # first value of the first record
+    (bad / "view_000.lft").write_bytes(bytes(blob))
+    for argv in (["lift", *geo, "--features", str(bad), "--out", str(tmp_path / "bad.flt")],
+                 ["cluster-filter", *geo, "--field", str(field), "--labels", str(bad),
+                  "--out", str(tmp_path / "filtered")],
+                 ["eval", "--rendered", str(tmp_path / "rendered"), "--gt", str(bad),
+                  "--out", str(tmp_path / "cosine.csv")]):
+        assert main(argv) == 3, argv[0]
+        assert "view_000.lft: payload contains non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "bad.flt").exists()
+    assert not (tmp_path / "filtered" / "labels").exists()
 
 
 def lift_scene_with_scale(fixture_dir, tmp_path, log_scale, *flags):
@@ -731,6 +755,73 @@ def test_matrix_key_covers_every_input(fixture_dir, tmp_path, monkeypatch, build
     assert counts == [0 if change == "none" else 3, 3]
     assert len(outputs[0]) > 10
     assert outputs[0] == outputs[1]
+
+
+def version1_matrix(blob: bytes, key: bytes | None = None) -> bytes:
+    """A version-1 copy (int64 indptr and indices) of a version-2 .A file,
+    under its own key or the given one."""
+    version, stored, rows, cols, nnz = struct.unpack("<I32s3Q", blob[4:64])
+    assert version == 2
+    indptr = np.frombuffer(blob, "<i4", rows + 1, 64)
+    indices = np.frombuffer(blob, "<i4", nnz, 64 + 4 * (rows + 1))
+    return (blob[:4] + struct.pack("<I32s3Q", 1, key or stored, rows, cols, nnz)
+            + indptr.astype("<i8").tobytes() + indices.astype("<i8").tobytes()
+            + blob[64 + 4 * (rows + 1 + nnz):])
+
+
+def test_older_matrix_under_its_key_is_rewritten_once(fixture_dir, tmp_path, builds):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    stored = Path(f"{field}.A")
+    current = stored.read_bytes()
+    outputs, counts = [], []
+
+    def run(name):
+        builds.clear()
+        assert main(["segment", *geo, "--field", str(field),
+                     "--query", str(fixture_dir / "queries" / "blob_a.flt"),
+                     "--out", str(tmp_path / name)]) == 0
+        outputs.append(tree_bytes(tmp_path / name))
+        counts.append(len(builds))
+
+    run("current")
+    stored.write_bytes(version1_matrix(current))
+    run("version1")
+    assert stored.read_bytes() == current
+    run("rewritten")
+    # a version-1 file under another key is another field's: built around, kept
+    other = version1_matrix(current, bytes(32))
+    stored.write_bytes(other)
+    run("other_key")
+    assert stored.read_bytes() == other
+    assert counts == [0, 1, 0, 1]
+    assert len(outputs[0]) > 5
+    assert all(out == outputs[0] for out in outputs)
+
+
+def test_failed_matrix_rewrite_keeps_the_command(fixture_dir, tmp_path, monkeypatch, capsys):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    stored = Path(f"{field}.A")
+    older = version1_matrix(stored.read_bytes())
+    stored.write_bytes(older)
+
+    def read_only(path, *args):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(formats, "write_weight_matrix", read_only)
+    for command, args in (("segment", ["--query", str(fixture_dir / "queries" / "wall.flt")]),
+                          ("cluster-filter", ["--labels", str(fixture_dir / "features")])):
+        assert main([command, *geo, "--field", str(field), *args,
+                     "--out", str(tmp_path / command)]) == 0
+        assert "could not rewrite" in capsys.readouterr().err
+    assert stored.read_bytes() == older
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

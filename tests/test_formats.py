@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import splat_scene
+from oracle import splat_scene, two_blob_spec
 from splatlift import formats
 from splatlift.formats import FormatError
 from splatlift.model import CameraView, InvalidInputError, KernelKind, LiftConfig, SplatScene
 from splatlift.rasterize import WeightMatrix, build_weight_matrix
 from splatlift.solver import FeatureField
-from splatlift.synthbench import make_scene, two_blob_spec
+from splatlift.synthbench import make_scene
 
 
 # -- feature tensors ---------------------------------------------------------------
@@ -139,6 +139,18 @@ def test_label_features_duplicate_id_is_format_error(tmp_path):
     record = struct.pack("<i", 3) + np.ones(2, "<f4").tobytes()
     path.write_bytes(formats.TABLE_MAGIC + struct.pack("<2I", 2, 2) + record + record)
     with pytest.raises(FormatError, match="duplicate record for label 3"):
+        formats.read_label_features(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_label_features_reject_non_finite(tmp_path, value):
+    path = tmp_path / "t.lft"
+    with pytest.raises(InvalidInputError, match="finite"):
+        formats.write_label_features(path, {0: [1.0, 2.0], 3: [0.5, value]})
+    assert not path.exists()
+    record = struct.pack("<i", 3) + np.array([0.5, value], "<f4").tobytes()
+    path.write_bytes(formats.TABLE_MAGIC + struct.pack("<2I", 1, 2) + record)
+    with pytest.raises(FormatError, match="t.lft: payload contains non-finite values"):
         formats.read_label_features(path)
 
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import row_entries, splat_scene, surrogate_gradient_reference, table_lift
+from oracle import (
+    row_entries,
+    splat_scene,
+    surrogate_gradient_reference,
+    table_lift,
+    two_blob_spec,
+)
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
 from splatlift.solver import (
@@ -28,7 +34,6 @@ from splatlift.synthbench import (
     make_observations,
     make_scene,
     random_row_stochastic,
-    two_blob_spec,
 )
 
 
