@@ -83,9 +83,7 @@ def cluster_features(field: FeatureField, params: ClusterParams | None = None) -
     is above it at every rank below about 288,000.
     """
     params = params or ClusterParams()
-    values = field.values
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("features must be finite")
+    values = np.asarray(field.values, dtype=np.float64)
     observed = ~field.unobserved
     norms = np.linalg.norm(values, axis=1)
     observed &= norms > 0

@@ -340,9 +340,19 @@ def _cmd_segment(args) -> int:
     qarr = formats.read_feature_tensor(args.query)
     query = QueryEmbedding(vector=qarr.reshape(-1).astype(np.float64),
                            name=Path(args.query).stem)
+    # The threshold and the query's dimension are checked before A is read or built.
+    if args.threshold != "auto":
+        try:
+            threshold = float(args.threshold)
+        except ValueError:
+            raise InvalidInputError(
+                f"--threshold must be 'auto' or a real number, got {args.threshold!r}")
+        if not np.isfinite(threshold):
+            raise InvalidInputError("threshold must be finite")
+        picked = "manual"
+    scores = attention_scores(field, query)
     views, matrix, *_ = _field_matrix(args, field)
 
-    scores = attention_scores(field, query)
     maps = render_attention(matrix, scores, views)
     if args.threshold == "auto":
         # One pooled threshold per query: merging the covered scores of all
@@ -355,13 +365,6 @@ def _cmd_segment(args) -> int:
             print(f"segment: {exc}; falling back to fixed threshold {FALLBACK_THRESHOLD}")
             threshold = FALLBACK_THRESHOLD
             picked = "fallback"
-    else:
-        try:
-            threshold = float(args.threshold)
-        except ValueError:
-            raise InvalidInputError(
-                f"--threshold must be 'auto' or a real number, got {args.threshold!r}")
-        picked = "manual"
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -88,7 +88,8 @@ def write_feature_tensor(path, values: np.ndarray) -> None:
     _write_atomic(path, FEATURE_MAGIC, "4I", (FORMAT_VERSION, *arr.shape), arr)
 
 
-def read_feature_tensor(path) -> np.ndarray:
+def _read_feature_payload(path) -> np.ndarray:
+    """An FLT1 file's (H, W, F) float32 payload, its values not yet checked."""
     with open(path, "rb") as fh:
         _, h, w, f = _read_header(fh, path, FEATURE_MAGIC, "4I")
         arr = _read_array(fh, "<f4", h * w * f, path, "payload")
@@ -97,6 +98,11 @@ def read_feature_tensor(path) -> np.ndarray:
         arr = arr.reshape(h, w, f)
     except ValueError:  # no payload, but sizes whose product NumPy cannot hold
         raise FormatError(f"{path}: tensor size {h}x{w}x{f} is out of range") from None
+    return arr
+
+
+def read_feature_tensor(path) -> np.ndarray:
+    arr = _read_feature_payload(path)
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{path}: payload contains non-finite values")
     return arr
@@ -413,10 +419,15 @@ def write_feature_field(path, field) -> None:
 
 
 def read_feature_field(path):
-    arr = read_feature_tensor(path)
+    """A lifted field that keeps its float32 payload; FeatureField checks
+    that payload's finiteness, once."""
+    arr = _read_feature_payload(path)
     if arr.shape[1] != 1:
         raise FormatError(f"{path}: a feature field requires W = 1, got W = {arr.shape[1]}")
-    return FeatureField(values=arr[:, 0, :].astype(np.float64))
+    try:
+        return FeatureField(values=arr[:, 0, :])
+    except InvalidInputError:
+        raise FormatError(f"{path}: payload contains non-finite values") from None
 
 
 def write_run_report(path, report: dict) -> None:

@@ -10,12 +10,9 @@ import numpy as np
 
 from .model import InvalidInputError
 from .rasterize import WeightMatrix, render
-from .solver import FeatureField, ObservationSet
+from .solver import ROW_BLOCK_VALUES, FeatureField, ObservationSet
 
 BACKGROUND_SCORE = -1.0
-
-# F-wide float64 rows are formed in blocks of this many values (1 MB) that stay in cache.
-ROW_BLOCK_VALUES = 1 << 17
 
 
 class ValleyNotFoundError(RuntimeError):
@@ -67,16 +64,26 @@ def attention_scores(field: FeatureField, query: QueryEmbedding) -> np.ndarray:
     """Cosine similarity of every lifted feature against the query.
 
     Unobserved or zero-norm primitives score -1 so they never rise above a
-    threshold on real scores.
+    threshold on real scores. The field's rows are widened to float64 a
+    block at a time, each row's squared norm serving both the zero-row test
+    and the cosine. Blocks hold a multiple of 64 rows, so that a BLAS kernel
+    groups the rows of each block as in one product over all rows.
     """
-    values = field.values
-    if values.shape[1] != query.vector.shape[0]:
-        raise InvalidInputError(
-            f"feature dim {values.shape[1]} does not match query dim {query.vector.shape[0]}")
-    norms = np.sqrt(np.einsum("ij,ij->i", values, values))
-    valid = (norms > 0) & ~field.unobserved
-    scores = values @ query.vector
-    np.divide(scores, norms, out=scores, where=valid)
+    P, F = field.count, field.feature_dim
+    if F != query.vector.shape[0]:
+        raise InvalidInputError(f"feature dim {F} does not match query dim {query.vector.shape[0]}")
+    scores, squares = np.empty(P), np.empty(P)
+    step = 64 * max(1, ROW_BLOCK_VALUES // (64 * F))
+    block = np.empty((min(step, P), F))
+    for lo in range(0, P, step):
+        rows = block[:min(step, P - lo)]
+        rows[...] = field.values[lo:lo + step]
+        np.einsum("ij,ij->i", rows, rows, out=squares[lo:lo + step])
+        np.matmul(rows, query.vector, out=scores[lo:lo + step])
+    valid = squares > 0
+    if field.coverage is not None:  # without coverage, unobserved rows are zero rows
+        valid &= ~field.unobserved
+    np.divide(scores, np.sqrt(squares), out=scores, where=valid)
     scores[~valid] = BACKGROUND_SCORE
     return scores
 

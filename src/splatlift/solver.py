@@ -19,6 +19,8 @@ from .model import InvalidInputError, LiftConfig, SplatScene
 from .rasterize import WeightMatrix, _map_views, iter_view_entries, view_ranges
 
 EPS_COVERAGE = 1e-8
+# F-wide float64 rows are formed in blocks of this many values (1 MB) that stay in cache.
+ROW_BLOCK_VALUES = 1 << 17
 ORACLE_MAX_PRIMITIVES = 5000
 ORACLE_DAMPING = 1e-10
 LIFT_MODES = ("rowsum", "rowsum2")
@@ -34,9 +36,12 @@ class FeatureField:
 
     Primitives whose accumulated weight (coverage) falls below EPS_COVERAGE
     are flagged unobserved and zero-filled rather than NaN so that
-    downstream clustering can treat them as noise. A lift also keeps its
-    table weights: values = table_weights @ T for the observations' feature
-    table T, one sparse row per primitive, empty where values are zero-filled.
+    downstream clustering can treat them as noise; a field without coverage
+    (one read from disk) flags its zero rows. A lift also keeps its table
+    weights: values = table_weights @ T for the observations' feature table
+    T, one sparse row per primitive, empty where values are zero-filled.
+    Values are float64, or float32 as stored on disk: readers form float64
+    rows from them a block at a time.
     """
 
     values: np.ndarray
@@ -44,7 +49,9 @@ class FeatureField:
     table_weights: sp.csr_matrix | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values)
+        if v.dtype != np.float32:
+            v = np.asarray(v, dtype=np.float64)
         if v.ndim == 1:
             v = v[:, None]
         if not np.all(np.isfinite(v)):
@@ -70,7 +77,7 @@ class FeatureField:
     def unobserved(self) -> np.ndarray:
         if self.coverage is not None:
             return self.coverage < EPS_COVERAGE
-        return np.einsum("ij,ij->i", self.values, self.values) == 0.0
+        return ~np.any(self.values, axis=1)
 
 
 class ObservationSet:
@@ -394,13 +401,23 @@ def beta(A: WeightMatrix, obs: ObservationSet, x_hat: np.ndarray) -> tuple[np.nd
 
 
 def _row_dispersion(A: WeightMatrix, obs: ObservationSet, x_hat: np.ndarray):
-    """Per-ray (mu_i, beta_i) of beta, on rows renormalized to sum 1."""
+    """Per-ray (mu_i, beta_i) of beta, on rows renormalized to sum 1. The
+    distance ||x_j - T_k|| is taken once per distinct (primitive j, table
+    row k) pair, a block of pairs at a time, and gathered to the entries."""
     xv = _solution_values(A, obs, x_hat)
     if not np.all(np.isfinite(xv)):
         raise InvalidInputError("x_hat must be finite")
     rows, cols, weights = _observed_entries(A, obs)
     norm_w = weights / A.row_sums()[rows]
-    delta = np.linalg.norm(xv[cols] - obs.table[obs.index[rows]], axis=1)
+    K = len(obs.table)
+    pairs, entry_pair = np.unique(cols.astype(np.int64) * K + obs.index[rows],
+                                  return_inverse=True)
+    dist = np.empty(len(pairs))
+    step = max(1, ROW_BLOCK_VALUES // obs.feature_dim)
+    for lo in range(0, len(pairs), step):
+        j, k = np.divmod(pairs[lo:lo + step], K)
+        dist[lo:lo + step] = np.linalg.norm(xv[j] - obs.table[k], axis=1)
+    delta = dist[entry_pair]
     mu = np.bincount(rows, weights=norm_w * delta, minlength=A.rows)
     m2 = np.bincount(rows, weights=norm_w * delta * delta, minlength=A.rows)
     var = np.maximum(m2 - mu * mu, 0.0)

@@ -257,6 +257,38 @@ def attention_reference(values, unobserved, query):
     return scores
 
 
+def widened_attention_reference(values, coverage, query, eps_coverage):
+    """Scores of a field widened to one float64 array: squared norms by
+    einsum, dot products by one matrix-vector product over all rows, -1 for
+    rows that are zero or, with a coverage, below eps_coverage."""
+    v = np.asarray(values, dtype=np.float64)
+    squares = np.einsum("ij,ij->i", v, v)
+    unobserved = squares == 0.0 if coverage is None else coverage < eps_coverage
+    norms = np.sqrt(squares)
+    valid = (norms > 0) & ~unobserved
+    scores = v @ query
+    np.divide(scores, norms, out=scores, where=valid)
+    scores[~valid] = -1.0
+    return scores
+
+
+def dispersion_reference(A, obs, x):
+    """Per-ray (mu, beta) on rows renormalized to sum 1, with one F-wide
+    difference x_j - B_i per observed entry."""
+    rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
+    keep = obs.index[rows] >= 0
+    rows, cols, weights = rows[keep], A.indices[keep], A.weights[keep]
+    norm_w = weights / A.row_sums()[rows]
+    delta = np.linalg.norm(x[cols] - obs.table[obs.index[rows]], axis=1)
+    mu = np.bincount(rows, weights=norm_w * delta, minlength=A.rows)
+    m2 = np.bincount(rows, weights=norm_w * delta * delta, minlength=A.rows)
+    var = np.maximum(m2 - mu * mu, 0.0)
+    ok = mu >= 1e-12
+    beta = np.zeros(A.rows)
+    beta[ok] = var[ok] / (mu[ok] * mu[ok])
+    return mu, beta
+
+
 def cosine_reference(rendered, obs):
     """(mean cosine, rays used, rays excluded) of rendered rows against the
     dense ground truth: observed rays whose rendered and true vectors are both

@@ -654,6 +654,37 @@ def test_segment_rejects_nonsense_threshold(fixture_dir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("stored", [True, False], ids=["stored_matrix", "no_matrix"])
+@pytest.mark.parametrize("threshold, query_dim, message", [
+    ("abc", 4, "--threshold must be 'auto' or a real number, got 'abc'"),
+    ("nan", 4, "threshold must be finite"),
+    ("auto", 3, "feature dim 4 does not match query dim 3"),
+], ids=["not_a_number", "not_finite", "query_dim"])
+def test_segment_refuses_bad_arguments_before_the_matrix(fixture_dir, tmp_path, monkeypatch,
+                                                         capsys, stored, threshold, query_dim,
+                                                         message):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+    if not stored:
+        Path(f"{field}.A").unlink()
+    query = tmp_path / "q.flt"
+    formats.write_feature_tensor(query, np.ones((1, 1, query_dim), dtype=np.float32))
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("segment touched the weight matrix")
+
+    monkeypatch.setattr(formats, "read_weight_matrix", untouched)
+    monkeypatch.setattr(cli, "build_weight_matrix", untouched)
+    capsys.readouterr()
+    assert main(["segment", *geo, "--field", str(field), "--query", str(query),
+                 "--threshold", threshold, "--out", str(tmp_path / "seg")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "seg").exists()
+
+
 # -- the weight-matrix file beside a field ----------------------------------------
 
 @pytest.fixture

@@ -1,10 +1,16 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import attention_reference, cosine_reference, splat_scene
-from splatlift import query, rasterize
+from oracle import (
+    attention_reference,
+    cosine_reference,
+    splat_scene,
+    widened_attention_reference,
+)
+from splatlift import formats, query, rasterize
 from splatlift.cli import main
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.query import (
@@ -18,7 +24,7 @@ from splatlift.query import (
     segment,
 )
 from splatlift.rasterize import build_weight_matrix
-from splatlift.solver import FeatureField, ObservationSet
+from splatlift.solver import EPS_COVERAGE, FeatureField, ObservationSet
 
 
 def field_from(values, coverage=None):
@@ -87,6 +93,60 @@ def test_attention_matches_the_dense_reference(with_coverage):
     assert np.array_equal(got == -1.0, want == -1.0)
     assert np.count_nonzero(got == -1.0) == (94 if with_coverage else 43)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def read_back(tmp_path, values) -> FeatureField:
+    """values written as a field file and read back: a float32 field."""
+    path = tmp_path / "field.flt"
+    formats.write_feature_field(path, FeatureField(values=values))
+    field = formats.read_feature_field(path)
+    assert field.values.dtype == np.float32
+    return field
+
+
+@pytest.mark.parametrize("with_coverage", [False, True], ids=["zero_rows", "coverage"])
+@pytest.mark.parametrize("F, block_rows", [(3, 43648), (100, 1280), (512, 256)])
+def test_read_field_scores_are_the_widened_scores_bitwise(tmp_path, F, block_rows,
+                                                          with_coverage):
+    # three blocks and five rows over twelve decades, every seventh row zero,
+    # and every eleventh scaled to about 1e-25: its squares underflow in
+    # float32 but not in float64, so its score is a real cosine
+    rng = np.random.default_rng(F)
+    P = 3 * block_rows + 5
+    vals = rng.normal(size=(P, F)) * 10.0 ** rng.uniform(-6, 6, size=(P, 1))
+    tiny = np.arange(P) % 11 == 3
+    vals[tiny] *= 1e-25 / np.abs(vals[tiny]).max(axis=1, keepdims=True)
+    vals[::7] = 0.0
+    coverage = None
+    if with_coverage:
+        coverage = rng.uniform(0.1, 1.0, P)
+        coverage[::5] = 0.0
+    field = FeatureField(values=read_back(tmp_path, vals).values, coverage=coverage)
+    assert field.values.dtype == np.float32
+    assert not np.any(np.einsum("ij,ij->i", field.values[tiny], field.values[tiny]))
+    q = QueryEmbedding(rng.normal(size=F), "q")
+    got = attention_scores(field, q)
+    want = widened_attention_reference(field.values, coverage, q.vector, EPS_COVERAGE)
+    assert got.tobytes() == want.tobytes()
+    real = tiny & (np.arange(P) % 7 != 0)
+    if with_coverage:
+        real &= np.arange(P) % 5 != 0
+    assert np.count_nonzero(real) > 10 and np.all(got[real] != -1.0)
+
+
+def test_scores_of_a_read_field_make_no_float64_copy(tmp_path):
+    # the widened 20,000 x 512 field alone would take 80 MB
+    rng = np.random.default_rng(4)
+    field = read_back(tmp_path, rng.standard_normal((20_000, 512), dtype=np.float32))
+    q = QueryEmbedding(rng.normal(size=512), "q")
+    tracemalloc.start()
+    try:
+        scores = attention_scores(field, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (20_000,)
+    assert peak < 8 * 2**20
 
 
 def test_positive_scaling_leaves_threshold_and_masks_unchanged():

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import (
+    dispersion_reference,
     row_entries,
     splat_scene,
     surrogate_gradient_reference,
@@ -14,6 +16,7 @@ from oracle import (
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
 from splatlift.solver import (
+    _row_dispersion,
     EPS_COVERAGE,
     LIFT_MODES,
     BoundReport,
@@ -389,6 +392,51 @@ def test_bound_report_invariant_violation_raises():
 
 
 # -- dispersion vs polarization -----------------------------------------------------
+
+def random_label_case(rays, cols, feature_dim, labels=6, seed=9):
+    """A random row-stochastic matrix whose rays carry one of `labels` table
+    rows of random features, one ray in ten unobserved."""
+    rng = np.random.default_rng(seed)
+    A, _ = random_row_stochastic(rng, rays, cols, 1)
+    label_map = rng.integers(0, labels, size=rays)
+    label_map[::10] = -1
+    table = {k: rng.normal(size=feature_dim) for k in range(labels)}
+    return A, ObservationSet.from_labels([tiny_view(rays)], {"instance": label_map},
+                                         {"instance": table})
+
+
+@pytest.mark.parametrize("backing", ["labels", "dense"])
+def test_dispersion_equals_the_per_entry_reference_bitwise(backing):
+    # each (primitive, table row) distance is taken once and gathered to its
+    # entries; every entry's distance, and so mu and beta, keep their bytes
+    if backing == "labels":
+        A, obs = random_label_case(300, 80, 512)
+    else:
+        A, obs = random_row_stochastic(np.random.default_rng(4), 300, 80, 16)
+    x = np.random.default_rng(5).normal(size=(A.cols, obs.feature_dim))
+    for xv in (x, lift_rowsum(A, obs).values):
+        mu, beta_rows = _row_dispersion(A, obs, xv)
+        want_mu, want_beta = dispersion_reference(A, obs, xv)
+        assert mu.tobytes() == want_mu.tobytes()
+        assert beta_rows.tobytes() == want_beta.tobytes()
+        assert np.count_nonzero(beta_rows) > 100
+
+
+def test_beta_of_a_wide_label_field_takes_no_entry_wide_copy():
+    # 8,172 observed entries over 6 table rows at F = 512: one F-wide
+    # float64 row per entry would take 33 MB per temporary
+    A, obs = random_label_case(2000, 500, 512)
+    x = lift_rowsum(A, obs).values
+    A.row_sums()  # cached beforehand: not the dispersion's own memory
+    tracemalloc.start()
+    try:
+        beta_rows, _ = beta(A, obs, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert beta_rows.shape == (2000,)
+    assert peak < 8 * 2**20
+
 
 def test_beta_non_increasing_in_lambda():
     scene, views, obs = layered_sheet_scene()
