@@ -5,6 +5,7 @@ little-endian and round-trip bit-exactly."""
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 import warnings
@@ -180,6 +181,10 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
     under another version or key. A matching file whose sizes disagree with
     the views or the primitive count, or whose payload is not a valid
     weight matrix, raises FormatError.
+
+    Once its sizes are checked against the file, the payload is mapped
+    read-only and A's arrays are views of it, not a copy. Writers only rename
+    whole files over old ones, so the mapped bytes never change under A.
     """
     with open(path, "rb") as fh:
         version, stored, rows, ncols, nnz = _read_header(fh, path, MATRIX_MAGIC, "I32s3Q")
@@ -193,10 +198,21 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
             raise FormatError(f"{path}: {ncols} columns but the scene has {cols} primitives")
         if nnz >= INDEX_LIMIT:
             raise FormatError(f"{path}: {nnz} entries exceed the int32 indices")
-        indptr = _read_array(fh, "<i4", rows + 1, path, "indptr")
-        indices = _read_array(fh, "<i4", nnz, path, "indices")
-        weights = _read_array(fh, "<f8", nnz, path, "weights")
-        _read_end(fh, path)
+        parts = []
+        end, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        for what, dtype, count in (("indptr", "<i4", rows + 1), ("indices", "<i4", nnz),
+                                   ("weights", "<f8", nnz)):
+            parts.append((dtype, count, end))
+            end += count * np.dtype(dtype).itemsize
+            if end > size:
+                raise FormatError(f"{path}: truncated while reading {what}")
+        if end < size:
+            raise FormatError(f"{path}: trailing bytes after payload")
+        try:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except OSError as exc:
+            raise OSError(exc.errno, f"cannot map the payload: {exc.strerror}", str(path)) from exc
+    indptr, indices, weights = (np.frombuffer(mapped, *part) for part in parts)
     matrix = WeightMatrix(indptr, indices, weights, cols, ranges, lam)
     try:
         matrix.validate()

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -873,8 +874,18 @@ def test_loaded_matrix_equals_a_fresh_build(fixture_dir, tmp_path, monkeypatch, 
     assert loaded.view_ranges == fresh.view_ranges
 
 
-@pytest.mark.parametrize("corruption", ["weight_above_one", "index_past_cols",
-                                        "decreasing_indptr"])
+# each corruption of a stored A and the message that names it
+MATRIX_CORRUPTIONS = {
+    "weight_above_one": "weights must lie in",
+    "index_past_cols": "primitive indices must lie in",
+    "decreasing_indptr": "indptr must start at 0",
+    "duplicate_index": "duplicate primitive index in row",
+    "row_sum_above_one": "row sum exceeds 1",
+    "cut_by_one_byte": "truncated while reading weights",
+}
+
+
+@pytest.mark.parametrize("corruption", list(MATRIX_CORRUPTIONS))
 def test_invalid_matrix_payload_is_format_error(fixture_dir, tmp_path, capsys, corruption):
     geo = ["--scene", str(fixture_dir / "scene.ply"),
            "--cameras", str(fixture_dir / "cameras.txt")]
@@ -887,21 +898,48 @@ def test_invalid_matrix_payload_is_format_error(fixture_dir, tmp_path, capsys, c
     A = formats.read_weight_matrix(stored, key, views, formats.read_feature_field(field).count,
                                    1.2)
     indptr, indices, weights = A.indptr.copy(), A.indices.copy(), A.weights.copy()
+    # the first row with two entries
+    row = np.flatnonzero(np.diff(indptr) >= 2)[0]
     if corruption == "weight_above_one":
         weights[len(weights) // 2] = 1.5
     elif corruption == "index_past_cols":
         indices[len(indices) // 2] = A.cols
-    else:
+    elif corruption == "decreasing_indptr":
         middle = len(indptr) // 2
         indptr[middle] = indptr[middle + 1] + 1
+    elif corruption == "duplicate_index":
+        indices[indptr[row] + 1] = indices[indptr[row]]
+    elif corruption == "row_sum_above_one":
+        weights[indptr[row]:indptr[row] + 2] = 0.9
     # a well-formed header under the right key over a payload validate rejects
     formats.write_weight_matrix(
         stored, WeightMatrix(indptr, indices, weights, A.cols, A.view_ranges, 1.2), key)
+    if corruption == "cut_by_one_byte":
+        os.truncate(stored, stored.stat().st_size - 1)
     for command, args in (("segment", ["--query", str(fixture_dir / "queries" / "wall.flt")]),
                           ("cluster-filter", ["--labels", str(fixture_dir / "features")])):
         assert main([command, *geo, "--field", str(field), *args,
                      "--out", str(tmp_path / "out")]) == 3
-        assert "field.flt.A" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "field.flt.A" in err and MATRIX_CORRUPTIONS[corruption] in err
+
+
+def test_unmappable_matrix_file_exits_3(fixture_dir, tmp_path, capsys, monkeypatch):
+    # a file system that cannot map files: no copying fallback, an I/O error
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
+                 "--out", str(field)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+    monkeypatch.setattr(formats.mmap, "mmap", refuse)
+    assert main(["segment", *geo, "--field", str(field),
+                 "--query", str(fixture_dir / "queries" / "wall.flt"),
+                 "--out", str(tmp_path / "seg")]) == 3
+    err = capsys.readouterr().err
+    assert "cannot map the payload" in err and "field.flt.A" in err
 
 
 @pytest.mark.parametrize("command", ["segment", "cluster-filter"])

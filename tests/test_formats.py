@@ -4,15 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from oracle import splat_scene, two_blob_spec
 from splatlift import formats
 from splatlift.formats import FormatError
 from splatlift.model import CameraView, InvalidInputError, KernelKind, LiftConfig, SplatScene
-from splatlift.rasterize import WeightMatrix, build_weight_matrix
-from splatlift.solver import FeatureField
-from splatlift.synthbench import make_scene
+from splatlift.query import render_attention
+from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
+from splatlift.solver import LIFT_MODES, FeatureField, bound_report, lift_rowsum
+from splatlift.synthbench import SILHOUETTE_DOMINANCE, make_observations, make_scene
 
 
 # -- feature tensors ---------------------------------------------------------------
@@ -459,6 +461,95 @@ def test_weight_matrix_key_has_32_bytes(tmp_path, small_matrix):
     with pytest.raises(InvalidInputError, match="32 bytes"):
         formats.write_weight_matrix(tmp_path / "f.A", small_matrix[0], b"short")
     assert not list(tmp_path.iterdir())
+
+
+# -- a loaded weight matrix is read in place ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def large_matrix(tmp_path_factory):
+    """A stored weight matrix of more than 200k entries: (path, matrix, views)."""
+    scene, views, _ = make_scene(two_blob_spec(noise_fraction=0.0, resolution=80, views=2))
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    assert A.nnz >= 200_000
+    path = tmp_path_factory.mktemp("large") / "field.flt.A"
+    formats.write_weight_matrix(path, A, KEY)
+    return path, A, views
+
+
+def test_weight_matrix_is_read_without_a_copy(large_matrix):
+    path, A, views = large_matrix
+    payload = path.stat().st_size - WMX_HEADER
+    tracemalloc.start()
+    try:
+        back = formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("indptr", "indices", "weights"):
+        assert not getattr(back, name).flags.writeable
+        assert getattr(back, name).tobytes() == getattr(A, name).tobytes()
+    # only validate's temporaries are allocated; a copy of the payload is not
+    assert peak < payload
+
+
+def test_loaded_weight_matrix_keeps_its_bytes_when_the_file_is_replaced(tmp_path,
+                                                                        large_matrix):
+    # cluster-filter --relift --out into the field's own directory rewrites
+    # the <field>.A that it loaded
+    source, A, views = large_matrix
+    path = tmp_path / "field.flt.A"
+    path.write_bytes(source.read_bytes())
+    back = formats.read_weight_matrix(path, KEY, views, A.cols, 1.2)
+    other = WeightMatrix(A.indptr, A.indices, A.weights / 2, A.cols, A.view_ranges, 1.2)
+    formats.write_weight_matrix(path, other, KEY)
+    assert formats.read_weight_matrix(path, KEY, views, A.cols, 1.2).weights[0] == \
+        A.weights[0] / 2
+    path.unlink()
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(back, name).tobytes() == getattr(A, name).tobytes()
+
+
+def _result_bytes(result):
+    """A consumer's result as nested lists of exact bytes and reprs."""
+    if isinstance(result, np.ndarray):
+        return [result.dtype.str, result.shape, result.tobytes()]
+    if sp.issparse(result):
+        return _result_bytes(result.toarray())
+    if isinstance(result, dict):
+        return [(key, _result_bytes(value)) for key, value in sorted(result.items())]
+    if hasattr(result, "__dict__"):
+        return _result_bytes(vars(result))
+    return repr(result)
+
+
+def test_no_consumer_writes_into_a_loaded_weight_matrix(tmp_path):
+    # every fifth splat of each object, few enough for bound_report's dense oracle
+    spec = two_blob_spec(noise_fraction=0.0, resolution=24, views=2)
+    scene, views, ids = make_scene(spec)
+    scene, ids = SplatScene(scene.positions[::5], scene.log_scales[::5], scene.rotations[::5],
+                            scene.thetas[::5], scene.kernels[::5]), ids[::5]
+    built = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    formats.write_weight_matrix(tmp_path / "f.A", built, KEY)
+    mapped = formats.read_weight_matrix(tmp_path / "f.A", KEY, views, len(scene), 1.2)
+    copied = WeightMatrix(mapped.indptr.copy(), mapped.indices.copy(), mapped.weights.copy(),
+                          mapped.cols, mapped.view_ranges, 1.2)
+    assert not any(a.flags.writeable for a in (mapped.indptr, mapped.indices, mapped.weights))
+    obs, _ = make_observations(render_labels(built, ids, SILHOUETTE_DOMINANCE), views, spec)
+    scores = np.linspace(-1.0, 1.0, len(scene))
+    consumers = {f"lift_{mode}": lambda A, mode=mode: lift_rowsum(A, obs, mode)
+                 for mode in LIFT_MODES}
+    consumers.update({
+        "render": lambda A: render(A, np.stack([scores, scores ** 2], axis=1), 0.5),
+        "render_attention": lambda A: render_attention(A, scores, views),
+        "render_labels": lambda A: render_labels(A, ids, SILHOUETTE_DOMINANCE),
+        "row_normalized": lambda A: A.row_normalized(),
+        "bound_report": lambda A: bound_report(A, obs),
+    })
+    for name, consumer in consumers.items():
+        assert _result_bytes(consumer(mapped)) == _result_bytes(consumer(copied)), name
+    formats.write_weight_matrix(tmp_path / "mapped.A", mapped, KEY)
+    formats.write_weight_matrix(tmp_path / "copied.A", copied, KEY)
+    assert (tmp_path / "mapped.A").read_bytes() == (tmp_path / "copied.A").read_bytes()
 
 
 # -- the four containers' writers -----------------------------------------------------
