@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -28,7 +29,6 @@ from . import formats, rasterize, synthbench
 from .aggregate import cluster_features, filter_observations, iou
 from .model import KERNEL_NAMES, CameraView, InvalidInputError, LiftConfig
 from .query import (
-    ROW_BLOCK_VALUES,
     QueryEmbedding,
     ValleyNotFoundError,
     attention_scores,
@@ -37,7 +37,7 @@ from .query import (
     render_attention,
     segment,
 )
-from .rasterize import build_weight_matrix, render_labels
+from .rasterize import ROW_BLOCK_VALUES, build_weight_matrix, render_labels
 from .solver import LIFT_MODES, FeatureField, ObservationSet, lift_rowsum, lift_streaming
 from .synthbench import SILHOUETTE_DOMINANCE, make_observations, make_scene, parse_scene_spec
 from .verify import SUITES, VerificationError, run_suite
@@ -518,7 +518,10 @@ def _cmd_verify(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it between calls."""
     parser = _Parser(prog="splatlift",
                      description="Feature lifting onto splat scenes via a sparse "
                                  "row-stochastic linear inverse problem")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InvalidInputError
-from .rasterize import WeightMatrix, render
-from .solver import ROW_BLOCK_VALUES, FeatureField, ObservationSet
+from .rasterize import ROW_BLOCK_VALUES, WeightMatrix, render
+from .solver import FeatureField, ObservationSet
 
 BACKGROUND_SCORE = -1.0
 

@@ -34,11 +34,18 @@ PLANAR_RADIUS_SLACK = 1.25
 # compositing; each view takes the one of least estimated cost (_tile_side).
 TILE_SIDES = (4, 8, 16, 32)
 # Cost of visiting one tile, in (pixel, candidate) pairs of the kernel. With
-# any value from 6,000 to 10,000, _tile_side picked the fastest side of
-# TILE_SIDES for every view measured: 3 views each of the bundled scenes and
-# of both benchmark geometries (72x72, about 6,000 splats), one 256x256 view
-# of about 6,000 splats and two of about 30,000.
-TILE_COST = 8000.0
+# any value from 300 to 900, _tile_side picked the fastest side of TILE_SIDES
+# for 3 views each of both benchmark geometries (72x72, about 6,000 splats),
+# of the bundled two-blob scene (80x80) and of the noisy_pipeline scene at
+# 256x256, with its 6,020 splats and with 31,103. On its 128x128 views and on
+# the sparse opaque_wall views, sides 4 and 8 ran within noise of each other.
+TILE_COST = 600.0
+# Values in one block of float64 work (1 MB), small enough to stay in cache:
+# a tile group of the kernel, and the F-wide row blocks of the lift and queries.
+ROW_BLOCK_VALUES = 1 << 17
+# Candidates of a tile group evaluated at a time; after each chunk, tiles
+# whose every pixel is below TRANSMITTANCE_FLOOR stop.
+DEPTH_CHUNK = 32
 # Compositing along a ray stops once its transmittance falls below this.
 TRANSMITTANCE_FLOOR = 1e-4
 # Kernels are cut off at this many standard deviations of the footprint.
@@ -178,7 +185,8 @@ def view_ranges(views) -> dict:
 
 class _SceneFrame:
     """The view-independent part of every view's projection: the splats'
-    opacities, rotation matrices and 3D covariances (planar disks flat)."""
+    opacities, rotation matrices and 3D covariances (planar disks flat,
+    component-major)."""
 
     __slots__ = ("scene", "alphas", "rots", "planar", "cov3d")
 
@@ -188,7 +196,14 @@ class _SceneFrame:
         s2 = np.exp(2.0 * scene.log_scales)
         self.planar = scene.kernels == int(KernelKind.GAUSSIAN_2D)
         s2[self.planar, 2] = 0.0  # planar disks have no thickness
-        self.cov3d = np.einsum("nij,nj,nkj->nik", self.rots, s2, self.rots)
+        # einsum("nij,nj,nkj->nik", rots, s2, rots) with its bytes, from 0,
+        # j ascending, (r_ij s_j) r_kj, but component-major, (i, k, splat),
+        # so that every operation runs over the splats.
+        rots = np.ascontiguousarray(self.rots.transpose(1, 2, 0))
+        scaled = rots * s2.T
+        self.cov3d = np.zeros_like(rots)
+        for j in range(3):
+            self.cov3d += scaled[:, j, None] * rots[:, j]
 
 
 class _ViewProjection:
@@ -225,12 +240,14 @@ def _project_scene(frame: _SceneFrame, view: CameraView) -> _ViewProjection:
     jac[:, 0, 2] = -view.fx * x / zs**2
     jac[:, 1, 1] = view.fy / zs
     jac[:, 1, 2] = -view.fy * y / zs**2
-    m = jac @ rot_w2c
-    cov2d = np.einsum("nij,njk,nlk->nil", m, frame.cov3d, m)
-    cov2d[:, 0, 0] += COV_LOWPASS
-    cov2d[:, 1, 1] += COV_LOWPASS
-
-    a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+    m = np.ascontiguousarray((jac @ rot_w2c).transpose(1, 2, 0))
+    # einsum("nij,njk,nlk->nil", m, cov3d, m) with its bytes, from 0, j outer
+    # and k inner, (m_ij c_jk) m_lk, but component-major like cov3d.
+    cov2d = np.zeros((2, 2, len(z)))
+    for j in range(3):
+        for k in range(3):
+            cov2d += (m[:, j] * frame.cov3d[j, k])[:, None] * m[:, k]
+    a, b, c = cov2d[0, 0] + COV_LOWPASS, cov2d[0, 1], cov2d[1, 1] + COV_LOWPASS
     det = a * c - b * b
     ok = in_front & (det > 1e-12) & (a > 0) & (c > 0)
     half_trace = 0.5 * (a + c)
@@ -262,19 +279,26 @@ def _project_scene(frame: _SceneFrame, view: CameraView) -> _ViewProjection:
 
 def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
                   px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Kernel values (pixels x sub) of planar disks at the exact ray-plane hits."""
-    dirs_cam = np.stack([(px - view.cx) / view.fx, (py - view.cy) / view.fy,
-                         np.ones(len(px))], axis=1)
-    dirs = dirs_cam @ view.rotation
-    denom = dirs @ proj.plane_normal[sub].T
+    """Kernel values of the planar disks sub at the pixels (px, py), the
+    three broadcast together, at the exact ray-plane hits. Every value is
+    formed element by element, so none depends on which pixels or disks are
+    evaluated with it."""
+    rot = view.rotation
+    ux, uy = (px - view.cx) / view.fx, (py - view.cy) / view.fy
+    dirs = [ux * rot[0, j] + uy * rot[1, j] + rot[2, j] for j in range(3)]
+
+    def along(axes):
+        return dirs[0] * axes[..., 0] + dirs[1] * axes[..., 1] + dirs[2] * axes[..., 2]
+
+    denom = along(proj.plane_normal[sub])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = proj.plane_t[sub] / denom
     valid = np.isfinite(t) & (t > NEAR_PLANE) & (np.abs(denom) > 1e-12)
     # On a disk some 1e-154 times narrower than the hit's offset, uu * uu
     # overflows to inf, and the kernel value is the right 0.
-    with np.errstate(over="ignore"):
-        uu = (proj.plane_u0[sub] + t * (dirs @ proj.axis_u[sub].T)) / proj.plane_scales[sub, 0]
-        vv = (proj.plane_v0[sub] + t * (dirs @ proj.axis_v[sub].T)) / proj.plane_scales[sub, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        uu = (proj.plane_u0[sub] + t * along(proj.axis_u[sub])) / proj.plane_scales[sub, 0]
+        vv = (proj.plane_v0[sub] + t * along(proj.axis_v[sub])) / proj.plane_scales[sub, 1]
         return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
 
 
@@ -307,8 +331,9 @@ def _tile_side(proj: _ViewProjection, view: CameraView) -> int:
 
 
 def _bin_footprints(proj: _ViewProjection, view: CameraView, side: int):
-    """The ids of the non-empty tiles of the given side (row-major,
-    ascending) and each one's candidates (indices into proj), front to back.
+    """The non-empty tiles of the given side: their ids (row-major,
+    ascending), their candidate counts and their candidates (indices into
+    proj), tile after tile and each tile's front to back.
 
     A footprint's bounding square lists its tiles, and the disk-rectangle test
     keeps the pairs whose disk reaches a pixel of the tile. The pairs are
@@ -318,94 +343,160 @@ def _bin_footprints(proj: _ViewProjection, view: CameraView, side: int):
     w, h = view.width, view.height
     x0, x1 = _tile_span(proj.mean_x, proj.radius, side, w)
     y0, y1 = _tile_span(proj.mean_y, proj.radius, side, h)
-    nx = x1 - x0 + 1
-    per = nx * (y1 - y0 + 1)
-    cand = np.repeat(np.arange(len(per)), per)
-    ty, tx = np.divmod(np.arange(cand.size) - np.repeat(np.cumsum(per) - per, per), nx[cand])
-    tx += x0[cand]
-    ty += y0[cand]
-    left, top = tx * side, ty * side
-    mx, my = proj.mean_x[cand], proj.mean_y[cand]
-    ex = mx - np.clip(mx, left, np.minimum(left + side, w) - 1)
-    ey = my - np.clip(my, top, np.minimum(top + side, h) - 1)
-    near = ex * ex + ey * ey <= (proj.radius**2)[cand]
-    tile = (ty * -(-w // side) + tx)[near]
-    counts = np.bincount(tile)
-    stops = np.cumsum(counts[counts > 0])
-    return np.flatnonzero(counts).tolist(), np.split(
-        cand[near][np.argsort(tile, kind="stable")], stops[:-1])
-
-
-def _tile_entries(proj: _ViewProjection, view: CameraView):
-    """Yield (rows_local, cols, weights) arrays per non-empty tile of one view.
-
-    A tile's kernel values form one (candidates, rows, columns) block.
-    Offsets are separable: dx depends on (candidate, column) and dy on
-    (candidate, row), so only the cross term dx dy is formed per pixel, and
-    the block is carried in place from the quadratic form to the weights.
-    Candidates are depth-sorted and entries come out candidate-major, so
-    a stable sort of a tile's entries by row puts each pixel's entries in
-    front-to-back order.
-    """
-    w, h = view.width, view.height
-    side = _tile_side(proj, view)
+    # The squares' tile rows, then their tiles: (footprint, tile row) and
+    # (footprint, tile) pairs, with the offsets of each footprint's disk
+    # from the pixel centres of the tile row's band and the tile's column.
+    band = np.repeat(np.arange(len(y0)), y1 - y0 + 1)
+    ty = y0[band] + _run_offsets(y1 - y0 + 1)
+    my, top = proj.mean_y[band], ty * side
+    ey = my - np.minimum(np.maximum(my, top), np.minimum(top + side, h) - 1)
+    nx = (x1 - x0 + 1)[band]
+    cand = np.repeat(band, nx)
+    tx = x0[cand] + _run_offsets(nx)
+    mx, left = proj.mean_x[cand], tx * side
+    ex = mx - np.minimum(np.maximum(mx, left), np.minimum(left + side, w) - 1)
+    near = ex * ex + np.repeat(ey * ey, nx) <= (proj.radius**2)[cand]
     tiles_x = -(-w // side)
-    r2 = proj.radius**2
-    for tile, cand in zip(*_bin_footprints(proj, view, side)):
-        ty0, tx0 = tile // tiles_x * side, tile % tiles_x * side
-        ty1, tx1 = min(ty0 + side, h), min(tx0 + side, w)
-        n, th, tw = cand.size, ty1 - ty0, tx1 - tx0
-        xs = np.arange(tx0, tx1, dtype=np.float64)
-        ys = np.arange(ty0, ty1, dtype=np.float64)
-        dx = xs - proj.mean_x[cand, None]  # (candidates, columns)
-        dy = ys - proj.mean_y[cand, None]  # (candidates, rows)
-        dxx, dyy = dx * dx, dy * dy
+    tile = (np.repeat(ty, nx) * tiles_x + tx)[near]
+    counts = np.bincount(tile)
+    ids = np.flatnonzero(counts)
+    # NumPy sorts 16-bit keys stably by radix, several times faster.
+    key = tile.astype(np.uint16) if tiles_x * -(-h // side) <= 1 << 16 else tile
+    return ids, counts[ids], cand[near][np.argsort(key, kind="stable")]
 
-        # A's bytes depend on this operation order, (a dxx + 2b dx dy) +
-        # c dyy, the same as the dense per-pixel kernel's.
-        quad = dy[:, :, None] * dx[:, None, :]
-        quad *= (2.0 * proj.conic_b[cand])[:, None, None]
-        quad += (proj.conic_a[cand, None] * dxx)[:, None, :]
-        quad += (proj.conic_c[cand, None] * dyy)[:, :, None]
-        quad *= -0.5
-        sigma = np.exp(quad, out=quad)
-        planar = proj.is_planar[cand]
-        if np.any(planar):
-            px, py = np.tile(xs, th), np.repeat(ys, tw)
-            sigma[planar] = _planar_delta(proj, cand[planar], view, px, py).T.reshape(
-                -1, th, tw)
-        d2 = dxx[:, None, :] + dyy[:, :, None]
-        sigma[d2 > r2[cand, None, None]] = 0.0
-        sigma *= proj.alpha[cand, None, None]
 
-        # Transmittance in front of each candidate, per pixel, in d2's
-        # buffer.
-        t_prefix = d2
-        t_prefix[0] = 1.0
-        np.subtract(1.0, sigma[:-1], out=t_prefix[1:])
-        np.multiply.accumulate(t_prefix[1:], axis=0, out=t_prefix[1:])
-        keep = t_prefix >= TRANSMITTANCE_FLOOR
-        omega = np.multiply(sigma, t_prefix, out=sigma)
-        keep &= omega >= WEIGHT_EPS
-        flat = np.flatnonzero(keep)
-        if flat.size == 0:
-            continue
-        ck, pk = np.divmod(flat, th * tw)
-        pixel_rows = (np.arange(ty0, ty1)[:, None] * w + np.arange(tx0, tx1)).ravel()
-        yield pixel_rows[pk], proj.idx[cand][ck], omega.ravel()[flat]
+def _run_offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each length n, laid end to end."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _tile_groups(counts: np.ndarray, side: int):
+    """Tiles (indices into counts) in groups, in ascending candidate count:
+    each group as many tiles as keep tiles x most candidates x side^2 within
+    ROW_BLOCK_VALUES, and at least one."""
+    order = np.argsort(counts, kind="stable")
+    ranked = counts[order] * (side * side)
+    start = 0
+    while start < len(order):
+        blocks = np.arange(1, len(order) - start + 1) * ranked[start:]
+        stop = start + max(1, int(np.searchsorted(blocks, ROW_BLOCK_VALUES, side="right")))
+        yield order[start:stop]
+        start = stop
+
+
+def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
+    """Yield (rows_local, cols, weights) arrays of one view's entries, one
+    depth chunk of one tile group at a time; each pixel's entries come out
+    front to back.
+
+    A group's tiles share one block laid out as (tiles, rows, columns,
+    candidates), the candidates innermost so that every broadcast runs over
+    them. A tile's candidate list is padded to the group's longest with a
+    slot of radius^2 -1, whose sigma is exactly 0 and whose factor on the
+    transmittance exactly 1, and pixels past the view's edge start at
+    transmittance 0. Offsets are separable: dx depends on (tile, column,
+    candidate) and dy on (tile, row, candidate), so only the cross term is
+    formed per pixel, and the block is carried in place from the quadratic
+    form to the weights. The candidates run in chunks of DEPTH_CHUNK, each
+    starting from the transmittance the chunk before left, so every
+    transmittance is the same product, in the same order, as one
+    accumulation over all of a tile's candidates. Transmittance never
+    rises, so a tile stops once every pixel of it is below
+    TRANSMITTANCE_FLOOR.
+    """
+    ids, counts, cand = _bin_footprints(proj, view, side)
+    tiles_x = -(-view.width // side)
+    # Per-candidate values, with the padded slot last: an opaque flat
+    # footprint at the origin that the radius cut alone keeps out.
+    mean_x, mean_y = np.append(proj.mean_x, 0.0), np.append(proj.mean_y, 0.0)
+    conic_a, conic_2b = np.append(proj.conic_a, 0.0), np.append(2.0 * proj.conic_b, 0.0)
+    conic_c, alpha = np.append(proj.conic_c, 0.0), np.append(proj.alpha, 1.0)
+    r2, planar = np.append(proj.radius**2, -1.0), np.append(proj.is_planar, False)
+    prim = np.append(proj.idx, np.int32(0))
+    cand = np.append(cand, len(proj.idx))  # the padded slot last
+    starts = np.cumsum(counts) - counts
+    offsets = np.arange(side)
+    for group in _tile_groups(counts, side):
+        slots = np.arange(counts[group[-1]])
+        at = np.where(slots < counts[group, None], starts[group, None] + slots, len(cand) - 1)
+        slot_cand = cand[at]  # (tiles, slots)
+        left = ids[group] % tiles_x * side
+        top = ids[group] // tiles_x * side
+        xs, ys = left[:, None] + offsets, top[:, None] + offsets  # (tiles, side)
+        pixel_rows = (ys[:, :, None] * view.width + xs[:, None, :]).ravel()
+        carry = ((ys < view.height)[:, :, None] & (xs < view.width)[:, None, :]).astype(np.float64)
+        xs, ys = xs.astype(np.float64), ys.astype(np.float64)
+        for first in range(0, len(slots), DEPTH_CHUNK):
+            chunk = slot_cand[:, first:first + DEPTH_CHUNK]
+            dx = xs[:, :, None] - mean_x[chunk][:, None, :]  # (tiles, columns, candidates)
+            dy = ys[:, :, None] - mean_y[chunk][:, None, :]  # (tiles, rows, candidates)
+            dxx, dyy = dx * dx, dy * dy
+
+            # A's bytes depend on this operation order, (a dxx + 2b dx dy) +
+            # c dyy, the same as the dense per-pixel kernel's.
+            quad = dy[:, :, None, :] * dx[:, None, :, :]
+            quad *= conic_2b[chunk][:, None, None, :]
+            quad += (conic_a[chunk][:, None, :] * dxx)[:, None, :, :]
+            quad += (conic_c[chunk][:, None, :] * dyy)[:, :, None, :]
+            quad *= -0.5
+            sigma = np.exp(quad, out=quad)
+            flat_tile, flat_slot = np.nonzero(planar[chunk])
+            if flat_tile.size:
+                sigma[flat_tile, :, :, flat_slot] = _planar_delta(
+                    proj, chunk[flat_tile, flat_slot, None, None], view,
+                    xs[flat_tile, None, :], ys[flat_tile, :, None])
+            d2 = dxx[:, None, :, :] + dyy[:, :, None, :]
+            sigma *= d2 <= r2[chunk][:, None, None, :]  # sigma is finite and >= 0
+            sigma *= alpha[chunk][:, None, None, :]
+
+            # Transmittance in front of each candidate, per pixel, in d2's
+            # buffer, and behind the chunk's last one in carry.
+            t_prefix = d2
+            t_prefix[..., 0] = carry
+            np.subtract(1.0, sigma[..., :-1], out=t_prefix[..., 1:])
+            np.multiply.accumulate(t_prefix, axis=-1, out=t_prefix)
+            carry = t_prefix[..., -1] * (1.0 - sigma[..., -1])
+            keep = t_prefix >= TRANSMITTANCE_FLOOR
+            omega = np.multiply(sigma, t_prefix, out=sigma)
+            keep &= omega >= WEIGHT_EPS
+            flat = np.flatnonzero(keep)
+            if flat.size:
+                k = chunk.shape[1]
+                pixel = flat // k
+                at = pixel // (side * side) * k + flat - pixel * k  # (tile, slot) in chunk
+                yield pixel_rows[pixel], prim[chunk].ravel()[at], omega.ravel()[flat]
+
+            live = (carry >= TRANSMITTANCE_FLOOR).any(axis=(1, 2))
+            live &= counts[group] > first + DEPTH_CHUNK
+            if not live.any():
+                break
+            group, slot_cand, carry = group[live], slot_cand[live], carry[live]
+            xs, ys = xs[live], ys[live]
+            pixel_rows = pixel_rows.reshape(len(live), -1)[live].ravel()
+
+
+def _view_entries(frame: _SceneFrame, view: CameraView):
+    """The tile side of one view and its entries as (rows_local, cols,
+    weights), each pixel's front to back."""
+    proj = _project_scene(frame, view)
+    side = _tile_side(proj, view)
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
+             *_tile_entries(proj, view, side)]
+    return side, *(np.concatenate(part) for part in zip(*parts))
+
+
+def _stable_order(keys: np.ndarray, view: CameraView) -> np.ndarray:
+    """The stable sort of keys below the view's pixel count."""
+    # NumPy sorts 16-bit keys stably by radix, several times faster.
+    return np.argsort(keys.astype(np.uint16) if view.pixel_count <= 1 << 16 else keys,
+                      kind="stable")
 
 
 def _build_view(view: CameraView, frame: _SceneFrame):
     """Sparse weight arrays (indptr, indices, weights) for one view."""
-    tiles = list(_tile_entries(_project_scene(frame, view), view))
+    _, rows, cols, weights = _view_entries(frame, view)
+    order = _stable_order(rows, view)  # (row, depth) order
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
-    if not tiles:
-        return indptr, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64)
-    rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
-    # A stable sort keeps each row's entries in the depth order they came in.
-    # NumPy sorts 16-bit keys stably by radix, several times faster.
-    order = np.argsort(rows.astype(np.uint16) if view.pixel_count <= 1 << 16 else rows,
-                       kind="stable")
     np.cumsum(np.bincount(rows, minlength=view.pixel_count), out=indptr[1:])
     return indptr, cols[order], weights[order]
 
@@ -460,9 +551,16 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
 
 def iter_view_entries(frame: _SceneFrame, view: CameraView):
     """Streaming access to one view's weight entries without materializing A:
-    (rows_local, cols, weights) per tile, given the frame that _map_views
-    passes to its view function."""
-    yield from _tile_entries(_project_scene(frame, view), view)
+    one (rows_local, cols, weights) for the view, given the frame that
+    _map_views passes to its view function. The entries come tile by tile
+    in row-major order, each pixel's front to back and each primitive's
+    within a tile in row-major pixel order, so each primitive's sequence
+    of entries, and any sum over it in stream order, does not depend on
+    how the kernel groups the tiles."""
+    side, rows, cols, weights = _view_entries(frame, view)
+    y, x = np.divmod(rows, view.width)
+    order = _stable_order(y // side * -(-view.width // side) + x // side, view)
+    yield rows[order], cols[order], weights[order]
 
 
 def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:

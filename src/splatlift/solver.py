@@ -16,11 +16,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import InvalidInputError, LiftConfig, SplatScene
-from .rasterize import WeightMatrix, _map_views, iter_view_entries, view_ranges
+from .rasterize import ROW_BLOCK_VALUES, WeightMatrix, _map_views, iter_view_entries, view_ranges
 
 EPS_COVERAGE = 1e-8
-# F-wide float64 rows are formed in blocks of this many values (1 MB) that stay in cache.
-ROW_BLOCK_VALUES = 1 << 17
 ORACLE_MAX_PRIMITIVES = 5000
 ORACLE_DAMPING = 1e-10
 LIFT_MODES = ("rowsum", "rowsum2")
@@ -274,9 +272,7 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
 
     def accumulate_view(view, frame):
         start, _ = obs.view_ranges[view.view_id]
-        tiles = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
-                 *iter_view_entries(frame, view)]
-        rows, cols, weights = (np.concatenate(parts) for parts in zip(*tiles))
+        rows, cols, weights = next(iter_view_entries(frame, view))
         rows += start
         keep = obs.index[rows] >= 0
         P = len(scene)  # runs after _map_views has checked the scene
@@ -462,6 +458,7 @@ class BoundReport:
     the chain is asserted on construction. The looser comparison of
     L(rowsum) against (1 + beta) L(opt) is reported, not asserted. The
     per-row mu_i and beta_i (see beta) give J(opt) = sum (1 + beta_i) mu_i^2.
+    An L(opt) at or below fit_floor is an exact fit (see bound_report).
     """
 
     loss_true_rowsum: float
@@ -472,6 +469,7 @@ class BoundReport:
     beta_per_row: np.ndarray
     mu_per_row: np.ndarray
     ratio: float
+    fit_floor: float = 0.0
 
     def __post_init__(self):
         # Guard at a few ulps: on generic instances the chain holds exactly,
@@ -490,8 +488,9 @@ class BoundReport:
         # near-optimal: forming the Gram matrix squares the condition number,
         # and dropping a small eigenvalue gives up its share of the fit. That
         # error shows when the true gap is zero (rank-deficient systems where
-        # the row-sum lift is optimal), hence the relative slack.
-        if self.loss_true_opt > self.loss_true_rowsum * (1 + 1e-8) + 1e-30:
+        # the row-sum lift is optimal), hence the relative slack, and an
+        # exact fit's rounding residue may exceed an L(rowsum) of 0.
+        if self.loss_true_opt > max(self.loss_true_rowsum * (1 + 1e-8) + 1e-30, self.fit_floor):
             raise InvariantViolation(
                 f"oracle dominance violated: L(opt)={self.loss_true_opt!r} > "
                 f"L(rowsum)={self.loss_true_rowsum!r}")
@@ -528,4 +527,5 @@ def bound_report(A: WeightMatrix, obs: ObservationSet) -> BoundReport:
         beta_per_row=beta_rows,
         mu_per_row=mu_rows,
         ratio=ratio,
+        fit_floor=fit_floor,
     )

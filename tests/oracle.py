@@ -153,11 +153,12 @@ def scanned_tiles(proj, view, side):
 
 def dense_tile_entries(proj, view):
     """The tile kernel on flat (pixels x candidates) arrays: per tile of the
-    side rasterize._tile_side picks, with the candidates of scanned_tiles,
-    the (rows_local, cols, weights) the rasterizer yields for a projected
-    view, pixel-major and front to back within a pixel. It evaluates
-    (a dxx + 2b dxy) + c dyy per (pixel, candidate) pair and takes each
-    pixel's transmittance with one cumprod along its row."""
+    side rasterize._tile_side picks, in row-major order, with the
+    candidates of scanned_tiles, the (rows_local, cols, weights) of the
+    rasterizer's entries for a projected view, pixel-major and front to
+    back within a pixel. It evaluates (a dxx + 2b dxy) + c dyy per (pixel,
+    candidate) pair and takes each pixel's transmittance with one cumprod
+    along its row."""
     if len(proj.idx) == 0:
         return
     w, h, ts = view.width, view.height, rasterize._tile_side(proj, view)
@@ -177,7 +178,8 @@ def dense_tile_entries(proj, view):
         delta = np.exp(-0.5 * quad)
         planar = proj.is_planar[cand]
         if np.any(planar):
-            delta[:, planar] = rasterize._planar_delta(proj, cand[planar], view, px, py)
+            delta[:, planar] = rasterize._planar_delta(proj, cand[planar], view, px[:, None],
+                                                          py[:, None])
         sigma = proj.alpha[cand] * np.where(dxx + dyy <= r2[cand], delta, 0.0)
 
         t_prefix = np.ones_like(sigma)

@@ -1058,3 +1058,26 @@ def test_cli_module_entrypoint_runs():
                            "--suite", "dispersion"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "non-increasing" in proc.stdout
+
+
+def test_parser_built_once_keeps_no_setting_between_calls(fixture_dir, tmp_path):
+    # main reuses one parser in a process; a flag of one call must not
+    # become a default of the next, which must run as a fresh process would.
+    lift = ["lift", "--scene", str(fixture_dir / "scene.ply"),
+            "--cameras", str(fixture_dir / "cameras.txt"),
+            "--features", str(fixture_dir / "features"), "--streaming"]
+    assert cli.build_parser() is cli.build_parser()
+    assert main(lift + ["--lambda", "2.0", "--out", str(tmp_path / "first.flt")]) == 0
+    assert main(lift + ["--out", str(tmp_path / "second.flt")]) == 0
+    src = str(Path(splatlift.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "splatlift.cli", *lift,
+                           "--out", str(tmp_path / "fresh.flt")], env=env)
+    assert proc.returncode == 0
+    reports = {name: formats.read_run_report(tmp_path / f"{name}.flt.json")
+               for name in ("first", "second", "fresh")}
+    assert reports["first"]["lambda"] == 2.0
+    for key in ("lambda", "kernel", "mode", "path"):
+        assert reports["second"][key] == reports["fresh"][key], key
+    assert (tmp_path / "second.flt").read_bytes() == (tmp_path / "fresh.flt").read_bytes()

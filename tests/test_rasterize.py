@@ -242,10 +242,8 @@ def test_tile_culling_matches_single_tile_build(monkeypatch):
 
 
 def test_tile_culling_matches_single_tile_build_on_mixed_kernels(monkeypatch):
-    # Planar kernels take the ray-plane hit from BLAS matrix products over a
-    # tile's pixels, and BLAS may round differently with the tile's shape, so
-    # planar weights agree across tile sides to rounding only (1.0e-13
-    # relative measured at side 1 on this scene). The entries are the same.
+    # Planar kernel values are formed element by element at each pixel's
+    # ray-plane hit, so planar weights are the same bytes at every side too.
     scene = mixed_kernel_scene(np.random.default_rng(0), 48)
     view = turned_view(0.3, [0, 0, 3.2], 3.2, fx=40.0, fy=38.0, cx=16.2, cy=16.7,
                        width=33, height=33, view_id="a")
@@ -258,7 +256,7 @@ def test_tile_culling_matches_single_tile_build_on_mixed_kernels(monkeypatch):
     for tiled in builds.values():
         assert tiled.indptr.tobytes() == whole.indptr.tobytes()
         assert tiled.indices.tobytes() == whole.indices.tobytes()
-        assert np.allclose(tiled.weights, whole.weights, rtol=1e-12, atol=0.0)
+        assert tiled.weights.tobytes() == whole.weights.tobytes()
 
 
 def test_cutoff_perturbs_weights_below_kernel_tail(monkeypatch):
@@ -514,20 +512,26 @@ def project(scene, view, lam):
     return rasterize._project_scene(frame, view)
 
 
-def tiles_matching_dense_reference(scene, view, lam):
-    """The projection and the tile kernel's yields, after checking that each
-    tile's (rows, cols, weights) have the dense kernel's dtypes and bytes.
-    The kernel yields a tile's entries candidate-major, the dense kernel
-    pixel-major; both are compared in (row, depth) order."""
+def by_row(rows, cols, weights):
+    """Entries stably sorted by row: (row, depth) order."""
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], weights[order]
+
+
+def entries_matching_dense_reference(scene, view, lam):
+    """The projection and the kernel's entries for the view, after checking
+    that they have the dense kernel's dtypes and bytes. The kernel yields
+    its entries a tile group and a depth chunk at a time, the dense kernel
+    tile by tile; both are compared in (row, depth) order."""
     proj = project(scene, view, lam)
-    tiles = list(rasterize._tile_entries(proj, view))
-    reference = list(dense_tile_entries(proj, view))
-    assert len(tiles) == len(reference) > 0
-    for got, want in zip(tiles, reference):
-        order = np.argsort(got[0], kind="stable")
-        for g, r in zip(got, want):
-            assert g.dtype == r.dtype and g[order].tobytes() == r.tobytes()
-    return proj, tiles
+    got = list(rasterize._tile_entries(proj, view, rasterize._tile_side(proj, view)))
+    want = list(dense_tile_entries(proj, view))
+    assert got and want
+    got, want = (by_row(*(np.concatenate(part) for part in zip(*parts)))
+                 for parts in (got, want))
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+    return proj, got
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.2])
@@ -540,14 +544,95 @@ def test_tile_kernel_matches_dense_reference_bytewise(side, lam):
                        cx=side / 2 - 0.3, cy=side / 2 + 0.2, width=side, height=side,
                        view_id="a")
     mixed = mixed_kernel_scene(np.random.default_rng(side), 64, spread=1.4)
-    proj, tiles = tiles_matching_dense_reference(mixed, view, lam)
+    proj, (_, cols, _) = entries_matching_dense_reference(mixed, view, lam)
     off_screen = ((proj.mean_x < -0.5) | (proj.mean_x > side - 0.5)
                   | (proj.mean_y < -0.5) | (proj.mean_y > side - 0.5))
-    assert np.isin(proj.idx[off_screen], np.concatenate([c for _, c, _ in tiles])).any()
+    assert np.isin(proj.idx[off_screen], cols).any()
 
     lone = SplatScene([[0.3, -0.2, 3.0]], np.log([[0.2, 0.1, 0.15]]), [[0.9, 0.2, -0.3, 0.1]],
                       [3.0], [KernelKind.GAUSSIAN_2D])
-    tiles_matching_dense_reference(lone, view, lam)
+    entries_matching_dense_reference(lone, view, lam)
+
+
+@pytest.mark.parametrize("tile_side", [4, 8, 16])
+@pytest.mark.parametrize("width, height", [(13, 10), (30, 21)])
+def test_tile_kernel_matches_dense_reference_on_partial_tiles(monkeypatch, tile_side, width,
+                                                              height):
+    # Sides that are not multiples of the tile side: the last tile column
+    # and row have pixels past the view's edge, which must add no entry.
+    monkeypatch.setattr(rasterize, "TILE_SIDES", (tile_side,))
+    view = turned_view(0.1, [0, 0, 3.2], 3.2, fx=1.2 * width, fy=1.2 * width,
+                       cx=width / 2 + 0.1, cy=height / 2 - 0.2, width=width, height=height,
+                       view_id="a")
+    scene = mixed_kernel_scene(np.random.default_rng(width + tile_side), 80, spread=1.3)
+    _, (rows, _, _) = entries_matching_dense_reference(scene, view, 1.2)
+    assert np.isin([width - 1, (height - 1) * width], rows).all()  # edge pixels are covered
+
+
+def test_tile_kernel_pads_groups_with_slots_that_add_nothing():
+    # Tile 0 holds one faint splat and shares its group with tiles of many
+    # candidates, so most of its slots are padding. A padded slot lies at
+    # the origin, the centre of pixel (0, 0), with radius^2 -1: a radius of
+    # 0 would give that pixel an entry.
+    rng = np.random.default_rng(4)
+    view = frontal_view(width=24, height=24, fx=30.0, cx=12.0, cy=12.0)
+    cluster = rng.uniform([0.05, 0.05, 2.0], [0.35, 0.35, 3.0], size=(30, 3))
+    faint = [[-0.75, -0.75, 2.5]]
+    scene = splat_scene(np.concatenate([faint, cluster]), [0.03] + [0.08] * 30,
+                        [-1.0] + [2.0] * 30)
+    proj = project(scene, view, 1.0)
+    side = rasterize._tile_side(proj, view)
+    ids, counts, _ = rasterize._bin_footprints(proj, view, side)
+    group = next(g for g in rasterize._tile_groups(counts, side) if 0 in ids[g])
+    assert ids[0] == 0 and counts[0] < counts[group].max()
+    entries_matching_dense_reference(scene, view, 1.0)
+
+
+def test_tile_kernel_stops_dead_tiles_mid_group_and_at_a_chunk_boundary(monkeypatch):
+    # Two stacks of 40 identical splats, centred on pixels (3, 6) and (9, 6)
+    # of one-pixel tiles, all of one group. At a stack's centre pixel the
+    # transmittance in front of the j-th splat is (1 - alpha)^j, and each
+    # stack's alpha puts the floor between two j: the first stack's tile
+    # stops exactly at the end of the first depth chunk, the second's in
+    # the middle of it, while the pixels around them, which see smaller
+    # kernel values, go on into the second chunk.
+    monkeypatch.setattr(rasterize, "TILE_SIDES", (1,))
+    chunk = rasterize.DEPTH_CHUNK
+    view = frontal_view(width=13, height=13, fx=20.0, cx=6.0, cy=6.0)
+    stacks, centres = [], []
+    for x, last in ((-0.3, chunk), (0.3, 20)):  # last: the entries at the centre pixel
+        alpha = 1.0 - rasterize.TRANSMITTANCE_FLOOR ** (1.0 / (last - 0.5))
+        transmittance = np.cumprod(np.full(last, 1.0 - alpha))
+        assert transmittance[-2] >= rasterize.TRANSMITTANCE_FLOOR > transmittance[-1]
+        stacks.append(splat_scene(np.tile([x, 0.0, 2.0], (40, 1)), 0.05,
+                                  math.log(alpha / (1 - alpha))))
+        centres.append(6 * 13 + 6 + round(x * 20.0 / 2.0))
+    scene = SplatScene(*(np.concatenate([getattr(st, f) for st in stacks]) for f in (
+        "positions", "log_scales", "rotations", "thetas", "kernels")))
+    _, (rows, _, _) = entries_matching_dense_reference(scene, view, 1.0)
+    counts = np.bincount(rows, minlength=view.pixel_count)
+    assert counts[centres[0]] == chunk and counts[centres[1]] == 20
+    assert counts.max() == 40  # the pixels around them go on
+
+
+@pytest.mark.parametrize("block, chunk", [(1 << 17, 32), (1 << 10, 7), (1, 1)])
+def test_streamed_entries_keep_each_primitive_in_tile_order(monkeypatch, block, chunk):
+    # The streaming lift sums each primitive's entries in stream order, so
+    # that order must not depend on how the kernel groups tiles and chunks
+    # candidates: it is the per-tile reference's, tile by tile in row-major
+    # order and pixel by pixel within a tile.
+    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", block)
+    monkeypatch.setattr(rasterize, "DEPTH_CHUNK", chunk)
+    scene = mixed_kernel_scene(np.random.default_rng(3), 120, spread=1.2)
+    view = turned_view(0.2, [0, 0, 3.2], 3.2, fx=30.0, fy=29.0, cx=14.6, cy=12.3,
+                       width=29, height=25, view_id="a")
+    frame = rasterize._SceneFrame(scene, polarized_opacities(scene.thetas, 1.2))
+    proj = rasterize._project_scene(frame, view)
+    (streamed,) = rasterize.iter_view_entries(frame, view)
+    reference = [np.concatenate(part) for part in zip(*dense_tile_entries(proj, view))]
+    by_primitive = [np.argsort(entries[1], kind="stable") for entries in (streamed, reference)]
+    for got, want in zip(streamed, reference):
+        assert got[by_primitive[0]].tobytes() == want[by_primitive[1]].tobytes()
 
 
 @pytest.mark.parametrize("side", [1, 3, 8, 16, 40])
@@ -564,14 +649,14 @@ def test_binned_tiles_match_a_scan_of_every_footprint(side):
     view = turned_view(0.2, [0, 0, 3.2], 3.2, fx=30.0, fy=28.0, cx=14.6, cy=12.3,
                        width=29, height=25, view_id="a")
     proj = project(scene, view, 1.2)
-    ids, cands = rasterize._bin_footprints(proj, view, side)
-    assert len(ids) == len(cands)
+    ids, counts, cand = rasterize._bin_footprints(proj, view, side)
+    assert len(ids) == len(counts) and counts.sum() == len(cand)
     scanned = scanned_tiles(proj, view, side)
-    assert ids == list(scanned)
-    for got, want in zip(cands, scanned.values()):
+    assert ids.tolist() == list(scanned)
+    for got, want in zip(np.split(cand, np.cumsum(counts)[:-1]), scanned.values()):
         assert got.tolist() == want.tolist()
 
-    listed = np.unique(np.concatenate(cands))
+    listed = np.unique(cand)
     inside = ((proj.mean_x >= 0) & (proj.mean_x <= view.width - 1)
               & (proj.mean_y >= 0) & (proj.mean_y <= view.height - 1))
     assert np.count_nonzero(proj.radius > view.width) >= 3
@@ -716,7 +801,7 @@ def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies():
     scene = splat_scene([[0.0, 0.0, 2.0], [0.05, 0.0, 2.5]], 0.1, 3.0)
     view = frontal_view(17, 17, view_id="a")
     assert all(cols.dtype == np.int32
-               for _, cols, _ in rasterize._tile_entries(project(scene, view, 1.0), view))
+               for _, cols, _ in rasterize._tile_entries(project(scene, view, 1.0), view, 4))
     A = build_weight_matrix(scene, [view])
     assert A.indptr.dtype == A.indices.dtype == np.int32
     csr = A.to_csr()

@@ -371,6 +371,30 @@ def test_bound_report_exact_fit_gives_infinite_ratio():
     assert rep.ratio == np.inf
 
 
+def test_bound_report_accepts_an_exact_fit_of_both_lifts():
+    # All of the first 1,500 splats of the bundled two-blob scene belong to
+    # one object, so every observed ray sees one table row and the row-sum
+    # lift fits exactly: L(rowsum) is 0.0, and the oracle leaves a rounding
+    # residue far below the 1e-12 ||B||^2 exact-fit floor.
+    spec = two_blob_spec(noise_fraction=0.0, resolution=24, views=2)
+    scene, views, ids = make_scene(spec)
+    keep = slice(0, 1500)
+    scene = type(scene)(scene.positions[keep], scene.log_scales[keep], scene.rotations[keep],
+                        scene.thetas[keep], scene.kernels[keep])
+    assert len(np.unique(ids[keep])) == 1
+    A = build_weight_matrix(scene, views, LiftConfig(lam=1.2))
+    obs, _ = make_observations(render_labels(A, ids[keep], SILHOUETTE_DOMINANCE), views, spec)
+    rep = bound_report(A, obs)
+    floor = 1e-12 * np.sum(obs.table[obs.index[obs.observed_mask()]] ** 2)
+    assert rep.loss_true_rowsum == 0.0 and 0.0 < rep.loss_true_opt <= floor
+    assert rep.ratio == 1.0
+    fields = dict(loss_true_rowsum=0.0, loss_surrogate_rowsum=0.0, loss_surrogate_opt=0.0,
+                  loss_true_opt=rep.loss_true_opt, beta=0.0, beta_per_row=np.zeros(1),
+                  mu_per_row=np.zeros(1), ratio=1.0)
+    with pytest.raises(InvariantViolation, match="oracle dominance"):
+        BoundReport(**fields, fit_floor=0.5 * rep.loss_true_opt)  # above the floor
+
+
 def test_bound_report_over_covered_observed_rays():
     # an observed ray with no entries composites to 0 for every x, so it
     # would add B_i^2 to L and nothing to J; the report leaves it out
