@@ -475,27 +475,17 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
             pixel_rows = pixel_rows.reshape(len(live), -1)[live].ravel()
 
 
-def _view_entries(frame: _SceneFrame, view: CameraView):
-    """The tile side of one view and its entries as (rows_local, cols,
-    weights), each pixel's front to back."""
-    proj = _project_scene(frame, view)
-    side = _tile_side(proj, view)
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
-             *_tile_entries(proj, view, side)]
-    return side, *(np.concatenate(part) for part in zip(*parts))
-
-
-def _stable_order(keys: np.ndarray, view: CameraView) -> np.ndarray:
-    """The stable sort of keys below the view's pixel count."""
-    # NumPy sorts 16-bit keys stably by radix, several times faster.
-    return np.argsort(keys.astype(np.uint16) if view.pixel_count <= 1 << 16 else keys,
-                      kind="stable")
-
-
 def _build_view(view: CameraView, frame: _SceneFrame):
-    """Sparse weight arrays (indptr, indices, weights) for one view."""
-    _, rows, cols, weights = _view_entries(frame, view)
-    order = _stable_order(rows, view)  # (row, depth) order
+    """Sparse weight arrays (indptr, indices, weights) for one view, in
+    (row, depth) order."""
+    proj = _project_scene(frame, view)
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
+             *_tile_entries(proj, view, _tile_side(proj, view))]
+    rows, cols, weights = (np.concatenate(part) for part in zip(*parts))
+    # A stable sort keeps each pixel's entries front to back; NumPy sorts
+    # 16-bit keys stably by radix, several times faster.
+    order = np.argsort(rows.astype(np.uint16) if view.pixel_count <= 1 << 16 else rows,
+                       kind="stable")
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=view.pixel_count), out=indptr[1:])
     return indptr, cols[order], weights[order]
@@ -551,16 +541,11 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
 
 def iter_view_entries(frame: _SceneFrame, view: CameraView):
     """Streaming access to one view's weight entries without materializing A:
-    one (rows_local, cols, weights) for the view, given the frame that
-    _map_views passes to its view function. The entries come tile by tile
-    in row-major order, each pixel's front to back and each primitive's
-    within a tile in row-major pixel order, so each primitive's sequence
-    of entries, and any sum over it in stream order, does not depend on
-    how the kernel groups the tiles."""
-    side, rows, cols, weights = _view_entries(frame, view)
-    y, x = np.divmod(rows, view.width)
-    order = _stable_order(y // side * -(-view.width // side) + x // side, view)
-    yield rows[order], cols[order], weights[order]
+    one (indptr, cols, weights) for the view, given the frame that
+    _map_views passes to its view function. They are the arrays the build
+    takes for the view, in (row, depth) order, so any sum over them in
+    stream order does not depend on how the kernel groups the tiles."""
+    yield _build_view(view, frame)
 
 
 def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:

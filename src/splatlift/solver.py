@@ -207,20 +207,32 @@ def _observed_entries(A: WeightMatrix, obs: ObservationSet):
     return rows[mask], A.indices[mask], A.weights[mask]
 
 
-def _accumulate(rows, cols, weights, obs: ObservationSet, P, squared):
-    """Lift sums over weight entries, in table space: M = W^T L, den = W^T 1
-    and cov = A^T 1.
+def _accumulate(block: sp.csr_matrix, index: np.ndarray, K: int, squared: bool):
+    """Lift sums over a block of weight rows (all of A, or one view) with
+    the block's observation index, in table space: cov = A^T o, den = W^T o
+    and M = (L^T W)^T.
 
-    W holds the entries' weights (squared for rowsum2; den is cov otherwise)
-    and L is the ray-to-table-row indicator of obs.index, so the lift's
-    numerator W^T B is M T for B = L T. M is a sparse P x K matrix; sums of
-    M over views stay K wide, and _finish applies T once.
+    o is the 0/1 vector of observed rays, L the ray-to-table-row indicator
+    of index (one 1 per observed ray, K columns) and W the block with its
+    weights squared for rowsum2 (den is cov otherwise), so the lift's
+    numerator W^T B is M T for B = L T. L^T W is one sparse product, formed
+    row by row over L^T (Gustavson), so M, like the products with o, adds
+    the block's entries in storage order. M is a sparse P x K matrix with
+    sorted rows; sums of M over views stay K wide, and _finish applies T
+    once.
     """
-    cov = np.bincount(cols, weights=weights, minlength=P)
-    w_eff = weights * weights if squared else weights
-    den = np.bincount(cols, weights=w_eff, minlength=P) if squared else cov
-    M = sp.csr_matrix((w_eff, (cols, obs.index[rows])), shape=(P, len(obs.table)))
-    return M, den, cov
+    observed = index >= 0
+    o = observed.astype(np.float64)
+    cov = block.T @ o
+    W = block
+    if squared:
+        W = sp.csr_matrix((block.data * block.data, block.indices, block.indptr),
+                          shape=block.shape)
+    den = W.T @ o if squared else cov
+    # L^T with one column per ray; its CSR lists each table row's rays in order.
+    Lt = sp.csc_matrix((np.ones(np.count_nonzero(observed)), index[observed],
+                        np.append(0, np.cumsum(observed))), shape=(K, len(index))).tocsr()
+    return (Lt @ W).T.tocsr(), den, cov
 
 
 def _finish(M, den, cov, table) -> FeatureField:
@@ -252,7 +264,8 @@ def lift_rowsum(A: WeightMatrix, obs: ObservationSet, mode: str = "rowsum") -> F
     where every weight is 1 and sharper otherwise (front-loaded weights
     dominate) on an A built with the polarized activation.
     """
-    sums = _accumulate(*_observed_entries(A, obs), obs, A.cols, _squared(mode))
+    _check_alignment(A, obs)
+    sums = _accumulate(A.to_csr(), obs.index, len(obs.table), _squared(mode))
     return _finish(*sums, obs.table)
 
 
@@ -261,9 +274,10 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
                    threads: int = 1) -> FeatureField:
     """Accumulate the row-sum lift during rasterization without storing A.
 
-    Each view's observed entries are gathered from its tiles and accumulated
-    at once, and the per-view sums (K wide, see _accumulate) are added in
-    view order, so the result does not depend on the thread count. Matches
+    Each view's weight rows, the arrays the build takes for it, feed the
+    matrix lift's accumulation (see _accumulate), and the per-view sums (K
+    wide) are added in view order, so the result does not depend on the
+    thread count; with one view it is the matrix lift's, bitwise. Matches
     the matrix path within accumulation-order tolerance (1e-5 relative at
     desk scale).
     """
@@ -271,12 +285,11 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     cfg = cfg or LiftConfig()
 
     def accumulate_view(view, frame):
-        start, _ = obs.view_ranges[view.view_id]
-        rows, cols, weights = next(iter_view_entries(frame, view))
-        rows += start
-        keep = obs.index[rows] >= 0
+        start, stop = obs.view_ranges[view.view_id]
+        indptr, cols, weights = next(iter_view_entries(frame, view))
         P = len(scene)  # runs after _map_views has checked the scene
-        return _accumulate(rows[keep], cols[keep], weights[keep], obs, P, squared)
+        block = sp.csr_matrix((weights, cols, indptr), shape=(stop - start, P))
+        return _accumulate(block, obs.index[start:stop], len(obs.table), squared)
 
     _, parts = _map_views(scene, views, cfg, threads, accumulate_view,
                           expected_ranges=obs.view_ranges)
@@ -380,7 +393,8 @@ def surrogate_gradient(A: WeightMatrix, obs: ObservationSet, x: np.ndarray) -> n
     """Gradient of the L2 surrogate: grad_j = sum_i A_ij (x_j - B_i) =
     cov_j x_j - (M T)_j, from the row-sum lift's own sums (see _accumulate)."""
     xv = _solution_values(A, obs, x)
-    M, _, cov = _accumulate(*_observed_entries(A, obs), obs, A.cols, squared=False)
+    _check_alignment(A, obs)
+    M, _, cov = _accumulate(A.to_csr(), obs.index, len(obs.table), squared=False)
     return cov[:, None] * xv - M @ obs.table
 
 

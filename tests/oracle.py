@@ -1,7 +1,7 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
 kernel, row access to the matrix and its row sums by bincount, a dense
-reference for label compositing, a table-space reference for the row-sum
+reference for label compositing, table-space sums and lifts for the row-sum
 lifts, a per-entry reference for the surrogate gradient, dense
 references for the attention scores and the cosine metric, and the bundled
 two-blob scene at test sizes.
@@ -217,21 +217,32 @@ def onehot_label_votes(A, labels, min_weight=0.0):
     return np.where(mass[np.arange(len(best)), best] > min_weight, best - 1, -1)
 
 
-def table_lift(A, obs, squared=False):
-    """The row-sum lift (rowsum2 with squared) as (M T) / den. Over the
-    entries of observed rays, with w their weights (squared for rowsum2),
-    M[p, k] sums w over primitive p's entries on rays observing table row
-    k, den[p] sums w and the coverage sums the plain weights. A primitive
-    with den = 0 or coverage below EPS_COVERAGE gets a zero row."""
+def table_sums(A, obs, squared=False):
+    """(M, den, coverage) of the row-sum lift (rowsum2 with squared) as
+    sequential sums over the entries of observed rays, in storage order,
+    each from 0.0: with w the entries' weights (squared for rowsum2), the
+    dense M[p, k] adds w over primitive p's entries on rays observing
+    table row k, den[p] adds w and the coverage the plain weights."""
     rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
     table_row = obs.index[rows]
     seen = table_row >= 0
     cols, w = A.indices[seen], A.weights[seen]
     w_eff = w * w if squared else w
-    M = sp.csr_matrix((w_eff, (cols, table_row[seen])), shape=(A.cols, len(obs.table)))
-    num = M @ obs.table
-    den = np.bincount(cols, weights=w_eff, minlength=A.cols)
-    coverage = np.bincount(cols, weights=w, minlength=A.cols)
+    M = np.zeros((A.cols, len(obs.table)))
+    np.add.at(M, (cols, table_row[seen]), w_eff)
+    den, coverage = np.zeros(A.cols), np.zeros(A.cols)
+    np.add.at(den, cols, w_eff)
+    np.add.at(coverage, cols, w)
+    return M, den, coverage
+
+
+def table_lift(A, obs, squared=False):
+    """The row-sum lift (rowsum2 with squared) as (M T) / den from
+    table_sums, with M T the sparse product over each row's table rows in
+    ascending order. A primitive with den = 0 or coverage below
+    EPS_COVERAGE gets a zero row."""
+    M, den, coverage = table_sums(A, obs, squared)
+    num = sp.csr_matrix(M) @ obs.table
     kept = (den > 0) & (coverage >= EPS_COVERAGE)
     x = np.zeros_like(num)
     x[kept] = num[kept] / den[kept, None]

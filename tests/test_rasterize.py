@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse._compressed
 from hypothesis import given, settings, strategies as st
 
 from oracle import (
@@ -31,6 +32,7 @@ from splatlift.rasterize import (
     render,
     render_labels,
 )
+from splatlift.solver import LIFT_MODES, ObservationSet, lift_rowsum
 from splatlift.synthbench import make_scene, parse_scene_spec
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -616,23 +618,24 @@ def test_tile_kernel_stops_dead_tiles_mid_group_and_at_a_chunk_boundary(monkeypa
 
 
 @pytest.mark.parametrize("block, chunk", [(1 << 17, 32), (1 << 10, 7), (1, 1)])
-def test_streamed_entries_keep_each_primitive_in_tile_order(monkeypatch, block, chunk):
-    # The streaming lift sums each primitive's entries in stream order, so
-    # that order must not depend on how the kernel groups tiles and chunks
-    # candidates: it is the per-tile reference's, tile by tile in row-major
-    # order and pixel by pixel within a tile.
-    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", block)
-    monkeypatch.setattr(rasterize, "DEPTH_CHUNK", chunk)
+def test_streamed_view_is_the_builds_view_arrays(monkeypatch, block, chunk):
+    # The streaming lift sums a view's entries in stream order, so the
+    # stream must be the build's view arrays, in (row, depth) order; and
+    # neither may depend on how the kernel groups tiles and chunks
+    # candidates: both are the build's at the default grouping, bytewise.
     scene = mixed_kernel_scene(np.random.default_rng(3), 120, spread=1.2)
     view = turned_view(0.2, [0, 0, 3.2], 3.2, fx=30.0, fy=29.0, cx=14.6, cy=12.3,
                        width=29, height=25, view_id="a")
     frame = rasterize._SceneFrame(scene, polarized_opacities(scene.thetas, 1.2))
-    proj = rasterize._project_scene(frame, view)
+    default = rasterize._build_view(view, frame)
+    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", block)
+    monkeypatch.setattr(rasterize, "DEPTH_CHUNK", chunk)
     (streamed,) = rasterize.iter_view_entries(frame, view)
-    reference = [np.concatenate(part) for part in zip(*dense_tile_entries(proj, view))]
-    by_primitive = [np.argsort(entries[1], kind="stable") for entries in (streamed, reference)]
-    for got, want in zip(streamed, reference):
-        assert got[by_primitive[0]].tobytes() == want[by_primitive[1]].tobytes()
+    assert len(default[1]) > 0
+    for arrays in (streamed, rasterize._build_view(view, frame)):
+        assert len(arrays) == len(default) == 3
+        for got, want in zip(arrays, default):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("side", [1, 3, 8, 16, 40])
@@ -797,7 +800,7 @@ def test_index_arrays_past_int32_are_refused_not_wrapped():
         matrix([0, big], [0, 1, 2, 3, 4], [0.1] * 5, 8)
 
 
-def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies():
+def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies(monkeypatch):
     scene = splat_scene([[0.0, 0.0, 2.0], [0.05, 0.0, 2.5]], 0.1, 3.0)
     view = frontal_view(17, 17, view_id="a")
     assert all(cols.dtype == np.int32
@@ -806,6 +809,19 @@ def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies():
     assert A.indptr.dtype == A.indices.dtype == np.int32
     csr = A.to_csr()
     assert np.shares_memory(csr.indptr, A.indptr) and np.shares_memory(csr.indices, A.indices)
+    # The lift's sparse product reads A's own arrays, not int64 copies of them.
+    products, matmat = [], scipy.sparse._compressed.csr_matmat
+
+    def recorded(*args):
+        products.append(args[5:8])  # the right operand's indptr, indices and data
+        return matmat(*args)
+
+    monkeypatch.setattr(scipy.sparse._compressed, "csr_matmat", recorded)
+    for mode in LIFT_MODES:
+        products.clear()
+        lift_rowsum(A, ObservationSet.from_dense([view], {"a": np.ones((17, 17, 2))}), mode)
+        assert any(np.shares_memory(indptr, A.indptr) and np.shares_memory(indices, A.indices)
+                   for indptr, indices, _ in products)
 
 
 def test_build_refuses_entries_and_primitives_past_int32(monkeypatch):

@@ -11,11 +11,13 @@ from oracle import (
     splat_scene,
     surrogate_gradient_reference,
     table_lift,
+    table_sums,
     two_blob_spec,
 )
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.rasterize import WeightMatrix, build_weight_matrix, render, render_labels
 from splatlift.solver import (
+    _accumulate,
     _row_dispersion,
     EPS_COVERAGE,
     LIFT_MODES,
@@ -601,6 +603,30 @@ def test_streaming_single_splat_exact():
     assert np.array_equal(direct.values, streamed.values)
 
 
+@pytest.mark.parametrize("backing", ["labels", "dense"])
+def test_single_view_streaming_is_the_matrix_lift_bitwise(backing):
+    # One view streams the build's arrays for it through the matrix lift's
+    # accumulation, so the two lifts agree bitwise, table weights included.
+    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=1)
+    scene, views, ids = make_scene(spec)
+    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
+    obs, _ = make_observations(render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
+    if backing == "dense":
+        obs = ObservationSet.from_dense(views, {views[0].view_id: obs.dense_values()}).masked(
+            obs.observed_mask())
+    assert 0 < np.count_nonzero(obs.observed_mask()) < obs.rows
+    cfg = LiftConfig(lam=1.2)
+    A = build_weight_matrix(scene, views, cfg)
+    for mode in LIFT_MODES:
+        direct = lift_rowsum(A, obs, mode)
+        streamed = lift_streaming(scene, views, obs, cfg, mode=mode)
+        assert np.array_equal(streamed.values, direct.values)
+        assert np.array_equal(streamed.coverage, direct.coverage)
+        for part in ("indptr", "indices", "data"):
+            assert (getattr(streamed.table_weights, part).tobytes()
+                    == getattr(direct.table_weights, part).tobytes())
+
+
 def test_streaming_rejects_empty_observations():
     view = CameraView(fx=20.0, fy=20.0, cx=1.5, cy=1.5, width=3, height=3,
                       world_to_camera=np.eye(4), view_id="v")
@@ -697,6 +723,40 @@ def test_matrix_lift_is_bitwise_the_table_space_oracle(mode):
     assert 0.0 < field.coverage[2] < EPS_COVERAGE
     assert np.array_equal(field.unobserved, [False, False, True, True])
     assert not np.any(field.values[2:])
+
+
+@pytest.mark.parametrize("mode", LIFT_MODES)
+def test_table_sums_add_the_entries_in_storage_order(mode):
+    # More than 16 entries on one (primitive, table row) pair, past the
+    # insertion sort of an unstable sort by table row, with weights of about
+    # 1, 1e-8 and 1e-16, whose sums depend on their order: M, den and cov
+    # are the left-to-right sums over the entries in storage order.
+    rng = np.random.default_rng(24)
+    rays, squared = 90, mode == "rowsum2"
+    weights = rng.choice([1.0, 1e-8, 1e-16], size=rays) * rng.uniform(0.5, 1.0, size=rays)
+    labels = rng.choice([-1, 3, 3, 3, 8], size=rays)
+    labels[:2] = 3, 8
+    A = matrix_from_rows([[(i % 2, w)] for i, w in enumerate(weights)], cols=3)
+    obs = ObservationSet.from_labels([tiny_view(rays)], {"instance": labels},
+                                     {"instance": {3: np.ones(2), 8: np.zeros(2)}})
+    M, den, cov = _accumulate(A.to_csr(), obs.index, len(obs.table), squared)
+    want_M, want_den, want_cov = np.zeros((3, 2)), [0.0] * 3, [0.0] * 3
+    terms = {}
+    for i, w in enumerate(weights.tolist()):
+        if labels[i] >= 0:
+            p, k, w_eff = i % 2, int(labels[i] == 8), w * w if squared else w
+            want_M[p, k] += w_eff
+            want_den[p] += w_eff
+            want_cov[p] += w
+            terms.setdefault((p, k), []).append(w_eff)
+    assert len(terms[0, 0]) > 16 and len(terms[1, 0]) > 16
+    # the sums depend on the order: summed backwards or sorted they differ
+    for order in (reversed, sorted):
+        assert any(sum(order(t)) != want_M[pk] for pk, t in terms.items())
+    assert np.array_equal(M.toarray(), want_M)
+    assert np.array_equal(den, want_den) and np.array_equal(cov, want_cov)
+    assert np.array_equal(lift_rowsum(A, obs, mode).coverage, want_cov)
+    assert np.array_equal(table_sums(A, obs, squared)[0], want_M)
 
 
 @pytest.mark.parametrize("path", ["matrix", "streaming"])
