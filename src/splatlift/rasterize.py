@@ -476,8 +476,8 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
 
 
 def _build_view(view: CameraView, frame: _SceneFrame):
-    """Sparse weight arrays (indptr, indices, weights) for one view, in
-    (row, depth) order."""
+    """The view's rows of A as (indptr, indices, weights), in (row, depth)
+    order; the streaming lift sums them without storing A."""
     proj = _project_scene(frame, view)
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
              *_tile_entries(proj, view, _tile_side(proj, view))]
@@ -537,15 +537,6 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
                           cfg.lam)
     matrix.validate()
     return matrix
-
-
-def iter_view_entries(frame: _SceneFrame, view: CameraView):
-    """Streaming access to one view's weight entries without materializing A:
-    one (indptr, cols, weights) for the view, given the frame that
-    _map_views passes to its view function. They are the arrays the build
-    takes for the view, in (row, depth) order, so any sum over them in
-    stream order does not depend on how the kernel groups the tiles."""
-    yield _build_view(view, frame)
 
 
 def render(A: WeightMatrix, values: np.ndarray, background: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import InvalidInputError, LiftConfig, SplatScene
-from .rasterize import ROW_BLOCK_VALUES, WeightMatrix, _map_views, iter_view_entries, view_ranges
+from .rasterize import ROW_BLOCK_VALUES, WeightMatrix, _build_view, _map_views, view_ranges
 
 EPS_COVERAGE = 1e-8
 ORACLE_MAX_PRIMITIVES = 5000
@@ -207,27 +207,25 @@ def _observed_entries(A: WeightMatrix, obs: ObservationSet):
     return rows[mask], A.indices[mask], A.weights[mask]
 
 
-def _accumulate(block: sp.csr_matrix, index: np.ndarray, K: int, squared: bool):
-    """Lift sums over a block of weight rows (all of A, or one view) with
-    the block's observation index, in table space: cov = A^T o, den = W^T o
-    and M = (L^T W)^T.
+def _accumulate(rows, P: int, index: np.ndarray, K: int, squared: bool):
+    """Lift sums over one view's weight rows, rows = (indptr, indices,
+    weights) over P primitives, with the view's observation index, in table
+    space: cov = A^T o, den = W^T o and M = (L^T W)^T.
 
     o is the 0/1 vector of observed rays, L the ray-to-table-row indicator
-    of index (one 1 per observed ray, K columns) and W the block with its
+    of index (one 1 per observed ray, K columns) and W the rows with their
     weights squared for rowsum2 (den is cov otherwise), so the lift's
     numerator W^T B is M T for B = L T. L^T W is one sparse product, formed
     row by row over L^T (Gustavson), so M, like the products with o, adds
-    the block's entries in storage order. M is a sparse P x K matrix with
-    sorted rows; sums of M over views stay K wide, and _finish applies T
-    once.
+    the view's entries in storage order. M is a sparse P x K matrix with
+    sorted rows.
     """
+    indptr, indices, weights = rows
+    block = sp.csr_matrix((weights, indices, indptr), shape=(len(index), P))
     observed = index >= 0
     o = observed.astype(np.float64)
     cov = block.T @ o
-    W = block
-    if squared:
-        W = sp.csr_matrix((block.data * block.data, block.indices, block.indptr),
-                          shape=block.shape)
+    W = sp.csr_matrix((weights * weights, indices, indptr), shape=block.shape) if squared else block
     den = W.T @ o if squared else cov
     # L^T with one column per ray; its CSR lists each table row's rays in order.
     Lt = sp.csc_matrix((np.ones(np.count_nonzero(observed)), index[observed],
@@ -235,9 +233,28 @@ def _accumulate(block: sp.csr_matrix, index: np.ndarray, K: int, squared: bool):
     return (Lt @ W).T.tocsr(), den, cov
 
 
-def _finish(M, den, cov, table) -> FeatureField:
-    """values = (M T) / den and table weights diag(1/den) M; primitives with
-    den = 0 or coverage below EPS_COVERAGE get zero rows in both."""
+def _view_sums(A: WeightMatrix, obs: ObservationSet, squared: bool) -> list:
+    """_accumulate over each of A's views in view order: the view's rows of
+    A, slices of A's indices and weights with the view's indptr rebased.
+    The view ranges must tile A's rows in order."""
+    _check_alignment(A, obs)
+    # 0, start, stop, next start, ..., rows: no gap between views, none negative within one
+    gaps = np.diff([0, *np.ravel(list(A.view_ranges.values())), A.rows])
+    if not A.view_ranges or gaps[::2].any() or (gaps[1::2] < 0).any():
+        raise InvalidInputError("view ranges must tile the weight rows in order")
+    view_sums = []
+    for start, stop in A.view_ranges.values():
+        lo, hi = A.indptr[start], A.indptr[stop]
+        rows = A.indptr[start:stop + 1] - lo, A.indices[lo:hi], A.weights[lo:hi]
+        view_sums.append(_accumulate(rows, A.cols, obs.index[start:stop], len(obs.table), squared))
+    return view_sums
+
+
+def _finish(view_sums, table) -> FeatureField:
+    """The lift from the views' (M, den, cov), added in view order: values
+    = (M T) / den and table weights diag(1/den) M; primitives with den = 0
+    or coverage below EPS_COVERAGE get zero rows in both."""
+    M, den, cov = (sum(sums) for sums in zip(*view_sums))
     solvable = den > 0
     if not np.any(solvable):
         raise InvalidInputError("no observations: every observed ray has an empty weight row")
@@ -264,9 +281,7 @@ def lift_rowsum(A: WeightMatrix, obs: ObservationSet, mode: str = "rowsum") -> F
     where every weight is 1 and sharper otherwise (front-loaded weights
     dominate) on an A built with the polarized activation.
     """
-    _check_alignment(A, obs)
-    sums = _accumulate(A.to_csr(), obs.index, len(obs.table), _squared(mode))
-    return _finish(*sums, obs.table)
+    return _finish(_view_sums(A, obs, _squared(mode)), obs.table)
 
 
 def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
@@ -275,26 +290,20 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
     """Accumulate the row-sum lift during rasterization without storing A.
 
     Each view's weight rows, the arrays the build takes for it, feed the
-    matrix lift's accumulation (see _accumulate), and the per-view sums (K
-    wide) are added in view order, so the result does not depend on the
-    thread count; with one view it is the matrix lift's, bitwise. Matches
-    the matrix path within accumulation-order tolerance (1e-5 relative at
-    desk scale).
+    matrix lift's accumulation (see _accumulate), and the per-view sums are
+    added in view order, as the matrix lift adds A's views: the two lifts
+    agree bitwise, at any thread count.
     """
     squared = _squared(mode)
     cfg = cfg or LiftConfig()
 
-    def accumulate_view(view, frame):
-        start, stop = obs.view_ranges[view.view_id]
-        indptr, cols, weights = next(iter_view_entries(frame, view))
-        P = len(scene)  # runs after _map_views has checked the scene
-        block = sp.csr_matrix((weights, cols, indptr), shape=(stop - start, P))
-        return _accumulate(block, obs.index[start:stop], len(obs.table), squared)
+    def accumulate_view(view, frame):  # after _map_views has checked the scene and views
+        index = obs.index[slice(*obs.view_ranges[view.view_id])]
+        return _accumulate(_build_view(view, frame), len(scene), index, len(obs.table), squared)
 
-    _, parts = _map_views(scene, views, cfg, threads, accumulate_view,
-                          expected_ranges=obs.view_ranges)
-    M, den, cov = (sum(view_sums) for view_sums in zip(*parts))
-    return _finish(M, den, cov, obs.table)
+    _, view_sums = _map_views(scene, views, cfg, threads, accumulate_view,
+                              expected_ranges=obs.view_ranges)
+    return _finish(view_sums, obs.table)
 
 
 # -- convex losses ---------------------------------------------------------
@@ -391,10 +400,9 @@ def loss_surrogate(A: WeightMatrix, obs: ObservationSet, x: np.ndarray, norm: st
 
 def surrogate_gradient(A: WeightMatrix, obs: ObservationSet, x: np.ndarray) -> np.ndarray:
     """Gradient of the L2 surrogate: grad_j = sum_i A_ij (x_j - B_i) =
-    cov_j x_j - (M T)_j, from the row-sum lift's own sums (see _accumulate)."""
+    cov_j x_j - (M T)_j, from the row-sum lift's own view sums (see _view_sums)."""
     xv = _solution_values(A, obs, x)
-    _check_alignment(A, obs)
-    M, _, cov = _accumulate(A.to_csr(), obs.index, len(obs.table), squared=False)
+    M, _, cov = (sum(sums) for sums in zip(*_view_sums(A, obs, squared=False)))
     return cov[:, None] * xv - M @ obs.table
 
 

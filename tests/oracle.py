@@ -219,21 +219,26 @@ def onehot_label_votes(A, labels, min_weight=0.0):
 
 def table_sums(A, obs, squared=False):
     """(M, den, coverage) of the row-sum lift (rowsum2 with squared) as
-    sequential sums over the entries of observed rays, in storage order,
-    each from 0.0: with w the entries' weights (squared for rowsum2), the
-    dense M[p, k] adds w over primitive p's entries on rays observing
-    table row k, den[p] adds w and the coverage the plain weights."""
+    sequential sums over each view's entries of observed rays, in storage
+    order, each from 0.0, and then the views' sums added in view order:
+    with w the entries' weights (squared for rowsum2), the dense M[p, k]
+    adds w over primitive p's entries on rays observing table row k, den[p]
+    adds w and the coverage the plain weights."""
     rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
     table_row = obs.index[rows]
-    seen = table_row >= 0
-    cols, w = A.indices[seen], A.weights[seen]
-    w_eff = w * w if squared else w
-    M = np.zeros((A.cols, len(obs.table)))
-    np.add.at(M, (cols, table_row[seen]), w_eff)
-    den, coverage = np.zeros(A.cols), np.zeros(A.cols)
-    np.add.at(den, cols, w_eff)
-    np.add.at(coverage, cols, w)
-    return M, den, coverage
+    total = None
+    for start, stop in A.view_ranges.values():
+        seen = (table_row >= 0) & (rows >= start) & (rows < stop)
+        cols, w = A.indices[seen], A.weights[seen]
+        w_eff = w * w if squared else w
+        M = np.zeros((A.cols, len(obs.table)))
+        np.add.at(M, (cols, table_row[seen]), w_eff)
+        den, coverage = np.zeros(A.cols), np.zeros(A.cols)
+        np.add.at(den, cols, w_eff)
+        np.add.at(coverage, cols, w)
+        sums = (M, den, coverage)
+        total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
+    return total
 
 
 def table_lift(A, obs, squared=False):

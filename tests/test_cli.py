@@ -126,18 +126,47 @@ def test_lift_matches_library_golden(fixture_dir, tmp_path):
     assert report["path"] == "matrix"
 
 
-def test_lift_streaming_matches_matrix(fixture_dir, tmp_path):
-    args = ["lift", "--scene", str(fixture_dir / "scene.ply"),
-            "--cameras", str(fixture_dir / "cameras.txt"),
-            "--features", str(fixture_dir / "features"),
-            "--lambda", "1.2", "--mode", "rowsum"]
-    out_m = tmp_path / "m.flt"
-    out_s = tmp_path / "s.flt"
-    assert main(args + ["--matrix", "--out", str(out_m)]) == 0
-    assert main(args + ["--streaming", "--out", str(out_s)]) == 0
-    a = formats.read_feature_field(out_m).values
-    b = formats.read_feature_field(out_s).values
-    assert np.allclose(a, b, rtol=1e-5, atol=1e-12)
+@pytest.fixture(scope="module")
+def lift_inputs(tmp_path_factory, fixture_dir):
+    """Per view count (1 or 3), the fixture's scene and camera flags and its
+    observations per backing: the label maps, and as dense features the
+    views that the label-backed matrix field renders."""
+    out = tmp_path_factory.mktemp("lift_inputs")
+    spec = out / "spec.ini"
+    spec.write_text(SMALL_INI.replace("[views]\ncount = 3", "[views]\ncount = 1"))
+    assert main(["synth", "--spec", str(spec), "--out", str(out / "one")]) == 0
+    inputs = {}
+    for views, fix in ((1, out / "one"), (3, fixture_dir)):
+        geo = ["--scene", str(fix / "scene.ply"), "--cameras", str(fix / "cameras.txt")]
+        rendered = out / f"rendered{views}"
+        assert main(["lift", *geo, "--features", str(fix / "features"), "--matrix",
+                     "--render-views", str(rendered), "--out", str(out / f"{views}.flt")]) == 0
+        assert len(formats.read_cameras(fix / "cameras.txt")) == views
+        inputs[views] = geo, {"labels": fix / "features", "dense": rendered}
+    return inputs
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("view_count", [1, 3])
+@pytest.mark.parametrize("backing", ["labels", "dense"])
+def test_lift_streaming_matches_matrix(lift_inputs, tmp_path, monkeypatch, backing, view_count,
+                                       threads):
+    # both paths write the same field, coverage and rendered views, bytewise
+    monkeypatch.setenv("SPLATLIFT_THREADS", threads)
+    geo, features = lift_inputs[view_count]
+    args = ["lift", *geo, "--features", str(features[backing]), "--lambda", "1.2"]
+    for path in ("matrix", "streaming"):
+        assert main(args + [f"--{path}", "--render-views", str(tmp_path / f"{path}_views"),
+                            "--out", str(tmp_path / f"{path}.flt")]) == 0
+    reports = [formats.read_run_report(tmp_path / f"{path}.flt.json")
+               for path in ("matrix", "streaming")]
+    assert reports[0]["coverage"] == reports[1]["coverage"]
+    assert reports[0]["coverage"]["observed"] > 0
+    assert (tmp_path / "matrix.flt").read_bytes() == (tmp_path / "streaming.flt").read_bytes()
+    rendered = sorted((tmp_path / "matrix_views").iterdir())
+    assert len(rendered) == view_count
+    for made in rendered:
+        assert made.read_bytes() == (tmp_path / "streaming_views" / made.name).read_bytes()
 
 
 def test_lift_rejects_bad_lambda(fixture_dir, tmp_path, capsys):

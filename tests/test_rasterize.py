@@ -619,10 +619,10 @@ def test_tile_kernel_stops_dead_tiles_mid_group_and_at_a_chunk_boundary(monkeypa
 
 @pytest.mark.parametrize("block, chunk", [(1 << 17, 32), (1 << 10, 7), (1, 1)])
 def test_streamed_view_is_the_builds_view_arrays(monkeypatch, block, chunk):
-    # The streaming lift sums a view's entries in stream order, so the
-    # stream must be the build's view arrays, in (row, depth) order; and
-    # neither may depend on how the kernel groups tiles and chunks
-    # candidates: both are the build's at the default grouping, bytewise.
+    # The streaming lift sums each view's arrays from _build_view, the rows
+    # of A for the view, in (row, depth) order; they may not depend on how
+    # the kernel groups tiles and chunks candidates: they are the default
+    # grouping's, bytewise.
     scene = mixed_kernel_scene(np.random.default_rng(3), 120, spread=1.2)
     view = turned_view(0.2, [0, 0, 3.2], 3.2, fx=30.0, fy=29.0, cx=14.6, cy=12.3,
                        width=29, height=25, view_id="a")
@@ -630,12 +630,11 @@ def test_streamed_view_is_the_builds_view_arrays(monkeypatch, block, chunk):
     default = rasterize._build_view(view, frame)
     monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", block)
     monkeypatch.setattr(rasterize, "DEPTH_CHUNK", chunk)
-    (streamed,) = rasterize.iter_view_entries(frame, view)
+    arrays = rasterize._build_view(view, frame)
     assert len(default[1]) > 0
-    for arrays in (streamed, rasterize._build_view(view, frame)):
-        assert len(arrays) == len(default) == 3
-        for got, want in zip(arrays, default):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(arrays) == len(default) == 3
+    for got, want in zip(arrays, default):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("side", [1, 3, 8, 16, 40])
@@ -809,7 +808,8 @@ def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies(monkeypatch):
     assert A.indptr.dtype == A.indices.dtype == np.int32
     csr = A.to_csr()
     assert np.shares_memory(csr.indptr, A.indptr) and np.shares_memory(csr.indices, A.indices)
-    # The lift's sparse product reads A's own arrays, not int64 copies of them.
+    # The lift's sparse product reads A's own indices (and weights, for
+    # rowsum) and the view's int32 indptr, rebased, not int64 copies.
     products, matmat = [], scipy.sparse._compressed.csr_matmat
 
     def recorded(*args):
@@ -820,8 +820,10 @@ def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies(monkeypatch):
     for mode in LIFT_MODES:
         products.clear()
         lift_rowsum(A, ObservationSet.from_dense([view], {"a": np.ones((17, 17, 2))}), mode)
-        assert any(np.shares_memory(indptr, A.indptr) and np.shares_memory(indices, A.indices)
-                   for indptr, indices, _ in products)
+        assert any(indptr.dtype == np.int32 and indptr.tobytes() == A.indptr.tobytes()
+                   and np.shares_memory(indices, A.indices)
+                   and np.shares_memory(data, A.weights) == (mode == "rowsum")
+                   for indptr, indices, data in products)
 
 
 def test_build_refuses_entries_and_primitives_past_int32(monkeypatch):

@@ -475,19 +475,56 @@ def test_beta_non_increasing_in_lambda():
 
 # -- streaming ------------------------------------------------------------------------
 
-def test_streaming_matches_matrix_path():
-    spec = two_blob_spec(noise_fraction=0.0, resolution=48, views=3)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("view_count", [1, 3])
+@pytest.mark.parametrize("backing", ["labels", "dense"])
+def test_streaming_matches_matrix_path(backing, view_count, threads):
+    # The matrix lift sums A's rows view by view and the stream the build's
+    # arrays of each view, both through _accumulate, and both add the view
+    # sums in view order: the fields agree bitwise, table weights included,
+    # at any thread count.
+    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=view_count)
     scene, views, ids = make_scene(spec)
     clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
-    obs, _ = make_observations(
-        render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
+    obs, _ = make_observations(render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
+    if backing == "dense":
+        dense = obs.dense_values()
+        obs = ObservationSet.from_dense(
+            views, {vid: dense[start:stop] for vid, (start, stop) in obs.view_ranges.items()}
+        ).masked(obs.observed_mask())
+    assert 0 < np.count_nonzero(obs.observed_mask()) < obs.rows
     cfg = LiftConfig(lam=1.2)
-    A = build_weight_matrix(scene, views, cfg)
+    A = build_weight_matrix(scene, views, cfg, threads=threads)
     for mode in LIFT_MODES:
         direct = lift_rowsum(A, obs, mode)
-        streamed = lift_streaming(scene, views, obs, cfg, mode=mode)
-        assert np.allclose(streamed.values, direct.values, rtol=1e-5, atol=1e-12)
-        assert np.allclose(streamed.coverage, direct.coverage, rtol=1e-5, atol=1e-12)
+        streamed = lift_streaming(scene, views, obs, cfg, mode=mode, threads=threads)
+        assert streamed.values.tobytes() == direct.values.tobytes()
+        assert streamed.coverage.tobytes() == direct.coverage.tobytes()
+        for part in ("indptr", "indices", "data"):
+            assert (getattr(streamed.table_weights, part).tobytes()
+                    == getattr(direct.table_weights, part).tobytes())
+        assert np.count_nonzero(~direct.unobserved) > 0
+
+
+@pytest.mark.parametrize("ranges", [
+    {"a": (0, 2), "b": (3, 6)},
+    {"a": (0, 3), "b": (2, 6)},
+    {"b": (2, 6), "a": (0, 2)},
+    {"a": (0, 2), "b": (2, 5)},
+], ids=["gap", "overlap", "out_of_order", "short"])
+def test_lifts_refuse_view_ranges_that_do_not_tile_the_rows(ranges):
+    # the matrix lift and the gradient sum A view by view; rows outside the
+    # views, or views out of order, are refused rather than left out
+    rng = np.random.default_rng(26)
+    A, obs = random_row_stochastic(rng, 6, 5, 2)
+    A = WeightMatrix(A.indptr, A.indices, A.weights, A.cols, ranges, 1.0)
+    obs = ObservationSet(ranges, {vid: (stop - start, 1) for vid, (start, stop) in ranges.items()},
+                         obs.table, obs.index)
+    x = rng.normal(size=(A.cols, 2))
+    for lift in (lambda: lift_rowsum(A, obs), lambda: lift_rowsum(A, obs, "rowsum2"),
+                 lambda: surrogate_gradient(A, obs, x)):
+        with pytest.raises(InvalidInputError, match="view ranges must tile the weight rows"):
+            lift()
 
 
 def test_streaming_bit_identical_across_threads():
@@ -603,30 +640,6 @@ def test_streaming_single_splat_exact():
     assert np.array_equal(direct.values, streamed.values)
 
 
-@pytest.mark.parametrize("backing", ["labels", "dense"])
-def test_single_view_streaming_is_the_matrix_lift_bitwise(backing):
-    # One view streams the build's arrays for it through the matrix lift's
-    # accumulation, so the two lifts agree bitwise, table weights included.
-    spec = two_blob_spec(noise_fraction=0.0, resolution=32, views=1)
-    scene, views, ids = make_scene(spec)
-    clean = build_weight_matrix(scene, views, LiftConfig(lam=1.0))
-    obs, _ = make_observations(render_labels(clean, ids, SILHOUETTE_DOMINANCE), views, spec)
-    if backing == "dense":
-        obs = ObservationSet.from_dense(views, {views[0].view_id: obs.dense_values()}).masked(
-            obs.observed_mask())
-    assert 0 < np.count_nonzero(obs.observed_mask()) < obs.rows
-    cfg = LiftConfig(lam=1.2)
-    A = build_weight_matrix(scene, views, cfg)
-    for mode in LIFT_MODES:
-        direct = lift_rowsum(A, obs, mode)
-        streamed = lift_streaming(scene, views, obs, cfg, mode=mode)
-        assert np.array_equal(streamed.values, direct.values)
-        assert np.array_equal(streamed.coverage, direct.coverage)
-        for part in ("indptr", "indices", "data"):
-            assert (getattr(streamed.table_weights, part).tobytes()
-                    == getattr(direct.table_weights, part).tobytes())
-
-
 def test_streaming_rejects_empty_observations():
     view = CameraView(fx=20.0, fy=20.0, cx=1.5, cy=1.5, width=3, height=3,
                       world_to_camera=np.eye(4), view_id="v")
@@ -739,7 +752,8 @@ def test_table_sums_add_the_entries_in_storage_order(mode):
     A = matrix_from_rows([[(i % 2, w)] for i, w in enumerate(weights)], cols=3)
     obs = ObservationSet.from_labels([tiny_view(rays)], {"instance": labels},
                                      {"instance": {3: np.ones(2), 8: np.zeros(2)}})
-    M, den, cov = _accumulate(A.to_csr(), obs.index, len(obs.table), squared)
+    M, den, cov = _accumulate((A.indptr, A.indices, A.weights), A.cols, obs.index,
+                              len(obs.table), squared)
     want_M, want_den, want_cov = np.zeros((3, 2)), [0.0] * 3, [0.0] * 3
     terms = {}
     for i, w in enumerate(weights.tolist()):
