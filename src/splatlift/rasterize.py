@@ -41,7 +41,8 @@ TILE_SIDES = (4, 8, 16, 32)
 # the sparse opaque_wall views, sides 4 and 8 ran within noise of each other.
 TILE_COST = 600.0
 # Values in one block of float64 work (1 MB), small enough to stay in cache:
-# a tile group of the kernel, and the F-wide row blocks of the lift and queries.
+# a tile group of the kernel, the F-wide row blocks of the lift and queries,
+# and the entries of a block of rows that row_sums and validate take at once.
 ROW_BLOCK_VALUES = 1 << 17
 # Candidates of a tile group evaluated at a time; after each chunk, tiles
 # whose every pixel is below TRANSMITTANCE_FLOOR stop.
@@ -93,17 +94,34 @@ class WeightMatrix:
     def nnz(self) -> int:
         return len(self.weights)
 
-    def entry_rows(self) -> np.ndarray:
-        """The row of every entry, in storage order (a fresh int64 array)."""
-        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+    def _row_blocks(self):
+        """[start, stop) row intervals that tile the rows in ascending order,
+        each with at most ROW_BLOCK_VALUES entries but at least one row, and
+        at most (2^31 - 1) // cols rows, so that (row - start) * cols + index
+        fits in int32. indptr[start] plus the budget may pass 2^31, so it is
+        a Python int, searched for as an int32 only below nnz (NumPy would
+        search an int64 copy of indptr for a Python int)."""
+        ptr, block_rows = self.indptr, (INDEX_LIMIT - 1) // max(self.cols, 1)
+        start = 0
+        while start < self.rows:
+            end = int(ptr[start]) + ROW_BLOCK_VALUES
+            stop = (self.rows if end >= self.nnz
+                    else int(np.searchsorted(ptr, np.int32(end), "right")) - 1)
+            stop = min(max(stop, start + 1), start + block_rows)
+            yield start, stop
+            start = stop
 
     def row_sums(self) -> np.ndarray:
         """Each row's weight sum, computed once (read-only)."""
         if self._row_sums is None:
-            # One column of zero indices: bincount's storage-order sums, no per-column array.
-            column = sp.csr_matrix((self.weights, np.zeros(self.nnz, np.int32), self.indptr),
-                                   shape=(self.rows, 1))
-            self._row_sums = column @ np.ones(1)
+            # A block of rows at a time as one column of zero indices:
+            # bincount's storage-order sums, no array per column or entry.
+            self._row_sums, one = np.zeros(self.rows), np.ones(1)
+            for start, stop in self._row_blocks():
+                lo, hi = self.indptr[start], self.indptr[stop]
+                self._row_sums[start:stop] = sp.csr_matrix(
+                    (self.weights[lo:hi], np.zeros(hi - lo, np.int32),
+                     self.indptr[start:stop + 1] - lo), shape=(stop - start, 1)) @ one
             self._row_sums.setflags(write=False)
         return self._row_sums
 
@@ -131,16 +149,18 @@ class WeightMatrix:
         sums = self.row_sums()
         if sums.size and sums.max() > 1.0 + 1e-6:
             raise InvalidInputError(f"row sum exceeds 1: {sums.max()}")
-        # Keys row * cols + index, all below rows * cols: int32 when that
-        # fits, which halves the bytes that the sort moves.
-        key_type = np.int32 if self.rows * self.cols < INDEX_LIMIT else np.int64
-        keys = np.repeat(np.arange(self.rows, dtype=key_type) * key_type(self.cols), counts)
-        keys += self.indices
-        keys.sort()
-        dup = np.flatnonzero(keys[1:] == keys[:-1])
-        if dup.size:
-            raise InvalidInputError(
-                f"duplicate primitive index in row {keys[dup[0]] // self.cols}")
+        # A duplicate lies within one row, so the rows are checked a block at
+        # a time, in ascending order, by sorting the int32 keys
+        # (row - start) * cols + index; the first names the lowest row.
+        for start, stop in self._row_blocks():
+            keys = np.repeat(np.arange(stop - start, dtype=np.int32) * np.int32(self.cols),
+                             counts[start:stop])
+            keys += self.indices[ptr[start]:ptr[stop]]
+            keys.sort()
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if dup.size:
+                raise InvalidInputError(
+                    f"duplicate primitive index in row {start + keys[dup[0]] // self.cols}")
 
     def row_normalized(self) -> "WeightMatrix":
         """Copy with every non-empty row rescaled to sum exactly 1.
@@ -360,9 +380,26 @@ def _bin_footprints(proj: _ViewProjection, view: CameraView, side: int):
     tile = (np.repeat(ty, nx) * tiles_x + tx)[near]
     counts = np.bincount(tile)
     ids = np.flatnonzero(counts)
-    # NumPy sorts 16-bit keys stably by radix, several times faster.
-    key = tile.astype(np.uint16) if tiles_x * -(-h // side) <= 1 << 16 else tile
-    return ids, counts[ids], cand[near][np.argsort(key, kind="stable")]
+    return ids, counts[ids], cand[near][_stable_order(tile, tiles_x * -(-h // side))]
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The permutation that sorts keys, integers in [0, bound), stably.
+
+    One in-place sort of the packed keys (key << b) | arrival, b the bits of
+    the largest arrival index: unique, so any sort is stable, and uint32
+    where they fit, which halves the bytes the sort moves. keys' buffer is
+    taken for them when its item size is theirs, so keys are overwritten.
+    """
+    b = (len(keys) - 1).bit_length()
+    packed_type = np.dtype(np.uint32 if bound << b <= 2**32 else np.uint64)
+    packed = (keys.view(packed_type) if keys.dtype.itemsize == packed_type.itemsize
+              else keys.astype(packed_type))
+    packed <<= b
+    packed |= np.arange(len(keys), dtype=packed_type)
+    packed.sort()
+    packed &= (1 << b) - 1
+    return packed
 
 
 def _run_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -423,7 +460,8 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
         left = ids[group] % tiles_x * side
         top = ids[group] // tiles_x * side
         xs, ys = left[:, None] + offsets, top[:, None] + offsets  # (tiles, side)
-        pixel_rows = (ys[:, :, None] * view.width + xs[:, None, :]).ravel()
+        # int32: _map_views caps a view's pixels below INDEX_LIMIT
+        pixel_rows = (ys[:, :, None] * view.width + xs[:, None, :]).ravel().astype(np.int32)
         carry = ((ys < view.height)[:, :, None] & (xs < view.width)[:, None, :]).astype(np.float64)
         xs, ys = xs.astype(np.float64), ys.astype(np.float64)
         for first in range(0, len(slots), DEPTH_CHUNK):
@@ -479,16 +517,16 @@ def _build_view(view: CameraView, frame: _SceneFrame):
     """The view's rows of A as (indptr, indices, weights), in (row, depth)
     order; the streaming lift sums them without storing A."""
     proj = _project_scene(frame, view)
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0)),
+    parts = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0)),
              *_tile_entries(proj, view, _tile_side(proj, view))]
     rows, cols, weights = (np.concatenate(part) for part in zip(*parts))
-    # A stable sort keeps each pixel's entries front to back; NumPy sorts
-    # 16-bit keys stably by radix, several times faster.
-    order = np.argsort(rows.astype(np.uint16) if view.pixel_count <= 1 << 16 else rows,
-                       kind="stable")
+    del parts
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=view.pixel_count), out=indptr[1:])
-    return indptr, cols[order], weights[order]
+    # A stable sort keeps each pixel's entries front to back.
+    order = _stable_order(rows, view.pixel_count)
+    weights = weights[order]  # first, so the unsorted weights go before cols are sorted
+    return indptr, cols[order], weights
 
 
 def _map_views(scene: SplatScene, views, cfg: LiftConfig, threads: int, view_fn,
@@ -507,6 +545,8 @@ def _map_views(scene: SplatScene, views, cfg: LiftConfig, threads: int, view_fn,
         raise InvalidInputError(f"{len(scene)} primitives exceed the int32 primitive ids")
     if not views:
         raise InvalidInputError("at least one view is required")
+    if max(v.pixel_count for v in views) >= INDEX_LIMIT:
+        raise InvalidInputError("a view's pixels exceed the int32 row ids")
     ranges = view_ranges(views)
     if expected_ranges is not None and ranges != expected_ranges:
         raise InvalidInputError("views and observations are not aligned")
@@ -525,16 +565,22 @@ def build_weight_matrix(scene: SplatScene, views, cfg: LiftConfig | None = None,
     are merged in fixed (view, row, depth) order regardless of thread count.
     """
     cfg = cfg or LiftConfig()
-    ranges, chunks = _map_views(scene, views, cfg, threads, _build_view)
-    indptrs, indices, weights = zip(*chunks)
-    offsets = np.cumsum([0] + [len(part) for part in indices])
-    if offsets[-1] >= INDEX_LIMIT:
-        raise InvalidInputError(f"A would hold {offsets[-1]} entries, past its int32 indices; "
+    ranges, parts = _map_views(scene, views, cfg, threads, _build_view)
+    nnz = sum(len(part[2]) for part in parts)
+    if nnz >= INDEX_LIMIT:
+        raise InvalidInputError(f"A would hold {nnz} entries, past its int32 indices; "
                                 "lift --streaming lifts without storing A")
-    row_ends = [p[1:] + offset for p, offset in zip(indptrs, offsets)]
-    matrix = WeightMatrix(np.concatenate([np.zeros(1, np.int64)] + row_ends),
-                          np.concatenate(indices), np.concatenate(weights), len(scene), ranges,
-                          cfg.lam)
+    # A's arrays are filled view by view, each view's dropped once copied.
+    indptr = np.zeros(sum(part[0].size - 1 for part in parts) + 1, np.int32)
+    indices, weights = np.empty(nnz, np.int32), np.empty(nnz)
+    row = at = 0
+    for i, (ptr, cols, w) in enumerate(parts):
+        parts[i] = None
+        indptr[row + 1:row + ptr.size] = ptr[1:]
+        indptr[row + 1:row + ptr.size] += at
+        indices[at:at + w.size], weights[at:at + w.size] = cols, w
+        row, at = row + ptr.size - 1, at + w.size
+    matrix = WeightMatrix(indptr, indices, weights, len(scene), ranges, cfg.lam)
     matrix.validate()
     return matrix
 
@@ -568,9 +614,11 @@ def render_labels(A: WeightMatrix, labels, min_weight: float = 0.0) -> np.ndarra
     if lab.size and lab.min() < -1:
         raise InvalidInputError("labels must be >= -1")
     # One column per distinct label, in ascending order, so that argmax
-    # breaks ties toward the lower label.
+    # breaks ties toward the lower label. A times the primitives' one-hot
+    # labels adds w * 1.0 or w * 0.0 to each label's mass, in storage order.
     ids, column = np.unique(lab, return_inverse=True)
-    mass = np.bincount(A.entry_rows() * len(ids) + column[A.indices], weights=A.weights,
-                       minlength=A.rows * len(ids)).reshape(A.rows, len(ids))
+    onehot = np.zeros((A.cols, len(ids)))
+    onehot[np.arange(A.cols), column] = 1.0
+    mass = A.to_csr() @ onehot
     best = np.argmax(mass, axis=1)
     return np.where(mass[np.arange(A.rows), best] > min_weight, ids[best], -1).astype(np.int64)

@@ -202,7 +202,7 @@ def _check_alignment(A: WeightMatrix, obs: ObservationSet) -> None:
 def _observed_entries(A: WeightMatrix, obs: ObservationSet):
     """Flat (rows, cols, weights) triplets restricted to observed rays."""
     _check_alignment(A, obs)
-    rows = A.entry_rows()
+    rows = np.repeat(np.arange(A.rows), np.diff(A.indptr))
     mask = obs.observed_mask()[rows]
     return rows[mask], A.indices[mask], A.weights[mask]
 
@@ -262,8 +262,11 @@ def _finish(view_sums, table) -> FeatureField:
     values = M @ table
     np.divide(values, den[:, None], out=values, where=kept[:, None])
     values[~kept] = 0.0
+    # diag(1/den) M, row by row in M's sorted order, without the explicit zeros
     scale = np.divide(1.0, den, out=np.zeros_like(den), where=kept)
-    return FeatureField(values=values, coverage=cov, table_weights=sp.diags(scale) @ M)
+    M.data *= np.repeat(scale, np.diff(M.indptr))
+    M.eliminate_zeros()
+    return FeatureField(values=values, coverage=cov, table_weights=M)
 
 
 def _squared(mode: str) -> bool:

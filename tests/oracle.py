@@ -1,10 +1,11 @@
 """Test scenes from plain arrays, a per-ray compositing reference for the
 sparse weight matrix, a dense per-tile reference for the rasterizer's tile
-kernel, row access to the matrix and its row sums by bincount, a dense
-reference for label compositing, table-space sums and lifts for the row-sum
-lifts, a per-entry reference for the surrogate gradient, dense
-references for the attention scores and the cosine metric, and the bundled
-two-blob scene at test sizes.
+kernel, row access to the matrix and its row sums by bincount, dense and
+bincount references for label compositing, a global-sort reference for the
+duplicate check, table-space sums and lifts for the row-sum lifts, a
+per-entry reference for the surrogate gradient, dense references for the
+attention scores and the cosine metric, and the bundled two-blob scene at
+test sizes.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -167,7 +168,7 @@ def dense_tile_entries(proj, view):
         ty0, tx0 = tile // -(-w // ts) * ts, tile % -(-w // ts) * ts
         ty1, tx1 = min(ty0 + ts, h), min(tx0 + ts, w)
         gy, gx = np.mgrid[ty0:ty1, tx0:tx1]
-        rows_local = (gy * w + gx).ravel()
+        rows_local = (gy * w + gx).ravel().astype(np.int32)
         px, py = gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
         dx = px[:, None] - proj.mean_x[cand]
         dy = py[:, None] - proj.mean_y[cand]
@@ -215,6 +216,30 @@ def onehot_label_votes(A, labels, min_weight=0.0):
     mass = A.to_csr().toarray() @ onehot
     best = np.argmax(mass, axis=1)
     return np.where(mass[np.arange(len(best)), best] > min_weight, best - 1, -1)
+
+
+def bincount_label_votes(A, labels, min_weight=0.0):
+    """Per-ray label by one bincount over (row, label column) keys, one
+    column per distinct label in ascending order: each (ray, label) mass
+    adds its weights in storage order from 0.0, argmax takes the lowest of
+    equal labels, and a ray whose best mass is not above min_weight maps to
+    -1."""
+    ids, column = np.unique(np.asarray(labels), return_inverse=True)
+    rows = np.repeat(np.arange(A.rows, dtype=np.int64), np.diff(A.indptr))
+    mass = np.bincount(rows * len(ids) + column[A.indices], weights=A.weights,
+                       minlength=A.rows * len(ids)).reshape(A.rows, len(ids))
+    best = np.argmax(mass, axis=1)
+    return np.where(mass[np.arange(A.rows), best] > min_weight, ids[best], -1).astype(np.int64)
+
+
+def first_duplicate_row(A):
+    """The lowest row that holds a primitive index twice, or None, by one
+    stable sort of the int64 keys row * cols + index over all of A."""
+    keys = np.repeat(np.arange(A.rows, dtype=np.int64) * A.cols, np.diff(A.indptr))
+    keys += A.indices
+    keys.sort(kind="stable")
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    return int(keys[dup[0]] // A.cols) if dup.size else None
 
 
 def table_sums(A, obs, squared=False):

@@ -9,13 +9,16 @@ import scipy.sparse._compressed
 from hypothesis import given, settings, strategies as st
 
 from oracle import (
+    bincount_label_votes,
     dense_tile_entries,
+    first_duplicate_row,
     onehot_label_votes,
     reference_rows,
     row_entries,
     row_sums_reference,
     scanned_tiles,
     splat_scene,
+    two_blob_spec,
 )
 from splatlift import rasterize
 from splatlift.model import (
@@ -33,7 +36,7 @@ from splatlift.rasterize import (
     render_labels,
 )
 from splatlift.solver import LIFT_MODES, ObservationSet, lift_rowsum
-from splatlift.synthbench import make_scene, parse_scene_spec
+from splatlift.synthbench import SILHOUETTE_DOMINANCE, make_scene, parse_scene_spec
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -393,6 +396,25 @@ def test_render_labels_matches_a_dense_onehot_oracle(clusters, min_weight):
     assert np.all(kappa[~A.covered_rows()] == -1)
     if clusters == 0:
         assert np.all(kappa == -1)
+
+
+@pytest.mark.parametrize("min_weight", [0.0, 0.25, SILHOUETTE_DOMINANCE])
+def test_render_labels_is_the_bincount_votes_bytewise(min_weight):
+    # Each (ray, label) mass adds w * 1.0 or w * 0.0 in storage order from
+    # 0.0, as bincount adds w, so the masses keep their bytes and ties and
+    # min_weight (SILHOUETTE_DOMINANCE is 0.5) decide as before: on a built
+    # A, and on a dyadic one with empty rows and many equal masses.
+    rng = np.random.default_rng(11)
+    scene, views, ids = make_scene(two_blob_spec(0.0, resolution=24, views=2))
+    dyadic = dyadic_matrix(rng, rows=400, cols=60)
+    assert not dyadic.covered_rows().all()
+    for A, objects in ((build_weight_matrix(scene, views), ids), (dyadic, rng.integers(0, 3, 60))):
+        for labels in (objects, np.where(rng.random(A.cols) < 0.2, -1, objects),
+                       np.zeros(A.cols, np.int64), np.full(A.cols, -1),
+                       rng.integers(-1, 40, A.cols)):
+            got = render_labels(A, labels, min_weight)
+            want = bincount_label_votes(A, labels, min_weight)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_render_labels_breaks_ties_toward_the_lower_label():
@@ -774,6 +796,126 @@ def test_validate_keys_past_int32():
     assert peak < 1 << 20
 
 
+def with_duplicates(A, rows, rng):
+    """A copy of A in which each of rows, each of two entries or more,
+    repeats one of its primitive indices at another of its entries."""
+    indices = A.indices.copy()
+    for row in rows:
+        first, second = A.indptr[row] + rng.choice(A.indptr[row + 1] - A.indptr[row], 2,
+                                                   replace=False)
+        indices[second] = indices[first]
+    return WeightMatrix(A.indptr, indices, A.weights, A.cols, A.view_ranges, 1.0)
+
+
+@pytest.fixture(scope="module")
+def two_blob_matrix():
+    scene, views, ids = make_scene(two_blob_spec(0.0, resolution=24, views=3))
+    return build_weight_matrix(scene, views), ids
+
+
+def test_block_duplicate_check_names_the_global_sorts_row(monkeypatch, two_blob_matrix):
+    # 300 mutants of a built A with 1 to 3 duplicates each, checked in
+    # blocks of at most 512 entries, whose bounds fall mid-view; every other
+    # mutant has a duplicate in the first or the last row of a block. Each
+    # names the row that one global sort of all keys names.
+    A, _ = two_blob_matrix
+    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", 512)
+    blocks = list(A._row_blocks())
+    view_starts = {start for start, _ in A.view_ranges.values()}
+    assert len(blocks) >= 3 and any(start not in view_starts for start, _ in blocks)
+    assert [start for start, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]]
+    A.validate()
+    multi = np.flatnonzero(np.diff(A.indptr) >= 2)
+    edges = np.intersect1d([row for block in blocks for row in (block[0], block[1] - 1)], multi)
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        rows = set(rng.choice(multi, rng.integers(1, 4), replace=False).tolist())
+        if trial % 2:
+            rows.add(int(rng.choice(edges)))
+        mutant = with_duplicates(A, sorted(rows), rng)
+        assert first_duplicate_row(mutant) == min(rows)
+        with pytest.raises(InvalidInputError, match=f"duplicate primitive index in row {min(rows)}$"):
+            mutant.validate()
+
+
+@pytest.mark.parametrize("cols, budget, long_row", [
+    (16, 4, 10),              # a row longer than the budget is a block of its own
+    (2**29 + 1, 1 << 17, 3),  # three rows per block: keys reach 3 * 2**29 + 1
+    (2**31 - 1, 1 << 17, 3),  # one row per block
+])
+def test_block_duplicate_check_on_long_rows_and_wide_matrices(monkeypatch, cols, budget,
+                                                              long_row):
+    # Twelve rows of three entries, row 5 of long_row, with (row 8, index 2)
+    # and (row 0, index 10) among them: with cols 2**29 + 1 and more than 8
+    # rows in a block, or cols 2**31 - 1 and more than 2, their int32 keys
+    # would wrap onto each other. rows * cols passes 2**31 in both, where
+    # the global sort takes int64 keys. Clean, the matrix passes; with a
+    # duplicate in any one or two rows, it names the lowest.
+    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", budget)
+    sizes = [long_row if row == 5 else 3 for row in range(12)]
+    indices = [[(row * 7 + k) % cols for k in range(size)] for row, size in enumerate(sizes)]
+    indices[0][0], indices[8][0] = 10, 2
+    indices[1][2] = cols - 1
+    A = matrix(np.concatenate([[0], np.cumsum(sizes)]), np.concatenate(indices),
+               np.full(sum(sizes), 0.05), cols)
+    A.validate()
+    assert first_duplicate_row(A) is None
+    rng = np.random.default_rng(cols)
+    for rows in [[5], [0], [11], [4, 5], [5, 6], [9, 2], [7, 11]] + [
+            rng.choice(12, rng.integers(1, 3), replace=False).tolist() for _ in range(20)]:
+        mutant = with_duplicates(A, rows, rng)
+        with pytest.raises(InvalidInputError, match=f"duplicate primitive index in row {min(rows)}$"):
+            mutant.validate()
+        assert first_duplicate_row(mutant) == min(rows)
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def scene_80():
+    return make_scene(two_blob_spec(0.0, resolution=80, views=3))
+
+
+def test_build_holds_at_most_a_view_and_a_copy_of_a(scene_80):
+    # A's arrays are filled view by view from the views' arrays: about two
+    # copies of A at the peak. Concatenating the views, with int64 rows and
+    # sort orders, took 2.7.
+    scene, views, _ = scene_80
+    A, peak = traced_peak(lambda: build_weight_matrix(scene, views))
+    assert A.nnz > 500_000
+    assert peak <= 2.25 * (A.indptr.nbytes + A.indices.nbytes + A.weights.nbytes)
+
+
+def test_render_labels_takes_no_array_per_entry(scene_80):
+    # One product with the primitives' one-hot labels: the R x L masses and
+    # the P x L labels, no (row, label) key per entry, which took 16.2 bytes
+    # per entry.
+    scene, views, ids = scene_80
+    A = build_weight_matrix(scene, views)
+    _, peak = traced_peak(lambda: render_labels(A, ids))
+    assert peak < 8 * A.nnz
+
+
+def test_validate_takes_one_block_and_per_row_arrays(monkeypatch, scene_80):
+    # Row sums and duplicate keys, a block of rows at a time: one block's
+    # keys and sums' inputs (at most 16 bytes per entry of a block), and
+    # per-row arrays. Keys over all of A took 2.4 MiB here.
+    scene, views, _ = scene_80
+    built = build_weight_matrix(scene, views)
+    A = WeightMatrix(built.indptr, built.indices, built.weights, built.cols, built.view_ranges,
+                     1.2)  # row sums not computed yet
+    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", 1 << 12)
+    _, peak = traced_peak(A.validate)
+    assert peak < 16 * rasterize.ROW_BLOCK_VALUES + 16 * A.rows + (1 << 16)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_rows(duplicates=True))
 def test_row_sums_match_bincount_bitwise(A):
@@ -835,6 +977,11 @@ def test_build_refuses_entries_and_primitives_past_int32(monkeypatch):
     with pytest.raises(InvalidInputError, match="2147483648 primitives"):
         build_weight_matrix(HugeScene(), [view])
     scene = splat_scene([[0.0, 0.0, 2.0], [0.05, 0.0, 2.5]], 0.1, 3.0)
+    # a view's rows are int32: 2**31 pixels are refused before anything is allocated
+    huge = CameraView(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=2**16, height=2**15,
+                      world_to_camera=np.eye(4), view_id="huge")
+    with pytest.raises(InvalidInputError, match="pixels exceed the int32 row ids"):
+        build_weight_matrix(scene, [view, huge])
     monkeypatch.setattr(rasterize, "INDEX_LIMIT", build_weight_matrix(scene, [view]).nnz)
     with pytest.raises(InvalidInputError, match="entries.*lift --streaming"):
         build_weight_matrix(scene, [view])

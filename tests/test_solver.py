@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from oracle import (
@@ -525,6 +526,46 @@ def test_lifts_refuse_view_ranges_that_do_not_tile_the_rows(ranges):
                  lambda: surrogate_gradient(A, obs, x)):
         with pytest.raises(InvalidInputError, match="view ranges must tile the weight rows"):
             lift()
+
+
+def coo_triples(G):
+    """(row, col, value) of every stored entry, sorted by row and column."""
+    G = G.tocoo()
+    order = np.lexsort((G.col, G.row))
+    return G.row[order].tolist(), G.col[order].tolist(), G.data[order].tobytes()
+
+
+@pytest.mark.parametrize("mode", LIFT_MODES)
+@pytest.mark.parametrize("backing", ["labels", "dense"])
+def test_table_weights_are_the_scaled_rows_of_m(backing, mode):
+    # G = diag(1/den) M scales M's entries row by row: the (row, col, value)
+    # triples of the sparse product, without its explicit zeros, in M's
+    # sorted column order. Primitive 6 lies only on an unobserved ray and 7
+    # on no ray (den = 0); 8 has coverage 1e-9 < EPS_COVERAGE.
+    rng = np.random.default_rng(27)
+    rows = [[(0, 0.3), (8, 1e-9)], [(6, 0.5)]] + [
+        [(int(j), 0.1 + 0.1 * rng.random()) for j in rng.choice(6, 3, replace=False)]
+        for _ in range(38)]
+    A = matrix_from_rows(rows, 9)
+    if backing == "labels":
+        labels = rng.integers(0, 4, len(rows))
+        labels[1] = -1
+        obs = ObservationSet.from_labels(
+            [tiny_view(len(rows))], {"instance": labels},
+            {"instance": {k: rng.normal(size=3) for k in range(4)}})
+    else:
+        keep = np.arange(len(rows)) != 1
+        obs = obs_from_values(rng.normal(size=(len(rows), 3))).masked(keep)
+    squared = mode == "rowsum2"
+    M, den, cov = _accumulate((A.indptr, A.indices, A.weights), A.cols, obs.index,
+                              len(obs.table), squared)
+    kept = (den > 0) & (cov >= EPS_COVERAGE)
+    assert not kept[6:].any() and den[6] == den[7] == 0.0 and den[8] > 0.0
+    scale = np.divide(1.0, den, out=np.zeros_like(den), where=kept)
+    G = lift_rowsum(A, obs, mode).table_weights
+    assert coo_triples(G) == coo_triples(sp.diags(scale) @ M)
+    assert all(np.all(np.diff(cols) > 0) for cols in np.split(G.indices, G.indptr[1:-1]))
+    assert G.indptr[6] == G.indptr[-1] and G.nnz > 20
 
 
 def test_streaming_bit_identical_across_threads():
