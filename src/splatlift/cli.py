@@ -276,9 +276,8 @@ def _cmd_lift(args) -> int:
 def _field_matrix(args, field: FeatureField):
     """Views, weight matrix, settings and matrix key for a command that
     reuses a field; the scene must have as many primitives as the field.
-    The field's <field>.A is used when its key matches these inputs;
-    otherwise A is built. A <field>.A that an older version wrote under
-    this key is rewritten with the rebuilt A, when the directory allows."""
+    The field's <field>.A is used when its version and key match these
+    inputs; otherwise A is built and the file is left as it is."""
     scene, views, settings = _lift_setup(args, Path(str(args.field) + ".json"))
     if len(scene) != field.count:
         raise InvalidInputError(
@@ -291,11 +290,6 @@ def _field_matrix(args, field: FeatureField):
     if matrix is None:
         matrix = build_weight_matrix(scene, views, LiftConfig(lam=settings["lambda"]),
                                      threads=_threads())
-        if stored.exists() and formats.older_weight_matrix(stored, key):
-            try:
-                formats.write_weight_matrix(stored, matrix, key)
-            except OSError as exc:
-                print(f"warning: could not rewrite {stored}: {exc}", file=sys.stderr)
     return views, matrix, settings, key
 
 

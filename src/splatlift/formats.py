@@ -221,14 +221,6 @@ def read_weight_matrix(path, key: bytes, views, cols: int, lam: float) -> Weight
     return matrix
 
 
-def older_weight_matrix(path, key: bytes) -> bool:
-    """Whether the weight-matrix file was written under key by an older
-    version, whose payload read_weight_matrix does not read."""
-    with open(path, "rb") as fh:
-        version, stored, *_ = _read_header(fh, path, MATRIX_MAGIC, "I32s3Q")
-    return version < MATRIX_VERSION and stored == key
-
-
 # -- splat scenes (binary PLY) -------------------------------------------------
 
 _PLY_PROPERTY_DTYPES = {

@@ -30,16 +30,11 @@ COV_LOWPASS = 0.3
 # Affine footprints under-estimate the perspective extent of tilted planar
 # disks; their bounding radius is inflated by this factor.
 PLANAR_RADIUS_SLACK = 1.25
-# Sides in pixels of the square tiles that cull candidates before
-# compositing; each view takes the one of least estimated cost (_tile_side).
-TILE_SIDES = (4, 8, 16, 32)
-# Cost of visiting one tile, in (pixel, candidate) pairs of the kernel. With
-# any value from 300 to 900, _tile_side picked the fastest side of TILE_SIDES
-# for 3 views each of both benchmark geometries (72x72, about 6,000 splats),
-# of the bundled two-blob scene (80x80) and of the noisy_pipeline scene at
-# 256x256, with its 6,020 splats and with 31,103. On its 128x128 views and on
-# the sparse opaque_wall views, sides 4 and 8 ran within noise of each other.
-TILE_COST = 600.0
+# Side in pixels of the square tiles that cull candidates before compositing.
+# A is byte-identical at every side; 4 px is the fastest side on the
+# benchmark's views, and costs up to about 13 % on large sparse views, where
+# 8 px is faster (README).
+TILE_SIDE = 4
 # Values in one block of float64 work (1 MB), small enough to stay in cache:
 # a tile group of the kernel, the F-wide row blocks of the lift and queries,
 # and the entries of a block of rows that row_sums and validate take at once.
@@ -72,8 +67,9 @@ class WeightMatrix:
     """Sparse ray-by-primitive compositing weights.
 
     Entries within a row are stored in front-to-back depth order. view_ranges
-    maps view_id -> contiguous [start, stop) row interval; within a view,
-    pixel (row r, column c) occupies row r * width + c.
+    maps view_id -> contiguous [start, stop) row interval, and the intervals
+    tile the rows in order; within a view, pixel (row r, column c) occupies
+    row r * width + c.
     """
 
     def __init__(self, indptr, indices, weights, cols, view_ranges, lambda_used):
@@ -82,6 +78,10 @@ class WeightMatrix:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.cols = int(cols)
         self.view_ranges = dict(view_ranges)
+        # 0, start, stop, next start, ..., rows: no gap between views, none negative within one
+        gaps = np.diff([0, *np.ravel(list(self.view_ranges.values())), self.rows])
+        if not self.view_ranges or gaps[::2].any() or (gaps[1::2] < 0).any():
+            raise InvalidInputError("view ranges must tile the weight rows in order")
         self.lambda_used = float(lambda_used)
         self._csr = None
         self._row_sums = None
@@ -335,21 +335,6 @@ def _tile_span(center: np.ndarray, radius: np.ndarray, side: int, pixels: int):
     return first.astype(np.int64), last.astype(np.int64)
 
 
-def _tile_side(proj: _ViewProjection, view: CameraView) -> int:
-    """The side in TILE_SIDES of least estimated kernel cost for this view:
-    TILE_COST per tile of the view plus the (pixel, candidate) pairs of the
-    tiles that each footprint's bounding square reaches."""
-    def cost(side):
-        spans = []  # pixels per footprint along each axis, 0 where it misses
-        for center, pixels in ((proj.mean_x, view.width), (proj.mean_y, view.height)):
-            first, last = _tile_span(center, proj.radius, side, pixels)
-            spans.append(np.minimum((last + 1) * side, pixels) - first * side)
-        tiles = -(-view.width // side) * -(-view.height // side)
-        return TILE_COST * tiles + float(np.dot(*spans))
-
-    return min(TILE_SIDES, key=cost)
-
-
 def _bin_footprints(proj: _ViewProjection, view: CameraView, side: int):
     """The non-empty tiles of the given side: their ids (row-major,
     ascending), their candidate counts and their candidates (indices into
@@ -518,7 +503,7 @@ def _build_view(view: CameraView, frame: _SceneFrame):
     order; the streaming lift sums them without storing A."""
     proj = _project_scene(frame, view)
     parts = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0)),
-             *_tile_entries(proj, view, _tile_side(proj, view))]
+             *_tile_entries(proj, view, TILE_SIDE)]
     rows, cols, weights = (np.concatenate(part) for part in zip(*parts))
     del parts
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)

@@ -235,13 +235,9 @@ def _accumulate(rows, P: int, index: np.ndarray, K: int, squared: bool):
 
 def _view_sums(A: WeightMatrix, obs: ObservationSet, squared: bool) -> list:
     """_accumulate over each of A's views in view order: the view's rows of
-    A, slices of A's indices and weights with the view's indptr rebased.
-    The view ranges must tile A's rows in order."""
+    A, slices of A's indices and weights with the view's indptr rebased;
+    the view ranges tile A's rows in order (WeightMatrix)."""
     _check_alignment(A, obs)
-    # 0, start, stop, next start, ..., rows: no gap between views, none negative within one
-    gaps = np.diff([0, *np.ravel(list(A.view_ranges.values())), A.rows])
-    if not A.view_ranges or gaps[::2].any() or (gaps[1::2] < 0).any():
-        raise InvalidInputError("view ranges must tile the weight rows in order")
     view_sums = []
     for start, stop in A.view_ranges.values():
         lo, hi = A.indptr[start], A.indptr[stop]

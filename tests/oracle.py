@@ -153,8 +153,8 @@ def scanned_tiles(proj, view, side):
 
 
 def dense_tile_entries(proj, view):
-    """The tile kernel on flat (pixels x candidates) arrays: per tile of the
-    side rasterize._tile_side picks, in row-major order, with the
+    """The tile kernel on flat (pixels x candidates) arrays: per tile of
+    side rasterize.TILE_SIDE, in row-major order, with the
     candidates of scanned_tiles, the (rows_local, cols, weights) of the
     rasterizer's entries for a projected view, pixel-major and front to
     back within a pixel. It evaluates (a dxx + 2b dxy) + c dyy per (pixel,
@@ -162,7 +162,7 @@ def dense_tile_entries(proj, view):
     along its row."""
     if len(proj.idx) == 0:
         return
-    w, h, ts = view.width, view.height, rasterize._tile_side(proj, view)
+    w, h, ts = view.width, view.height, rasterize.TILE_SIDE
     r2 = proj.radius**2
     for tile, cand in scanned_tiles(proj, view, ts).items():
         ty0, tx0 = tile // -(-w // ts) * ts, tile % -(-w // ts) * ts

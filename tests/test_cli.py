@@ -830,14 +830,19 @@ def version1_matrix(blob: bytes, key: bytes | None = None) -> bytes:
             + blob[64 + 4 * (rows + 1 + nnz):])
 
 
-def test_older_matrix_under_its_key_is_rewritten_once(fixture_dir, tmp_path, builds):
+def test_older_matrix_is_built_around_and_kept(fixture_dir, tmp_path, builds):
+    # A version-1 file is stale under any key: it is never read as version 2,
+    # each command builds A in memory and leaves the file byte-identical, and
+    # the next lift writes a current file.
     geo = ["--scene", str(fixture_dir / "scene.ply"),
            "--cameras", str(fixture_dir / "cameras.txt")]
+    lift = ["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix"]
     field = tmp_path / "field.flt"
-    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
-                 "--out", str(field)]) == 0
+    assert main([*lift, "--out", str(field)]) == 0
     stored = Path(f"{field}.A")
     current = stored.read_bytes()
+    scene = formats.read_splat_ply(fixture_dir / "scene.ply")
+    views = formats.read_cameras(fixture_dir / "cameras.txt")
     outputs, counts = [], []
 
     def run(name):
@@ -849,40 +854,17 @@ def test_older_matrix_under_its_key_is_rewritten_once(fixture_dir, tmp_path, bui
         counts.append(len(builds))
 
     run("current")
-    stored.write_bytes(version1_matrix(current))
-    run("version1")
-    assert stored.read_bytes() == current
-    run("rewritten")
-    # a version-1 file under another key is another field's: built around, kept
-    other = version1_matrix(current, bytes(32))
-    stored.write_bytes(other)
-    run("other_key")
-    assert stored.read_bytes() == other
-    assert counts == [0, 1, 0, 1]
+    for name, key in (("own_key", None), ("own_key_again", None), ("other_key", bytes(32))):
+        older = version1_matrix(current, key)
+        stored.write_bytes(older)
+        assert formats.read_weight_matrix(stored, older[8:40], views, len(scene), 1.2) is None
+        run(name)
+        assert stored.read_bytes() == older
+    assert counts == [0, 1, 1, 1]
     assert len(outputs[0]) > 5
     assert all(out == outputs[0] for out in outputs)
-
-
-def test_failed_matrix_rewrite_keeps_the_command(fixture_dir, tmp_path, monkeypatch, capsys):
-    geo = ["--scene", str(fixture_dir / "scene.ply"),
-           "--cameras", str(fixture_dir / "cameras.txt")]
-    field = tmp_path / "field.flt"
-    assert main(["lift", *geo, "--features", str(fixture_dir / "features"), "--matrix",
-                 "--out", str(field)]) == 0
-    stored = Path(f"{field}.A")
-    older = version1_matrix(stored.read_bytes())
-    stored.write_bytes(older)
-
-    def read_only(path, *args):
-        raise PermissionError(13, "Permission denied", str(path))
-
-    monkeypatch.setattr(formats, "write_weight_matrix", read_only)
-    for command, args in (("segment", ["--query", str(fixture_dir / "queries" / "wall.flt")]),
-                          ("cluster-filter", ["--labels", str(fixture_dir / "features")])):
-        assert main([command, *geo, "--field", str(field), *args,
-                     "--out", str(tmp_path / command)]) == 0
-        assert "could not rewrite" in capsys.readouterr().err
-    assert stored.read_bytes() == older
+    assert main([*lift, "--out", str(field)]) == 0
+    assert stored.read_bytes() == current
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

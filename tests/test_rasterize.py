@@ -230,14 +230,13 @@ def test_tile_culling_matches_single_tile_build(monkeypatch):
     # One tile spanning the whole view is the no-tile-culling reference. A
     # pixel's non-zero sigma sequence is the same for every tile side (each
     # zero multiplies the transmittance by exactly 1), so volumetric kernels
-    # give the same bytes at every side. A single allowed side fixes the
-    # side that the chooser picks.
+    # give the same bytes at every side.
     rng = np.random.default_rng(9)
     scene = splat_scene(rng.uniform([-0.8, -0.8, 2], [0.8, 0.8, 4], size=(50, 3)), 0.15, 2.0)
     view = frontal_view(width=33, height=33, fx=45.0)
     builds = {}
-    for tile_size in (1, 5, 8, 16, 64):
-        monkeypatch.setattr(rasterize, "TILE_SIDES", (tile_size,))
+    for tile_size in (1, 4, 5, 8, 16, 32, 64):
+        monkeypatch.setattr(rasterize, "TILE_SIDE", tile_size)
         builds[tile_size] = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
     whole = builds.pop(64)
     for tiled in builds.values():
@@ -253,8 +252,8 @@ def test_tile_culling_matches_single_tile_build_on_mixed_kernels(monkeypatch):
     view = turned_view(0.3, [0, 0, 3.2], 3.2, fx=40.0, fy=38.0, cx=16.2, cy=16.7,
                        width=33, height=33, view_id="a")
     builds = {}
-    for tile_size in (1, 5, 8, 16, 64):
-        monkeypatch.setattr(rasterize, "TILE_SIDES", (tile_size,))
+    for tile_size in (1, 4, 5, 8, 16, 32, 64):
+        monkeypatch.setattr(rasterize, "TILE_SIDE", tile_size)
         builds[tile_size] = build_weight_matrix(scene, [view], LiftConfig(lam=1.2))
     whole = builds.pop(64)
     assert whole.nnz > 5 * whole.rows
@@ -548,7 +547,7 @@ def entries_matching_dense_reference(scene, view, lam):
     its entries a tile group and a depth chunk at a time, the dense kernel
     tile by tile; both are compared in (row, depth) order."""
     proj = project(scene, view, lam)
-    got = list(rasterize._tile_entries(proj, view, rasterize._tile_side(proj, view)))
+    got = list(rasterize._tile_entries(proj, view, rasterize.TILE_SIDE))
     want = list(dense_tile_entries(proj, view))
     assert got and want
     got, want = (by_row(*(np.concatenate(part) for part in zip(*parts)))
@@ -584,7 +583,7 @@ def test_tile_kernel_matches_dense_reference_on_partial_tiles(monkeypatch, tile_
                                                               height):
     # Sides that are not multiples of the tile side: the last tile column
     # and row have pixels past the view's edge, which must add no entry.
-    monkeypatch.setattr(rasterize, "TILE_SIDES", (tile_side,))
+    monkeypatch.setattr(rasterize, "TILE_SIDE", tile_side)
     view = turned_view(0.1, [0, 0, 3.2], 3.2, fx=1.2 * width, fy=1.2 * width,
                        cx=width / 2 + 0.1, cy=height / 2 - 0.2, width=width, height=height,
                        view_id="a")
@@ -605,7 +604,7 @@ def test_tile_kernel_pads_groups_with_slots_that_add_nothing():
     scene = splat_scene(np.concatenate([faint, cluster]), [0.03] + [0.08] * 30,
                         [-1.0] + [2.0] * 30)
     proj = project(scene, view, 1.0)
-    side = rasterize._tile_side(proj, view)
+    side = rasterize.TILE_SIDE
     ids, counts, _ = rasterize._bin_footprints(proj, view, side)
     group = next(g for g in rasterize._tile_groups(counts, side) if 0 in ids[g])
     assert ids[0] == 0 and counts[0] < counts[group].max()
@@ -620,7 +619,7 @@ def test_tile_kernel_stops_dead_tiles_mid_group_and_at_a_chunk_boundary(monkeypa
     # stops exactly at the end of the first depth chunk, the second's in
     # the middle of it, while the pixels around them, which see smaller
     # kernel values, go on into the second chunk.
-    monkeypatch.setattr(rasterize, "TILE_SIDES", (1,))
+    monkeypatch.setattr(rasterize, "TILE_SIDE", 1)
     chunk = rasterize.DEPTH_CHUNK
     view = frontal_view(width=13, height=13, fx=20.0, cx=6.0, cy=6.0)
     stacks, centres = [], []
@@ -686,18 +685,6 @@ def test_binned_tiles_match_a_scan_of_every_footprint(side):
     assert np.count_nonzero(proj.radius > view.width) >= 3
     assert np.isin(np.flatnonzero(~inside), listed).any()  # off-screen centres reach in
     assert len(listed) < len(proj.idx)  # and some footprints miss the view
-
-
-def test_tile_side_weighs_tiles_against_pixel_pairs(monkeypatch):
-    # Without a per-tile cost the smallest side evaluates the fewest pairs;
-    # a lone small footprint makes the tile count decide.
-    view = frontal_view(width=64, height=64, fx=60.0)
-    dense = project(splat_scene(np.random.default_rng(2).uniform(
-        [-0.5, -0.5, 2], [0.5, 0.5, 3], size=(200, 3)), 0.02, 2.0), view, 1.0)
-    lone = project(splat_at(0.0, 0.0, 2.0, scale=0.02), view, 1.0)
-    assert rasterize._tile_side(lone, view) == max(rasterize.TILE_SIDES)
-    monkeypatch.setattr(rasterize, "TILE_COST", 0.0)
-    assert rasterize._tile_side(dense, view) == min(rasterize.TILE_SIDES)
 
 
 def matrix(indptr, indices, weights, cols):
