@@ -34,7 +34,6 @@ from .aggregate import (
     iou,
 )
 from .query import (
-    AttentionMap,
     QueryEmbedding,
     ValleyNotFoundError,
     attention_scores,

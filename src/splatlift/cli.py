@@ -36,6 +36,7 @@ from .query import (
     eval_cosine,
     render_attention,
     segment,
+    to_display,
 )
 from .rasterize import ROW_BLOCK_VALUES, build_weight_matrix, render_labels
 from .solver import LIFT_MODES, FeatureField, ObservationSet, lift_rowsum, lift_streaming
@@ -347,37 +348,43 @@ def _cmd_segment(args) -> int:
     scores = attention_scores(field, query)
     views, matrix, *_ = _field_matrix(args, field)
 
-    maps = render_attention(matrix, scores, views)
+    composite = render_attention(matrix, scores)
+    covered = matrix.covered_rows()
     if args.threshold == "auto":
         # One pooled threshold per query: merging the covered scores of all
         # views densifies the histogram, which stabilizes the valley search.
-        pooled = np.concatenate([maps[v.view_id].covered_scores() for v in views])
         try:
-            threshold = auto_threshold(pooled)
+            threshold = auto_threshold(composite[covered])
             picked = "auto"
         except ValleyNotFoundError as exc:
             print(f"segment: {exc}; falling back to fixed threshold {FALLBACK_THRESHOLD}")
             threshold = FALLBACK_THRESHOLD
             picked = "fallback"
 
+    # Several queries share one thresholds.csv; a rerun replaces its query's
+    # rows. It is read before anything is written, so a bad one changes nothing.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for view in views:
-        amap = maps[view.view_id]
-        mask = segment(amap.scores, threshold)
-        stem = f"{query.name}__{view.view_id}"
-        formats.write_pgm(out / f"{stem}_mask.pgm", mask)
-        formats.write_pgm(out / f"{stem}_attention.pgm", amap.to_display())
-        formats.write_feature_tensor(out / f"{stem}_attention.flt",
-                                     amap.scores[:, :, None].astype(np.float32))
-        rows.append([query.name, view.view_id, f"{threshold:.8f}", picked])
-    # Several queries share one thresholds.csv; a rerun replaces its query's rows.
     csv_path = out / "thresholds.csv"
     kept = []
     if csv_path.exists():
-        with open(csv_path, newline="") as fh:
-            kept = [r for r in list(csv.reader(fh))[1:] if r and r[0] != query.name]
+        try:
+            with open(csv_path, newline="") as fh:
+                kept = [r for r in list(csv.reader(fh))[1:] if r and r[0] != query.name]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise formats.FormatError(f"{csv_path}: unreadable thresholds table: {exc}") from None
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for view in views:
+        start, stop = matrix.view_ranges[view.view_id]
+        shape = (view.height, view.width)
+        vals = composite[start:stop].reshape(shape)
+        stem = f"{query.name}__{view.view_id}"
+        formats.write_pgm(out / f"{stem}_mask.pgm", segment(vals, threshold))
+        formats.write_pgm(out / f"{stem}_attention.pgm",
+                          to_display(vals, covered[start:stop].reshape(shape)))
+        formats.write_feature_tensor(out / f"{stem}_attention.flt",
+                                     vals[:, :, None].astype(np.float32))
+        rows.append([query.name, view.view_id, f"{threshold:.8f}", picked])
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["query", "view_id", "threshold", "selection"])
@@ -458,7 +465,10 @@ def _cmd_eval(args) -> int:
 # -- synth ------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    spec_text = Path(args.spec).read_text()
+    try:
+        spec_text = Path(args.spec).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{args.spec}: malformed scene spec: {exc}") from None
     spec = parse_scene_spec(spec_text)
     scene, views, object_ids = make_scene(spec)
     clean_matrix = build_weight_matrix(scene, views, LiftConfig(lam=1.0), threads=_threads())

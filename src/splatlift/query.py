@@ -36,30 +36,6 @@ class QueryEmbedding:
         object.__setattr__(self, "vector", v)
 
 
-@dataclass(frozen=True)
-class AttentionMap:
-    """Raw per-ray attention scores for one view.
-
-    Thresholding always operates on the raw scores; display_min/display_max
-    only record the affine rescaling used for 8-bit visualization.
-    """
-
-    view_id: str
-    scores: np.ndarray
-    covered: np.ndarray
-    display_min: float
-    display_max: float
-
-    def covered_scores(self) -> np.ndarray:
-        return self.scores.reshape(-1)[self.covered.reshape(-1)]
-
-    def to_display(self) -> np.ndarray:
-        """8-bit rescaled scores (lossless given the recorded min/max)."""
-        lo, hi = self.display_min, self.display_max
-        span = hi - lo if hi > lo else 1.0
-        return np.clip((self.scores - lo) / span * 255.0, 0, 255).astype(np.uint8)
-
-
 def attention_scores(field: FeatureField, query: QueryEmbedding) -> np.ndarray:
     """Cosine similarity of every lifted feature against the query.
 
@@ -88,25 +64,21 @@ def attention_scores(field: FeatureField, query: QueryEmbedding) -> np.ndarray:
     return scores
 
 
-def render_attention(A: WeightMatrix, scores: np.ndarray, views) -> dict[str, AttentionMap]:
-    """Composite per-primitive scores into one scalar map per view; the
+def render_attention(A: WeightMatrix, scores: np.ndarray) -> np.ndarray:
+    """Composite per-primitive scores to one score per ray of A; the
     background contributes BACKGROUND_SCORE."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if scores.shape[0] != A.cols:
-        raise InvalidInputError("one score per primitive is required")
-    composite = render(A, scores, BACKGROUND_SCORE)
-    covered_rows = A.covered_rows()
-    out = {}
-    for view in views:
-        start, stop = A.view_ranges[view.view_id]
-        vals = composite[start:stop].reshape(view.height, view.width)
-        cov = covered_rows[start:stop].reshape(view.height, view.width)
-        covered_vals = vals[cov]
-        lo = float(covered_vals.min()) if covered_vals.size else 0.0
-        hi = float(covered_vals.max()) if covered_vals.size else 0.0
-        out[view.view_id] = AttentionMap(
-            view_id=view.view_id, scores=vals, covered=cov, display_min=lo, display_max=hi)
-    return out
+    return render(A, scores, BACKGROUND_SCORE)
+
+
+def to_display(scores: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """8-bit scores, rescaled affinely so that the covered ones span 0-255.
+
+    Thresholding always reads the raw scores; this is for viewing only.
+    """
+    shown = scores[covered]
+    lo, hi = (shown.min(), shown.max()) if shown.size else (0.0, 0.0)
+    span = hi - lo if hi > lo else 1.0
+    return np.clip((scores - lo) / span * 255.0, 0, 255).astype(np.uint8)
 
 
 def _smooth(hist: np.ndarray, window: int) -> np.ndarray:
@@ -120,37 +92,21 @@ def _smooth(hist: np.ndarray, window: int) -> np.ndarray:
     return total / np.convolve(np.ones(len(hist)), box)[same]
 
 
-def _runs(values: np.ndarray):
-    """Run-length encode: list of (value, start, stop_exclusive)."""
-    runs = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] != values[start]:
-            runs.append((values[start], start, i))
-            start = i
-    return runs
-
-
-def _valleys(hist: np.ndarray, peak: int, direction: int):
+def _valleys(hist: np.ndarray, peak: int, direction: int) -> list:
     """Interior minima scanning from peak, nearest first: (lo, hi) bin spans.
 
     A valley is a run of equal values strictly below its predecessor run and
     strictly below its successor run (so monotone tails do not qualify).
     """
-    if direction > 0:
-        segment = hist[peak:]
-    else:
-        segment = hist[:peak + 1][::-1]
-    runs = _runs(segment)
-    for k in range(1, len(runs) - 1):
-        prev_v = runs[k - 1][0]
-        cur_v, start, stop = runs[k]
-        next_v = runs[k + 1][0]
-        if cur_v < prev_v and cur_v < next_v:
-            if direction > 0:
-                yield peak + start, peak + stop - 1
-            else:
-                yield peak - (stop - 1), peak - start
+    segment = hist[peak:] if direction > 0 else hist[peak::-1]
+    # runs [bounds[k], bounds[k + 1]) of equal values, and each run's value
+    bounds = np.concatenate(([0], np.flatnonzero(segment[1:] != segment[:-1]) + 1,
+                             [len(segment)]))
+    value = segment[bounds[:-1]]
+    dips = np.flatnonzero((value[1:-1] < value[:-2]) & (value[1:-1] < value[2:])) + 1
+    start, last = bounds[dips], bounds[dips + 1] - 1
+    lo, hi = (peak + start, peak + last) if direction > 0 else (peak - last, peak - start)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 # A valley only counts when a mode of at least this fraction of the main

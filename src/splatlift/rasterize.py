@@ -63,6 +63,15 @@ def _int32(values, what: str) -> np.ndarray:
     return arr.astype(np.int32, copy=False)
 
 
+def compressed(kind, shape, indptr, indices, data):
+    """A scipy CSR or CSC matrix (kind) of the given shape on the given
+    arrays as they are, where scipy's constructor copies an indices or data
+    slice shorter than half its base array."""
+    matrix = kind(shape)
+    matrix.indptr, matrix.indices, matrix.data = indptr, indices, data
+    return matrix
+
+
 class WeightMatrix:
     """Sparse ray-by-primitive compositing weights.
 
@@ -115,13 +124,14 @@ class WeightMatrix:
         """Each row's weight sum, computed once (read-only)."""
         if self._row_sums is None:
             # A block of rows at a time as one column of zero indices:
-            # bincount's storage-order sums, no array per column or entry.
+            # bincount's storage-order sums, no array per column or entry,
+            # on the block's slice of the weights.
             self._row_sums, one = np.zeros(self.rows), np.ones(1)
             for start, stop in self._row_blocks():
                 lo, hi = self.indptr[start], self.indptr[stop]
-                self._row_sums[start:stop] = sp.csr_matrix(
-                    (self.weights[lo:hi], np.zeros(hi - lo, np.int32),
-                     self.indptr[start:stop + 1] - lo), shape=(stop - start, 1)) @ one
+                self._row_sums[start:stop] = compressed(
+                    sp.csr_matrix, (stop - start, 1), self.indptr[start:stop + 1] - lo,
+                    np.zeros(hi - lo, np.int32), self.weights[lo:hi]) @ one
             self._row_sums.setflags(write=False)
         return self._row_sums
 
@@ -322,32 +332,32 @@ def _planar_delta(proj: _ViewProjection, sub: np.ndarray, view: CameraView,
         return np.where(valid, np.minimum(np.exp(-0.5 * (uu * uu + vv * vv)), 1.0), 0.0)
 
 
-def _tile_span(center: np.ndarray, radius: np.ndarray, side: int, pixels: int):
-    """First and last index along one axis of the tiles of the given side
-    that the intervals [center - radius, center + radius] reach; last < first
-    where an interval misses all of the axis' pixels."""
-    count = -(-pixels // side)
+def _tile_span(center: np.ndarray, radius: np.ndarray, pixels: int):
+    """First and last index along one axis of the tiles that the intervals
+    [center - radius, center + radius] reach; last < first where an
+    interval misses all of the axis' pixels."""
+    count = -(-pixels // TILE_SIDE)
     with np.errstate(invalid="ignore"):
-        first = np.clip(np.floor((center - radius) / side), 0, count)
-        last = np.clip(np.floor((center + radius) / side), -1, count - 1)
+        first = np.clip(np.floor((center - radius) / TILE_SIDE), 0, count)
+        last = np.clip(np.floor((center + radius) / TILE_SIDE), -1, count - 1)
     empty = ~(first <= last)  # NaN radii too
     first[empty], last[empty] = 0, -1
     return first.astype(np.int64), last.astype(np.int64)
 
 
-def _bin_footprints(proj: _ViewProjection, view: CameraView, side: int):
-    """The non-empty tiles of the given side: their ids (row-major,
-    ascending), their candidate counts and their candidates (indices into
-    proj), tile after tile and each tile's front to back.
+def _bin_footprints(proj: _ViewProjection, view: CameraView):
+    """The non-empty tiles: their ids (row-major, ascending), their
+    candidate counts and their candidates (indices into proj), tile after
+    tile and each tile's front to back.
 
     A footprint's bounding square lists its tiles, and the disk-rectangle test
     keeps the pairs whose disk reaches a pixel of the tile. The pairs are
     listed footprint by footprint, in depth order, so a stable sort by tile
     keeps each tile's candidates in depth order.
     """
-    w, h = view.width, view.height
-    x0, x1 = _tile_span(proj.mean_x, proj.radius, side, w)
-    y0, y1 = _tile_span(proj.mean_y, proj.radius, side, h)
+    w, h, side = view.width, view.height, TILE_SIDE
+    x0, x1 = _tile_span(proj.mean_x, proj.radius, w)
+    y0, y1 = _tile_span(proj.mean_y, proj.radius, h)
     # The squares' tile rows, then their tiles: (footprint, tile row) and
     # (footprint, tile) pairs, with the offsets of each footprint's disk
     # from the pixel centres of the tile row's band and the tile's column.
@@ -392,12 +402,12 @@ def _run_offsets(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _tile_groups(counts: np.ndarray, side: int):
+def _tile_groups(counts: np.ndarray):
     """Tiles (indices into counts) in groups, in ascending candidate count:
-    each group as many tiles as keep tiles x most candidates x side^2 within
-    ROW_BLOCK_VALUES, and at least one."""
+    each group as many tiles as keep tiles x most candidates x TILE_SIDE^2
+    within ROW_BLOCK_VALUES, and at least one."""
     order = np.argsort(counts, kind="stable")
-    ranked = counts[order] * (side * side)
+    ranked = counts[order] * (TILE_SIDE * TILE_SIDE)
     start = 0
     while start < len(order):
         blocks = np.arange(1, len(order) - start + 1) * ranked[start:]
@@ -406,7 +416,7 @@ def _tile_groups(counts: np.ndarray, side: int):
         start = stop
 
 
-def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
+def _tile_entries(proj: _ViewProjection, view: CameraView):
     """Yield (rows_local, cols, weights) arrays of one view's entries, one
     depth chunk of one tile group at a time; each pixel's entries come out
     front to back.
@@ -426,7 +436,8 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
     rises, so a tile stops once every pixel of it is below
     TRANSMITTANCE_FLOOR.
     """
-    ids, counts, cand = _bin_footprints(proj, view, side)
+    side = TILE_SIDE
+    ids, counts, cand = _bin_footprints(proj, view)
     tiles_x = -(-view.width // side)
     # Per-candidate values, with the padded slot last: an opaque flat
     # footprint at the origin that the radius cut alone keeps out.
@@ -438,7 +449,7 @@ def _tile_entries(proj: _ViewProjection, view: CameraView, side: int):
     cand = np.append(cand, len(proj.idx))  # the padded slot last
     starts = np.cumsum(counts) - counts
     offsets = np.arange(side)
-    for group in _tile_groups(counts, side):
+    for group in _tile_groups(counts):
         slots = np.arange(counts[group[-1]])
         at = np.where(slots < counts[group, None], starts[group, None] + slots, len(cand) - 1)
         slot_cand = cand[at]  # (tiles, slots)
@@ -503,7 +514,7 @@ def _build_view(view: CameraView, frame: _SceneFrame):
     order; the streaming lift sums them without storing A."""
     proj = _project_scene(frame, view)
     parts = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0)),
-             *_tile_entries(proj, view, TILE_SIDE)]
+             *_tile_entries(proj, view)]
     rows, cols, weights = (np.concatenate(part) for part in zip(*parts))
     del parts
     indptr = np.zeros(view.pixel_count + 1, dtype=np.int64)

@@ -16,7 +16,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import InvalidInputError, LiftConfig, SplatScene
-from .rasterize import ROW_BLOCK_VALUES, WeightMatrix, _build_view, _map_views, view_ranges
+from .rasterize import (
+    ROW_BLOCK_VALUES,
+    WeightMatrix,
+    _build_view,
+    _map_views,
+    compressed,
+    view_ranges,
+)
 
 EPS_COVERAGE = 1e-8
 ORACLE_MAX_PRIMITIVES = 5000
@@ -219,18 +226,23 @@ def _accumulate(rows, P: int, index: np.ndarray, K: int, squared: bool):
     row by row over L^T (Gustavson), so M, like the products with o, adds
     the view's entries in storage order. M is a sparse P x K matrix with
     sorted rows.
+
+    The rows' arrays are used as they are, as the CSC matrices A^T and W^T:
+    scipy would copy slices of A's arrays in the constructor, in a transpose
+    and as a product's right operand, so W^T is the left one.
     """
     indptr, indices, weights = rows
-    block = sp.csr_matrix((weights, indices, indptr), shape=(len(index), P))
     observed = index >= 0
     o = observed.astype(np.float64)
-    cov = block.T @ o
-    W = sp.csr_matrix((weights * weights, indices, indptr), shape=block.shape) if squared else block
-    den = W.T @ o if squared else cov
-    # L^T with one column per ray; its CSR lists each table row's rays in order.
-    Lt = sp.csc_matrix((np.ones(np.count_nonzero(observed)), index[observed],
-                        np.append(0, np.cumsum(observed))), shape=(K, len(index))).tocsr()
-    return (Lt @ W).T.tocsr(), den, cov
+    At = compressed(sp.csc_matrix, (P, len(index)), indptr, indices, weights)
+    cov = At @ o
+    Wt = compressed(sp.csc_matrix, At.shape, indptr, indices, weights * weights) if squared else At
+    den = Wt @ o if squared else cov
+    # L with one row per ray; as W^T L's right operand it becomes the CSC of
+    # L, which lists each table row's rays in order.
+    L = sp.csr_matrix((np.ones(np.count_nonzero(observed)), index[observed],
+                       np.append(0, np.cumsum(observed))), shape=(len(index), K))
+    return (Wt @ L).tocsr(), den, cov
 
 
 def _view_sums(A: WeightMatrix, obs: ObservationSet, squared: bool) -> list:
@@ -298,7 +310,10 @@ def lift_streaming(scene: SplatScene, views, obs: ObservationSet,
 
     def accumulate_view(view, frame):  # after _map_views has checked the scene and views
         index = obs.index[slice(*obs.view_ranges[view.view_id])]
-        return _accumulate(_build_view(view, frame), len(scene), index, len(obs.table), squared)
+        # scipy's constructor gives the build's int64 indptr the indices' int32, as in A
+        block = sp.csr_matrix(_build_view(view, frame)[::-1], shape=(len(index), len(scene)))
+        return _accumulate((block.indptr, block.indices, block.data), len(scene), index,
+                           len(obs.table), squared)
 
     _, view_sums = _map_views(scene, views, cfg, threads, accumulate_view,
                               expected_ranges=obs.view_ranges)

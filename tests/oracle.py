@@ -4,8 +4,8 @@ kernel, row access to the matrix and its row sums by bincount, dense and
 bincount references for label compositing, a global-sort reference for the
 duplicate check, table-space sums and lifts for the row-sum lifts, a
 per-entry reference for the surrogate gradient, dense references for the
-attention scores and the cosine metric, and the bundled two-blob scene at
-test sizes.
+attention scores and the cosine metric, a run-length reference for the
+histogram valleys, and the bundled two-blob scene at test sizes.
 
 The reference works one view, one splat and one ray at a time, straight from
 the scene arrays: an EWA screen-space covariance per splat (Zwicker et al.,
@@ -298,6 +298,25 @@ def attention_reference(values, unobserved, query):
     scores = np.full(len(values), -1.0)
     scores[valid] = (values[valid] @ query) / norms[valid]
     return scores
+
+
+def valleys_reference(hist, peak, direction):
+    """Interior minima of a histogram scanning from peak, nearest first, by
+    a run-length encoding in a Python loop: the (lo, hi) bin span of every
+    run of equal values strictly below the runs on either side of it."""
+    segment = hist[peak:] if direction > 0 else hist[:peak + 1][::-1]
+    runs, start = [], 0
+    for i in range(1, len(segment) + 1):
+        if i == len(segment) or segment[i] != segment[start]:
+            runs.append((segment[start], start, i))
+            start = i
+    for k in range(1, len(runs) - 1):
+        value, start, stop = runs[k]
+        if value < runs[k - 1][0] and value < runs[k + 1][0]:
+            if direction > 0:
+                yield peak + start, peak + stop - 1
+            else:
+                yield peak - (stop - 1), peak - start
 
 
 def widened_attention_reference(values, coverage, query, eps_coverage):

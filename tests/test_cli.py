@@ -969,6 +969,36 @@ def test_non_ascii_run_report_is_format_error(fixture_dir, tmp_path, capsys, com
     assert "field.flt.json: malformed run report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", [b"\xff\xfe", b"query," + b"x" * 200_000],
+                         ids=["not_utf8", "field_past_the_csv_limit"])
+def test_unreadable_thresholds_table_is_format_error(fixture_dir, tmp_path, capsys, table):
+    geo = ["--scene", str(fixture_dir / "scene.ply"),
+           "--cameras", str(fixture_dir / "cameras.txt")]
+    field = tmp_path / "field.flt"
+    assert main(["lift", *geo, "--features", str(fixture_dir / "features"),
+                 "--out", str(field)]) == 0
+    seg = tmp_path / "seg"
+    seg.mkdir()
+    (seg / "thresholds.csv").write_bytes(table)
+    assert main(["segment", *geo, "--field", str(field), "--out", str(seg),
+                 "--query", str(fixture_dir / "queries" / "blob_a.flt")]) == 3
+    err = capsys.readouterr().err
+    assert "seg/thresholds.csv: unreadable thresholds table" in err
+    assert "Traceback" not in err
+    # checked before any view's files are written: the directory is unchanged
+    assert list(seg.iterdir()) == [seg / "thresholds.csv"]
+    assert (seg / "thresholds.csv").read_bytes() == table
+
+
+def test_undecodable_scene_spec_is_invalid_input(tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_bytes(SMALL_INI.encode().replace(b"[views]", b"[views\xff\xfe]"))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "spec.ini: malformed scene spec" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_cosine_flow(fixture_dir, tmp_path):
     field = tmp_path / "field.flt"
     rendered = tmp_path / "rendered"

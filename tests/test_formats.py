@@ -540,7 +540,7 @@ def test_no_consumer_writes_into_a_loaded_weight_matrix(tmp_path):
                  for mode in LIFT_MODES}
     consumers.update({
         "render": lambda A: render(A, np.stack([scores, scores ** 2], axis=1), 0.5),
-        "render_attention": lambda A: render_attention(A, scores, views),
+        "render_attention": lambda A: render_attention(A, scores),
         "render_labels": lambda A: render_labels(A, ids, SILHOUETTE_DOMINANCE),
         "row_normalized": lambda A: A.row_normalized(),
         "bound_report": lambda A: bound_report(A, obs),

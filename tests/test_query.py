@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracle import (
     attention_reference,
     cosine_reference,
     splat_scene,
+    valleys_reference,
     widened_attention_reference,
 )
 from splatlift import formats, query, rasterize
@@ -15,6 +17,7 @@ from splatlift.cli import main
 from splatlift.model import CameraView, InvalidInputError, LiftConfig
 from splatlift.query import (
     _smooth,
+    _valleys,
     QueryEmbedding,
     ValleyNotFoundError,
     attention_scores,
@@ -22,6 +25,7 @@ from splatlift.query import (
     eval_cosine,
     render_attention,
     segment,
+    to_display,
 )
 from splatlift.rasterize import build_weight_matrix
 from splatlift.solver import EPS_COVERAGE, FeatureField, ObservationSet
@@ -179,10 +183,10 @@ def opaque_view_setup(monkeypatch):
 
 def test_render_attention_uniform_scores(monkeypatch):
     view, A = opaque_view_setup(monkeypatch)
-    maps = render_attention(A, np.array([0.37, 0.37]), [view])
-    amap = maps["v"]
-    assert amap.covered.all()
-    assert np.max(np.abs(amap.scores - 0.37)) < 1e-6
+    composite = render_attention(A, np.array([0.37, 0.37]))
+    assert composite.dtype == np.float64 and composite.shape == (A.rows,)
+    assert A.covered_rows().all()
+    assert np.max(np.abs(composite - 0.37)) < 1e-6
 
 
 def test_render_attention_uncovered_is_background():
@@ -190,19 +194,23 @@ def test_render_attention_uncovered_is_background():
                       world_to_camera=np.eye(4), view_id="v")
     scene = splat_scene([0, 0, 1.0], 0.002, 9.0)
     A = build_weight_matrix(scene, [view], LiftConfig(lam=1.0))
-    amap = render_attention(A, np.array([0.9]), [view])["v"]
-    assert amap.scores[0, 0] == -1.0
-    assert not amap.covered[0, 0]
+    composite = render_attention(A, np.array([0.9]))
+    assert composite[0] == -1.0  # pixel (0, 0)
+    assert not A.covered_rows()[0]
+    assert A.covered_rows().any()
 
 
-def test_display_rescaling_is_lossless_metadata(monkeypatch):
+def test_display_rescales_the_covered_scores_to_8_bits(monkeypatch):
     view, A = opaque_view_setup(monkeypatch)
-    amap = render_attention(A, np.array([0.2, 0.8]), [view])["v"]
-    covered_vals = amap.covered_scores()
-    assert amap.display_min == covered_vals.min()
-    assert amap.display_max == covered_vals.max()
-    img = amap.to_display()
-    assert img.dtype == np.uint8
+    composite, covered = render_attention(A, np.array([0.2, 0.8])), A.covered_rows()
+    img = to_display(composite, covered)
+    assert img.dtype == np.uint8 and img.shape == composite.shape
+    assert img[np.argmin(composite)] == 0 and img[np.argmax(composite)] == 255
+    # uncovered scores clip; with no covered score the scale is the identity span
+    scores = np.array([-1.0, 0.2, 0.5, 0.8])
+    assert to_display(scores, scores > -1.0).tolist() == [0, 0, 127, 255]
+    assert to_display(scores, np.zeros(4, bool)).tolist() == [0, 51, 127, 204]
+    assert to_display(scores.reshape(2, 2), (scores > -1.0).reshape(2, 2)).shape == (2, 2)
 
 
 # -- auto threshold ----------------------------------------------------------------
@@ -277,6 +285,18 @@ def test_auto_threshold_rejects_bins_below_one(bins):
     scores = np.concatenate([np.full(50, 0.1), np.full(50, 0.9)])
     with pytest.raises(InvalidInputError, match="bins"):
         auto_threshold(scores, bins=bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+       widths=st.lists(st.integers(1, 4), min_size=40, max_size=40))
+def test_valleys_match_the_run_length_reference(levels, widths):
+    # few levels and repeated bins give plateaus, at the ends and inside
+    hist = np.repeat(np.array(levels, dtype=np.float64) / 3.0, widths[:len(levels)])
+    for peak in range(len(hist)):
+        for direction in (+1, -1):
+            want = list(valleys_reference(hist, peak, direction))
+            assert _valleys(hist, peak, direction) == want, (peak, direction)
 
 
 def test_smoothing_counts_no_bin_twice_at_the_edges():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse._compressed
+import scipy.sparse._sparsetools
 from hypothesis import given, settings, strategies as st
 
 from oracle import (
@@ -547,7 +548,7 @@ def entries_matching_dense_reference(scene, view, lam):
     its entries a tile group and a depth chunk at a time, the dense kernel
     tile by tile; both are compared in (row, depth) order."""
     proj = project(scene, view, lam)
-    got = list(rasterize._tile_entries(proj, view, rasterize.TILE_SIDE))
+    got = list(rasterize._tile_entries(proj, view))
     want = list(dense_tile_entries(proj, view))
     assert got and want
     got, want = (by_row(*(np.concatenate(part) for part in zip(*parts)))
@@ -604,9 +605,8 @@ def test_tile_kernel_pads_groups_with_slots_that_add_nothing():
     scene = splat_scene(np.concatenate([faint, cluster]), [0.03] + [0.08] * 30,
                         [-1.0] + [2.0] * 30)
     proj = project(scene, view, 1.0)
-    side = rasterize.TILE_SIDE
-    ids, counts, _ = rasterize._bin_footprints(proj, view, side)
-    group = next(g for g in rasterize._tile_groups(counts, side) if 0 in ids[g])
+    ids, counts, _ = rasterize._bin_footprints(proj, view)
+    group = next(g for g in rasterize._tile_groups(counts) if 0 in ids[g])
     assert ids[0] == 0 and counts[0] < counts[group].max()
     entries_matching_dense_reference(scene, view, 1.0)
 
@@ -659,7 +659,7 @@ def test_streamed_view_is_the_builds_view_arrays(monkeypatch, block, chunk):
 
 
 @pytest.mark.parametrize("side", [1, 3, 8, 16, 40])
-def test_binned_tiles_match_a_scan_of_every_footprint(side):
+def test_binned_tiles_match_a_scan_of_every_footprint(monkeypatch, side):
     # Centres on and off the view, three footprints larger than the view and
     # splats whose disks miss it; each tile's candidates must be the scan's,
     # in depth order (the scan lists them by ascending depth rank).
@@ -672,7 +672,8 @@ def test_binned_tiles_match_a_scan_of_every_footprint(side):
     view = turned_view(0.2, [0, 0, 3.2], 3.2, fx=30.0, fy=28.0, cx=14.6, cy=12.3,
                        width=29, height=25, view_id="a")
     proj = project(scene, view, 1.2)
-    ids, counts, cand = rasterize._bin_footprints(proj, view, side)
+    monkeypatch.setattr(rasterize, "TILE_SIDE", side)
+    ids, counts, cand = rasterize._bin_footprints(proj, view)
     assert len(ids) == len(counts) and counts.sum() == len(cand)
     scanned = scanned_tiles(proj, view, side)
     assert ids.tolist() == list(scanned)
@@ -930,29 +931,53 @@ def test_index_arrays_past_int32_are_refused_not_wrapped():
 
 def test_matrix_and_tile_ids_are_int32_and_wrapped_without_copies(monkeypatch):
     scene = splat_scene([[0.0, 0.0, 2.0], [0.05, 0.0, 2.5]], 0.1, 3.0)
-    view = frontal_view(17, 17, view_id="a")
-    assert all(cols.dtype == np.int32
-               for _, cols, _ in rasterize._tile_entries(project(scene, view, 1.0), view, 4))
-    A = build_weight_matrix(scene, [view])
+    views = [frontal_view(17, 17, view_id=view_id) for view_id in "abc"]
+    assert all(cols.dtype == np.int32 for _, cols, _ in
+               rasterize._tile_entries(project(scene, views[0], 1.0), views[0]))
+    A = build_weight_matrix(scene, views)
     assert A.indptr.dtype == A.indices.dtype == np.int32
     csr = A.to_csr()
     assert np.shares_memory(csr.indptr, A.indptr) and np.shares_memory(csr.indices, A.indices)
-    # The lift's sparse product reads A's own indices (and weights, for
-    # rowsum) and the view's int32 indptr, rebased, not int64 copies.
-    products, matmat = [], scipy.sparse._compressed.csr_matmat
-
-    def recorded(*args):
-        products.append(args[5:8])  # the right operand's indptr, indices and data
-        return matmat(*args)
-
-    monkeypatch.setattr(scipy.sparse._compressed, "csr_matmat", recorded)
+    # The sparse products read each view's or block's slices of A's arrays,
+    # and int32 indptrs rebased, although scipy copies a slice shorter than
+    # half its base (each view here is a third of A) wherever it constructs
+    # a matrix: the lift's table product (right operand: the view's indptr,
+    # indices and weights, for rowsum), its sums over the observed rays (the
+    # view's indices and weights) and the row sums (a block's weights).
+    calls = {name: [] for name in ("csr_matmat", "csc_matvec", "csr_matvec")}
+    for name, seen in calls.items():
+        module = scipy.sparse._compressed if name == "csr_matmat" else scipy.sparse._sparsetools
+        monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), _seen=seen:
+                            _seen.append(args) or _f(*args))
+    obs = ObservationSet.from_dense(views, {v.view_id: np.ones((17, 17, 2)) for v in views})
+    ranges = [(A.indptr[start], A.indptr[stop], start, stop)
+              for start, stop in A.view_ranges.values()]
+    assert all(hi > lo for lo, hi, _, _ in ranges)
     for mode in LIFT_MODES:
-        products.clear()
-        lift_rowsum(A, ObservationSet.from_dense([view], {"a": np.ones((17, 17, 2))}), mode)
-        assert any(indptr.dtype == np.int32 and indptr.tobytes() == A.indptr.tobytes()
-                   and np.shares_memory(indices, A.indices)
-                   and np.shares_memory(data, A.weights) == (mode == "rowsum")
-                   for indptr, indices, data in products)
+        for seen in calls.values():
+            seen.clear()
+        lift_rowsum(A, obs, mode)
+        products, sums = calls["csr_matmat"], calls["csc_matvec"]
+        assert len(products) == len(ranges) and len(sums) == len(ranges) * (1 + (mode == "rowsum2"))
+        for (lo, hi, start, stop), product in zip(ranges, products):
+            indptr, indices, data = product[5:8]  # the right operand's
+            assert indptr.dtype == np.int32
+            assert indptr.tobytes() == (A.indptr[start:stop + 1] - lo).tobytes()
+            assert np.shares_memory(indices, A.indices[lo:hi])
+            assert np.shares_memory(data, A.weights[lo:hi]) == (mode == "rowsum")
+        for lo, hi, _, _ in ranges:
+            assert any(np.shares_memory(s[3], A.indices[lo:hi])
+                       and np.shares_memory(s[4], A.weights[lo:hi]) for s in sums)
+    calls["csr_matvec"].clear()
+    monkeypatch.setattr(rasterize, "ROW_BLOCK_VALUES", A.nnz // 8)
+    A = WeightMatrix(A.indptr, A.indices, A.weights, A.cols, A.view_ranges, 1.0)  # sums not cached
+    blocks = list(A._row_blocks())
+    assert A.row_sums().tobytes() == row_sums_reference(A).tobytes()
+    assert len(blocks) == len(calls["csr_matvec"]) >= 8
+    for (start, stop), (_, _, indptr, _, data, *_) in zip(blocks, calls["csr_matvec"]):
+        lo, hi = A.indptr[start], A.indptr[stop]
+        assert indptr.dtype == np.int32
+        assert hi == lo or np.shares_memory(data, A.weights[lo:hi]), (start, stop)
 
 
 def test_build_refuses_entries_and_primitives_past_int32(monkeypatch):
